@@ -1,5 +1,6 @@
 // Microbenchmarks for the simulation substrate: event queue throughput,
-// medium delivery resolution, and end-to-end simulated-seconds-per-wall-
+// OneShotTimer re-arm churn on slot-aligned and drifted instants, medium
+// delivery resolution, and end-to-end simulated-seconds-per-wall-
 // second for formed GT-TSCH networks.
 //
 // Beyond the Google-Benchmark microbenches, this harness owns the repo's
@@ -33,6 +34,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -43,6 +45,7 @@
 #include "scenario/network.hpp"
 #include "scenario/trace.hpp"
 #include "sim/simulator.hpp"
+#include "sim/timer.hpp"
 #include "stats/telemetry.hpp"
 #include "util/rng.hpp"
 
@@ -62,6 +65,51 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch);
 }
 BENCHMARK(BM_EventQueueScheduleRun)->Range(1 << 8, 1 << 14);
+
+/// OneShotTimer churn over a steady population of `pending` timers, one
+/// per node and keyed by node id like the MAC slot timer. Each timer
+/// re-arms itself when it fires, 1-16 slots ahead. Every iteration also
+/// re-arms one random timer early, which kills its pending expiry, and
+/// then advances the clock by an eighth of a slot. Instants are either
+/// slot-aligned (all timers on the 10 ms grid, so expiries share
+/// instants) or drifted (a per-timer offset inside the slot, as with
+/// NodeConfig::max_drift_ppm, so almost every instant is distinct).
+void BM_EventCoreRearm(benchmark::State& state) {
+  const int pending = static_cast<int>(state.range(0));
+  const bool drifted = state.range(1) != 0;
+  constexpr TimeUs kSlot = 10'000;
+  Simulator sim(1);
+  Rng rng(7);
+  std::vector<std::unique_ptr<OneShotTimer>> timers;
+  std::vector<TimeUs> offset;
+  for (int i = 0; i < pending; ++i) {
+    timers.push_back(std::make_unique<OneShotTimer>(sim, static_cast<std::uint32_t>(i)));
+    offset.push_back(drifted ? 1 + (static_cast<TimeUs>(i) * 7919) % (kSlot - 1) : 0);
+  }
+  std::function<void(int)> arm = [&](int i) {
+    const std::size_t n = static_cast<std::size_t>(i);
+    const TimeUs at = sim.now() / kSlot * kSlot +
+                      kSlot * static_cast<TimeUs>(1 + rng.uniform(16)) + offset[n];
+    timers[n]->start(at - sim.now(), [&arm, i] { arm(i); });
+  };
+  for (int i = 0; i < pending; ++i) arm(i);
+  const std::uint64_t events_before = sim.events_processed();
+  for (auto _ : state) {
+    arm(static_cast<int>(rng.uniform(static_cast<std::uint64_t>(pending))));
+    sim.run_until(sim.now() + kSlot / 8);
+    benchmark::DoNotOptimize(sim.events_processed());
+  }
+  // One item per re-arm: the random one of each iteration plus the one
+  // each fired timer makes.
+  state.SetItemsProcessed(state.iterations() +
+                          static_cast<std::int64_t>(sim.events_processed() - events_before));
+}
+BENCHMARK(BM_EventCoreRearm)
+    ->ArgNames({"pending", "drifted"})
+    ->Args({1000, 0})
+    ->Args({1000, 1})
+    ->Args({10000, 0})
+    ->Args({10000, 1});
 
 void BM_MediumBroadcastResolution(benchmark::State& state) {
   const int receivers = static_cast<int>(state.range(0));

@@ -1,5 +1,7 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace gttsch {
@@ -50,13 +52,151 @@ EventRecord* EventPool::record_for(EventId id) {
   return &rec;
 }
 
+std::uint32_t InstantQueue::link_node(const EventEntry& entry,
+                                      std::uint32_t head) {
+  std::uint32_t n = free_nodes_;
+  if (n != kNil) {
+    free_nodes_ = nodes_[n].next;
+  } else {
+    n = static_cast<std::uint32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[n] = Node{entry.seq, entry.key, entry.owner, entry.slot, head};
+  return n;
+}
+
+void InstantQueue::free_node(std::uint32_t n) {
+  nodes_[n].next = free_nodes_;
+  free_nodes_ = n;
+}
+
+void InstantQueue::take_list(TimeUs at, std::uint32_t head,
+                             std::vector<EventEntry>& out) {
+  while (head != kNil) {
+    const Node& node = nodes_[head];
+    out.push_back(EventEntry{at, node.seq, node.key, node.owner, node.slot});
+    const std::uint32_t next = node.next;
+    free_node(head);
+    head = next;
+  }
+}
+
+void InstantQueue::push_instant(const EventEntry& entry, std::uint32_t more) {
+  instants_.push_back(
+      Instant{entry.at, entry.seq, entry.key, entry.owner, entry.slot, more});
+  std::push_heap(instants_.begin(), instants_.end(), InstantLater{});
+}
+
+void InstantQueue::pop_instant() {
+  std::pop_heap(instants_.begin(), instants_.end(), InstantLater{});
+  instants_.pop_back();
+}
+
+void InstantQueue::evict(CacheLine& line) {
+  if (line.head != kNil) {
+    const Node first = nodes_[line.head];
+    push_instant(
+        EventEntry{line.at, first.seq, first.key, first.owner, first.slot},
+        first.next);
+    free_node(line.head);
+  }
+  line = CacheLine{kNoInstant, kNil};
+}
+
+void InstantQueue::push(const EventEntry& entry) {
+  if (entry.at == active_at_) {
+    insert_active(entry);
+    return;
+  }
+  if (entry.at < active_at_) close_active();
+  CacheLine& line = cache_[cache_index(entry.at)];
+  if (line.at == entry.at) {
+    // The instant already has a heap element; order inside a batch does
+    // not matter (activation sorts it), so prepend to the line's list.
+    line.head = link_node(entry, line.head);
+    return;
+  }
+  evict(line);
+  push_instant(entry, kNil);
+  line = CacheLine{entry.at, kNil};
+}
+
+const EventEntry* InstantQueue::activate_next() {
+  active_.clear();
+  active_pos_ = 0;
+  active_at_ = instants_.front().at;
+  // Merge every heap element of the instant (evictions and spills may
+  // have made several), then the list its cache line collected.
+  do {
+    const Instant& top = instants_.front();
+    active_.push_back(EventEntry{top.at, top.seq, top.key, top.owner, top.slot});
+    const std::uint32_t more = top.more;
+    pop_instant();
+    if (more != kNil) take_list(active_at_, more, active_);
+  } while (!instants_.empty() && instants_.front().at == active_at_);
+  CacheLine& line = cache_[cache_index(active_at_)];
+  if (line.at == active_at_) {
+    take_list(active_at_, line.head, active_);
+    line = CacheLine{kNoInstant, kNil};
+  }
+  if (active_.size() > 1) {
+    std::sort(active_.begin(), active_.end(), SameInstantBefore{});
+  }
+  return active_.data();
+}
+
+void InstantQueue::insert_active(const EventEntry& entry) {
+  // Drop the consumed prefix instead of growing, so a long chain of
+  // same-instant events keeps the vector at its peak pending size.
+  if (active_.size() == active_.capacity() && active_pos_ > 0) {
+    active_.erase(active_.begin(),
+                  active_.begin() + static_cast<std::ptrdiff_t>(active_pos_));
+    active_pos_ = 0;
+  }
+  const auto pos =
+      std::upper_bound(active_.begin() + static_cast<std::ptrdiff_t>(active_pos_),
+                       active_.end(), entry, SameInstantBefore{});
+  active_.insert(pos, entry);
+}
+
+void InstantQueue::close_active() {
+  if (active_pos_ < active_.size()) {
+    std::uint32_t more = kNil;
+    for (std::size_t i = active_pos_ + 1; i < active_.size(); ++i) {
+      more = link_node(active_[i], more);
+    }
+    push_instant(active_[active_pos_], more);
+  }
+  active_.clear();
+  active_pos_ = 0;
+  active_at_ = kNoInstant;
+}
+
+void InstantQueue::drain(std::vector<EventEntry>& out) {
+  out.insert(out.end(),
+             active_.begin() + static_cast<std::ptrdiff_t>(active_pos_),
+             active_.end());
+  for (const Instant& e : instants_) {
+    out.push_back(EventEntry{e.at, e.seq, e.key, e.owner, e.slot});
+    take_list(e.at, e.more, out);
+  }
+  for (CacheLine& line : cache_) {
+    if (line.at != kNoInstant) take_list(line.at, line.head, out);
+    line = CacheLine{kNoInstant, kNil};
+  }
+  instants_.clear();
+  active_.clear();
+  active_pos_ = 0;
+  active_at_ = kNoInstant;
+}
+
 EventId EventQueue::schedule_keyed(TimeUs at, std::uint32_t key, SmallFn fn) {
   const std::uint32_t slot = pool_.alloc(free_slots_);
   EventRecord& rec = pool_.record(slot);
   rec.fn = std::move(fn);
   rec.armed = true;
   rec.cancelled = false;
-  heap_.push(EventEntry{at, next_seq_++, key, kGlobalOwner, slot});
+  queue_.push(EventEntry{at, next_seq_++, key, kGlobalOwner, slot});
   ++live_;
   return make_event_id(rec.generation, slot);
 }
@@ -65,32 +205,35 @@ void EventQueue::cancel(EventId id) {
   EventRecord* rec = pool_.record_for(id);
   if (rec == nullptr || !rec->armed || rec->cancelled) return;
   rec->cancelled = true;
-  rec->fn.reset();  // release captures now; the heap entry dies lazily
+  rec->fn.reset();  // release captures now; the queue entry dies lazily
   GTTSCH_CHECK(live_ > 0);
   --live_;
 }
 
-void EventQueue::drop_cancelled() {
-  while (!heap_.empty() && pool_.record(heap_.top().slot).cancelled) {
-    pool_.release(heap_.top().slot, free_slots_);
-    heap_.pop();
+const EventEntry* EventQueue::next_live() {
+  for (;;) {
+    const EventEntry* top = queue_.peek();
+    if (top == nullptr || !pool_.record(top->slot).cancelled) return top;
+    pool_.release(top->slot, free_slots_);
+    queue_.pop_front();
   }
 }
 
 TimeUs EventQueue::next_time() {
-  drop_cancelled();
-  return heap_.empty() ? kInfiniteTime : heap_.top().at;
+  const EventEntry* top = next_live();
+  return top == nullptr ? kInfiniteTime : top->at;
 }
 
 bool EventQueue::pop_next(TimeUs& out_time, SmallFn& out_fn) {
-  drop_cancelled();
-  if (heap_.empty()) return false;
+  const EventEntry* top = next_live();
+  if (top == nullptr) return false;
   // Move the callback out before running it: the callback may schedule
-  // new events and mutate both the heap and the slot pool.
-  const EventEntry top = heap_.pop();
-  out_time = top.at;
-  out_fn = std::move(pool_.record(top.slot).fn);
-  pool_.release(top.slot, free_slots_);
+  // new events and mutate both the queue and the slot pool.
+  const EventEntry e = *top;
+  queue_.pop_front();
+  out_time = e.at;
+  out_fn = std::move(pool_.record(e.slot).fn);
+  pool_.release(e.slot, free_slots_);
   GTTSCH_CHECK(live_ > 0);
   --live_;
   return true;

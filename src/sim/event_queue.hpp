@@ -1,23 +1,26 @@
-// Priority queue of timed events with stable FIFO ordering at equal times.
+// Timed events, run in the total order (at, key, owner, seq).
 //
-// Since the island-parallel scheduler (PR 10) the event machinery is split
-// into three pieces so multiple per-island heaps can share one callback
-// store:
-//   * EventPool — chunked, address-stable slot storage for callbacks.
-//     EventIds stay valid while their entry migrates between heaps during
-//     island repartitioning, and chunk growth is thread-safe so islands
-//     can allocate slots concurrently.
-//   * EventHeap — an iterable binary heap of EventEntry (std::push_heap /
-//     std::pop_heap over a plain vector), so a repartition can sweep and
-//     redistribute entries without draining through the comparator.
-//   * EventQueue — the legacy single-threaded facade composed of one pool
-//     and one heap; unit tests and simple consumers use it unchanged.
+// The event machinery has three pieces:
+//   * EventPool — chunked, address-stable slot storage for callbacks. An
+//     EventId is a slot plus a generation, so ids stay valid while their
+//     entry moves between queues, and chunk growth is thread-safe so
+//     several execution contexts can allocate slots concurrently.
+//   * InstantQueue — the pending EventEntries of one execution context,
+//     kept on two levels: a min-heap over the pending instants, compared
+//     on `at` alone, and one batch of entries per instant. TSCH
+//     runs every node on one global slot grid, so with perfect clocks most
+//     events fire at exactly the instant of the event before them; popping
+//     such an event is an index increment, not a heap pop through the
+//     four-field comparator. A batch is sorted by (key, owner, seq) once,
+//     when its instant becomes the earliest.
+//   * EventQueue — a single-threaded facade of one pool and one queue,
+//     used by unit tests and simple consumers.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <vector>
 
@@ -46,7 +49,7 @@ inline constexpr std::uint32_t kDefaultEventKey = 0xFFFFFFFFu;
 /// always execute on the main thread between island phases.
 inline constexpr std::uint32_t kGlobalOwner = 0xFFFFFFFFu;
 
-/// A scheduled event as it sits in a heap. `owner` is the node the event
+/// A scheduled event as it sits in a queue. `owner` is the node the event
 /// belongs to (kGlobalOwner for scenario-level events); it participates in
 /// the ordering so that ties between events of *different* nodes resolve
 /// by node id — independent of which island executed the scheduling code,
@@ -61,20 +64,20 @@ struct EventEntry {
   std::uint32_t slot = 0;                // index into the EventPool
 };
 
-/// Heap comparator: "a fires later than b". Full event order is
-/// (at, key, owner, seq) ascending.
-struct EventLater {
+/// Order of two entries that share `at`: (key, owner, seq) ascending.
+struct SameInstantBefore {
   bool operator()(const EventEntry& a, const EventEntry& b) const {
-    if (a.at != b.at) return a.at > b.at;
-    if (a.key != b.key) return a.key > b.key;
-    if (a.owner != b.owner) return a.owner > b.owner;
-    return a.seq > b.seq;
+    if (a.key != b.key) return a.key < b.key;
+    if (a.owner != b.owner) return a.owner < b.owner;
+    return a.seq < b.seq;
   }
 };
 
-/// True when `a` fires strictly before `b` in the full event order.
+/// True when `a` fires strictly before `b` in the full event order
+/// (at, key, owner, seq).
 inline bool event_before(const EventEntry& a, const EventEntry& b) {
-  return EventLater{}(b, a);
+  if (a.at != b.at) return a.at < b.at;
+  return SameInstantBefore{}(a, b);
 }
 
 /// An EventId packs (generation << 32) | (slot + 1); the +1 keeps 0 free
@@ -94,8 +97,8 @@ constexpr std::uint32_t event_id_generation(EventId id) {
 struct EventRecord {
   SmallFn fn;
   std::uint32_t generation = 1;
-  std::uint32_t ctx = 0;   // execution context whose heap holds the entry
-  bool armed = false;      // a heap entry references this slot
+  std::uint32_t ctx = 0;   // execution context whose queue holds the entry
+  bool armed = false;      // a queue entry references this slot
   bool cancelled = false;  // armed but logically dead; reclaimed on pop
 };
 
@@ -119,7 +122,7 @@ class EventPool {
   /// store. The returned record has fn reset and armed/cancelled false.
   std::uint32_t alloc(std::vector<std::uint32_t>& free_slots);
 
-  /// Reclaim a slot after its entry left a heap: resets the callback,
+  /// Reclaim a slot after its entry left a queue: resets the callback,
   /// bumps the generation, and pushes the slot onto `free_slots`.
   void release(std::uint32_t slot, std::vector<std::uint32_t>& free_slots);
 
@@ -143,46 +146,146 @@ class EventPool {
   std::mutex grow_mutex_;
 };
 
-/// Iterable min-heap of EventEntry. Exposes its backing vector so a
-/// repartition can sweep entries out and `heapify()` what remains.
-class EventHeap {
+/// Pending entries of one execution context, popped in (at, key, owner,
+/// seq) order.
+///
+/// Level one is a binary min-heap keyed on `at` alone. Each heap element
+/// carries one entry inline plus a linked list, in a node pool, of further
+/// entries at the same instant. When the earliest instant is reached, all
+/// of its entries become the *active batch*: a vector sorted by (key,
+/// owner, seq) and consumed front to back. So an event costs one heap push
+/// and pop per *instant*, not per event, plus its share of one small sort.
+/// The grouping is what pays: a heap of single entries compared on `at`
+/// alone, draining the earliest instant into the same sorted batch, still
+/// pops the heap once per event and kept only a sixth of the gain on
+/// perfbench's mesh-200 (README, "Performance").
+///
+///   * Scheduling into the active instant inserts by binary search among
+///     the entries not yet run (slot-boundary work scheduling same-instant
+///     follow-ups).
+///   * Scheduling into another instant looks the instant up in a lossy
+///     direct-mapped cache of 1024 lines. A line names one instant that has
+///     a heap element and holds the list of that instant's later entries.
+///     On a miss the entry becomes a new heap element and claims the line;
+///     the line's previous list, if any, moves into a heap element of its
+///     own. Activation merges every heap element and line list of the
+///     instant, so a miss costs a heap element and never correctness.
+///     Drifted clocks, where nearly every instant is distinct, thus pay
+///     neither a hash-map insert and erase nor a node per instant.
+///   * Scheduling *before* the active instant (a caller filling in events
+///     behind a batch that was peeked but not run) returns the active
+///     batch's remainder to the heap first. peek(until) avoids the usual
+///     cause by not activating instants beyond its bound.
+///
+/// Storage stays bounded by the peak number of pending entries: the node
+/// pool only grows when its freelist is empty, and the active vector drops
+/// its consumed prefix before it would grow.
+class InstantQueue {
  public:
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-  const EventEntry& top() const { return entries_.front(); }
+  InstantQueue() { cache_.fill(CacheLine{kNoInstant, kNil}); }
 
-  void push(const EventEntry& entry) {
-    entries_.push_back(entry);
-    std::push_heap(entries_.begin(), entries_.end(), EventLater{});
+  /// Earliest entry if it is due at or before `until`, else nullptr. The
+  /// pointer stays valid until the next push, pop_front or drain. An
+  /// instant later than `until` is never activated, so a caller that stops
+  /// at `until` and then schedules earlier events (run_until in slices)
+  /// does not force that batch back into the heap.
+  const EventEntry* peek(TimeUs until = kInfiniteTime) {
+    if (active_pos_ < active_.size()) {
+      return active_at_ <= until ? &active_[active_pos_] : nullptr;
+    }
+    if (instants_.empty() || instants_.front().at > until) return nullptr;
+    return activate_next();
   }
 
-  EventEntry pop() {
-    std::pop_heap(entries_.begin(), entries_.end(), EventLater{});
-    EventEntry top = entries_.back();
-    entries_.pop_back();
-    return top;
-  }
+  /// Remove the entry the last peek() returned (it must not be null).
+  void pop_front() { ++active_pos_; }
 
-  /// Direct access for redistribution; call heapify() after mutating.
-  std::vector<EventEntry>& raw() { return entries_; }
-  void heapify() {
-    std::make_heap(entries_.begin(), entries_.end(), EventLater{});
+  void push(const EventEntry& entry);
+
+  /// Append every entry to `out`, in no particular order, and leave the
+  /// queue empty. Island repartitioning drains each context this way and
+  /// pushes the entries into their new homes.
+  void drain(std::vector<EventEntry>& out);
+
+  /// Entries the queue's storage holds room for (heap, node pool and active
+  /// vector) — bounded by the peak count of pending entries (regression
+  /// hook for the memory tests).
+  std::size_t storage_capacity() const {
+    return instants_.capacity() + nodes_.size() + active_.capacity();
   }
 
  private:
-  std::vector<EventEntry> entries_;
+  static constexpr TimeUs kNoInstant = std::numeric_limits<TimeUs>::min();
+  static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
+  static constexpr unsigned kCacheBits = 10;
+
+  /// Heap element: one entry, flattened so the element stays 32 bytes,
+  /// plus the list of further entries at its instant.
+  struct Instant {
+    TimeUs at;
+    std::uint64_t seq;
+    std::uint32_t key;
+    std::uint32_t owner;
+    std::uint32_t slot;
+    std::uint32_t more;  // first node of the list, or kNil
+  };
+  /// List node: an entry whose instant is known from its list.
+  struct Node {
+    std::uint64_t seq;
+    std::uint32_t key;
+    std::uint32_t owner;
+    std::uint32_t slot;
+    std::uint32_t next;  // next node of the list, or of the freelist
+  };
+  struct InstantLater {
+    bool operator()(const Instant& a, const Instant& b) const {
+      return a.at > b.at;
+    }
+  };
+  struct CacheLine {
+    TimeUs at;           // an instant with a pending heap element
+    std::uint32_t head;  // list of further entries at `at`, or kNil
+  };
+
+  static std::size_t cache_index(TimeUs at) {
+    return static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(at) * 0x9E3779B97F4A7C15ull) >>
+        (64 - kCacheBits));
+  }
+
+  /// Prepend `entry` to the list starting at `head`; returns the new head.
+  std::uint32_t link_node(const EventEntry& entry, std::uint32_t head);
+  void free_node(std::uint32_t n);
+  /// Append the entries of list `head`, all at `at`, to `out` and free
+  /// their nodes.
+  void take_list(TimeUs at, std::uint32_t head, std::vector<EventEntry>& out);
+  void push_instant(const EventEntry& entry, std::uint32_t more);
+  /// Remove the earliest heap element.
+  void pop_instant();
+  /// Move a line's list into a heap element of its own and clear the line.
+  void evict(CacheLine& line);
+  const EventEntry* activate_next();
+  void insert_active(const EventEntry& entry);
+  void close_active();
+
+  std::vector<Instant> instants_;  // min-heap on `at`
+  std::vector<Node> nodes_;
+  std::uint32_t free_nodes_ = kNil;
+  std::vector<EventEntry> active_;
+  std::size_t active_pos_ = 0;
+  TimeUs active_at_ = kNoInstant;
+  std::array<CacheLine, std::size_t{1} << kCacheBits> cache_;
 };
 
-/// Min-heap of (time, key, owner, insertion order) -> callback. Events
-/// inserted earlier fire first among equal (time, key, owner) tuples,
-/// which keeps runs reproducible. Cancellation is lazy: cancelled entries
-/// are skipped on pop.
+/// Single-threaded queue of (time, key, insertion order) -> callback.
+/// Events inserted earlier fire first among equal (time, key) pairs, which
+/// keeps runs reproducible. Cancellation is lazy: cancelled entries are
+/// skipped on pop.
 ///
 /// Callbacks live in a recycled slot pool (an EventId is slot + generation),
 /// so the queue performs no per-event heap allocation in steady state and
 /// its memory footprint is bounded by the peak number of *concurrently
-/// pending* events — not, as the earlier id-indexed cancellation bitmap
-/// was, by the total number of events ever scheduled.
+/// pending* events, not by the total number of events ever scheduled.
 class EventQueue {
  public:
   EventId schedule(TimeUs at, SmallFn fn) {
@@ -209,11 +312,17 @@ class EventQueue {
   /// concurrently pending events (regression hook for the memory tests).
   std::size_t slot_pool_size() const { return pool_.slots_allocated(); }
 
+  /// Entries the queue's batch storage holds room for; bounded like
+  /// slot_pool_size().
+  std::size_t batch_storage() const { return queue_.storage_capacity(); }
+
  private:
-  void drop_cancelled();
+  /// Earliest live entry, reclaiming cancelled ones on the way; nullptr
+  /// when none.
+  const EventEntry* next_live();
 
   EventPool pool_;
-  EventHeap heap_;
+  InstantQueue queue_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t live_ = 0;
   std::uint64_t next_seq_ = 1;

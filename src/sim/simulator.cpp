@@ -23,13 +23,13 @@ double steady_seconds() {
 
 }  // namespace
 
-/// One execution lane: a heap of events it owns, its own virtual clock,
+/// One execution lane: a queue of events it owns, its own virtual clock,
 /// and a private slot freelist so steady-state slot reuse needs no
 /// synchronization. Context 0 is the global / sequential lane; contexts
 /// 1..k step island 0..k-1. Cache-line aligned: island lanes hammer
 /// their own now/processed/live counters concurrently.
 struct alignas(64) SimContext {
-  EventHeap heap;
+  InstantQueue queue;
   std::vector<std::uint32_t> free_slots;
   std::uint64_t next_seq = 1;
   TimeUs now = 0;
@@ -148,7 +148,7 @@ EventId Simulator::schedule_impl(TimeUs when, std::uint32_t key, SmallFn fn) {
   SimContext& cur = current_context();
   // The event inherits the owner of the event being executed, and is
   // homed to that owner's context: its sequence number comes from the
-  // *target* heap (so one owner's FIFO order is a single counter stream
+  // *target* queue (so one owner's FIFO order is a single counter stream
   // regardless of which thread scheduled it), while the slot comes from
   // the *calling* context's freelist (thread-local reuse). Island lanes
   // only ever schedule for their own island, so cur is already home.
@@ -163,7 +163,7 @@ EventId Simulator::schedule_impl(TimeUs when, std::uint32_t key, SmallFn fn) {
   rec.armed = true;
   rec.cancelled = false;
   rec.ctx = home->index;
-  home->heap.push(EventEntry{when, home->next_seq++, key, cur.owner, slot});
+  home->queue.push(EventEntry{when, home->next_seq++, key, cur.owner, slot});
   ++home->live;
   return make_event_id(rec.generation, slot);
 }
@@ -172,18 +172,38 @@ void Simulator::cancel(EventId id) {
   EventRecord* rec = pool_.record_for(id);
   if (rec == nullptr || !rec->armed || rec->cancelled) return;
   rec->cancelled = true;
-  rec->fn.reset();  // release captures now; the heap entry dies lazily
+  rec->fn.reset();  // release captures now; the queue entry dies lazily
   GTTSCH_CHECK(rec->ctx < ctxs_.size());
   SimContext& home = *ctxs_[rec->ctx];
   GTTSCH_CHECK(home.live > 0);
   --home.live;
 }
 
-void Simulator::drop_cancelled(SimContext& c) {
-  while (!c.heap.empty() && pool_.record(c.heap.top().slot).cancelled) {
-    pool_.release(c.heap.top().slot, c.free_slots);
-    c.heap.pop();
+const EventEntry* Simulator::next_live(SimContext& c, TimeUs until) {
+  for (;;) {
+    const EventEntry* top = c.queue.peek(until);
+    if (top == nullptr || !pool_.record(top->slot).cancelled) return top;
+    pool_.release(top->slot, c.free_slots);
+    c.queue.pop_front();
   }
+}
+
+void Simulator::execute(SimContext& c, const EventEntry& e) {
+  GTTSCH_CHECK(e.at >= c.now);
+  // Advance the clock before running: callbacks must see now() == e.at.
+  c.now = e.at;
+  c.owner = e.owner;
+  c.key = e.key;
+  // Move the callback out before running it: the callback may schedule
+  // new events and mutate both the queue and the slot pool.
+  SmallFn fn = std::move(pool_.record(e.slot).fn);
+  pool_.release(e.slot, c.free_slots);
+  GTTSCH_CHECK(c.live > 0);
+  --c.live;
+  fn();
+  ++c.processed;
+  c.owner = kGlobalOwner;
+  c.key = kDefaultEventKey;
 }
 
 std::size_t Simulator::pending_events() const {
@@ -210,24 +230,11 @@ void Simulator::run_until(TimeUs until) {
 void Simulator::run_until_sequential(TimeUs until) {
   SimContext& g = main_ctx();
   for (;;) {
-    drop_cancelled(g);
-    if (g.heap.empty() || g.heap.top().at > until) break;
-    const EventEntry e = g.heap.pop();
-    GTTSCH_CHECK(e.at >= g.now);
-    // Advance the clock before running: callbacks must see now() == e.at.
-    g.now = e.at;
-    g.owner = e.owner;
-    g.key = e.key;
-    // Move the callback out before running it: the callback may schedule
-    // new events and mutate both the heap and the slot pool.
-    SmallFn fn = std::move(pool_.record(e.slot).fn);
-    pool_.release(e.slot, g.free_slots);
-    GTTSCH_CHECK(g.live > 0);
-    --g.live;
-    fn();
-    ++g.processed;
-    g.owner = kGlobalOwner;
-    g.key = kDefaultEventKey;
+    const EventEntry* top = next_live(g, until);
+    if (top == nullptr) break;
+    const EventEntry e = *top;
+    g.queue.pop_front();
+    execute(g, e);
     if (watchdog_armed_ && watchdog_step(g)) return;
   }
   if (g.now < until) g.now = until;
@@ -242,21 +249,11 @@ void Simulator::run_all() {
   }
   SimContext& g = main_ctx();
   for (;;) {
-    drop_cancelled(g);
-    if (g.heap.empty()) break;
-    const EventEntry e = g.heap.pop();
-    GTTSCH_CHECK(e.at >= g.now);
-    g.now = e.at;
-    g.owner = e.owner;
-    g.key = e.key;
-    SmallFn fn = std::move(pool_.record(e.slot).fn);
-    pool_.release(e.slot, g.free_slots);
-    GTTSCH_CHECK(g.live > 0);
-    --g.live;
-    fn();
-    ++g.processed;
-    g.owner = kGlobalOwner;
-    g.key = kDefaultEventKey;
+    const EventEntry* top = next_live(g, kInfiniteTime);
+    if (top == nullptr) break;
+    const EventEntry e = *top;
+    g.queue.pop_front();
+    execute(g, e);
     if (watchdog_armed_ && watchdog_step(g)) return;
   }
 }
@@ -279,11 +276,10 @@ void Simulator::run_until_parallel(TimeUs until) {
   if (until < g.now) return;
   for (;;) {
     if (watchdog_tripped()) return;
-    drop_cancelled(g);
     // Bring lazily-maintained shared state (interference cache, link
     // model activations) up to date on this thread, so island lanes only
     // read it. Must precede the bound computation: repartitioning
-    // *migrates events between heaps* (pre-partition events homed to the
+    // *migrates events between queues* (pre-partition events homed to the
     // global context move out to their islands, orphaned-owner events
     // move back in), so the global top is only meaningful afterwards.
     source_->settle(g.now);
@@ -292,14 +288,14 @@ void Simulator::run_until_parallel(TimeUs until) {
       run_until_sequential(until);
       return;
     }
-    drop_cancelled(g);
+    const EventEntry* top = next_live(g, until);
     // The phase boundary: the earliest global-owner event within the
     // horizon, or a sentinel that sorts after every event at `until`.
     // Everything strictly below it in the (at, key, owner, seq) order is
     // provably island-local and runs concurrently this phase.
-    const bool have_global = !g.heap.empty() && g.heap.top().at <= until;
+    const bool have_global = top != nullptr;
     const EventEntry bound =
-        have_global ? g.heap.top()
+        have_global ? *top
                     : EventEntry{until, std::numeric_limits<std::uint64_t>::max(),
                                  0xFFFFFFFFu, kGlobalOwner, 0};
     GTTSCH_CHECK(bound.at >= g.now);
@@ -308,19 +304,10 @@ void Simulator::run_until_parallel(TimeUs until) {
     if (watchdog_tripped()) return;
     if (!have_global) break;
     // The single global event of this phase runs on the main thread.
-    // Island lanes never touch the global heap, so the top is still
+    // Island lanes never touch the global queue, so its front is still
     // `bound`.
-    const EventEntry e = g.heap.pop();
-    g.owner = e.owner;
-    g.key = e.key;
-    SmallFn fn = std::move(pool_.record(e.slot).fn);
-    pool_.release(e.slot, g.free_slots);
-    GTTSCH_CHECK(g.live > 0);
-    --g.live;
-    fn();
-    ++g.processed;
-    g.owner = kGlobalOwner;
-    g.key = kDefaultEventKey;
+    g.queue.pop_front();
+    execute(g, bound);
     if (watchdog_armed_ && watchdog_step(g)) return;
   }
   if (g.now < until) g.now = until;
@@ -347,9 +334,7 @@ void Simulator::maybe_repartition() {
 void Simulator::redistribute_entries() {
   migrate_scratch_.clear();
   for (auto& c : ctxs_) {
-    auto& raw = c->heap.raw();
-    migrate_scratch_.insert(migrate_scratch_.end(), raw.begin(), raw.end());
-    raw.clear();
+    c->queue.drain(migrate_scratch_);
     c->live = 0;
   }
 }
@@ -395,10 +380,9 @@ void Simulator::adopt_partition(
     const auto it = owner_ctx_.find(e.owner);
     SimContext& home = it == owner_ctx_.end() ? g : *ctxs_[it->second];
     rec.ctx = home.index;
-    home.heap.raw().push_back(e);
+    home.queue.push(e);
     ++home.live;
   }
-  for (auto& c : ctxs_) c->heap.heapify();
   source_->on_partition();
 }
 
@@ -423,18 +407,17 @@ void Simulator::collapse_islands() {
       continue;
     }
     rec.ctx = 0;
-    g.heap.raw().push_back(e);
+    g.queue.push(e);
     ++g.live;
   }
-  g.heap.heapify();
 }
 
 void Simulator::run_islands(const EventEntry& bound) {
   active_scratch_.clear();
   for (std::size_t i = 1; i < ctxs_.size(); ++i) {
     SimContext& c = *ctxs_[i];
-    drop_cancelled(c);
-    if (!c.heap.empty() && event_before(c.heap.top(), bound)) {
+    const EventEntry* top = next_live(c, bound.at);
+    if (top != nullptr && event_before(*top, bound)) {
       active_scratch_.push_back(&c);
     }
   }
@@ -470,23 +453,13 @@ void Simulator::run_island_phase(SimContext& c, const EventEntry& bound) {
   const sim_internal::TlsBinding saved = b;
   b = {this, &c, &c.now};
   for (;;) {
-    drop_cancelled(c);
-    if (c.heap.empty() || !event_before(c.heap.top(), bound)) break;
-    const EventEntry e = c.heap.pop();
-    GTTSCH_CHECK(e.at >= c.now);
-    c.now = e.at;
-    c.owner = e.owner;
-    c.key = e.key;
-    SmallFn fn = std::move(pool_.record(e.slot).fn);
-    pool_.release(e.slot, c.free_slots);
-    GTTSCH_CHECK(c.live > 0);
-    --c.live;
-    fn();
-    ++c.processed;
+    const EventEntry* top = next_live(c, bound.at);
+    if (top == nullptr || !event_before(*top, bound)) break;
+    const EventEntry e = *top;
+    c.queue.pop_front();
+    execute(c, e);
     if (watchdog_armed_ && watchdog_step(c)) break;
   }
-  c.owner = kGlobalOwner;
-  c.key = kDefaultEventKey;
   b = saved;
 }
 

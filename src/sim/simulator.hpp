@@ -1,14 +1,20 @@
 // Discrete-event simulation core: a virtual clock plus an event queue.
 //
-// Since PR 10 the core can also step *interference islands* in parallel.
-// An external IslandSource (the PHY medium) partitions node ids into
-// groups that provably cannot interact before the next global event; the
-// simulator keeps one execution context (heap + clock + slot freelist)
-// per island and runs a phase of island-local events concurrently between
-// consecutive global-owner events. Determinism does not depend on thread
-// scheduling: the full event order (at, key, owner, seq) is the same
-// total order the sequential reference mode uses, so parallel runs are
-// bit-identical to `parallel_islands = 0`.
+// Events run in the total order (at, key, owner, seq). Each execution
+// context holds its pending events in an InstantQueue (see
+// event_queue.hpp): a heap over distinct instants plus a sorted batch for
+// the current one, so the many events that share a TSCH slot boundary cost
+// no heap operation each. Callbacks live in one EventPool shared by all
+// contexts.
+//
+// Sequential runs use context 0 alone. Optionally, an external
+// IslandSource (the PHY medium) partitions node ids into groups that
+// provably cannot interact before the next global event; the simulator
+// then keeps one context (queue + clock + slot freelist) per island and
+// runs the island-local events between consecutive global-owner events
+// concurrently. Because the order above is total and does not depend on
+// which thread scheduled an event, parallel runs are bit-identical to
+// `parallel_islands = 0`.
 #pragma once
 
 #include <atomic>
@@ -186,7 +192,11 @@ class Simulator {
   SimContext& main_ctx() { return *ctxs_.front(); }
   SimContext& current_context() const;
   EventId schedule_impl(TimeUs when, std::uint32_t key, SmallFn fn);
-  void drop_cancelled(SimContext& c);
+  /// Earliest live entry of `c` due at or before `until`, reclaiming
+  /// cancelled entries on the way; nullptr when there is none.
+  const EventEntry* next_live(SimContext& c, TimeUs until);
+  /// Run `e`, already removed from c's queue, on context `c`.
+  void execute(SimContext& c, const EventEntry& e);
   void run_until_sequential(TimeUs until);
   void run_until_parallel(TimeUs until);
   void run_islands(const EventEntry& bound);

@@ -13,6 +13,7 @@
 #include <functional>
 #include <random>
 #include <set>
+#include <thread>
 #include <utility>
 
 #include "campaign/journal.hpp"
@@ -783,8 +784,14 @@ TEST(CampaignRunner, CancelMidCampaignKeepsJournalAndFlagsConsistent) {
     campaign::CampaignOptions options;
     options.runner.jobs = workers;
     options.runner.cancel_flag = &interrupted;
-    options.runner.run_fn = [&invocations](const ScenarioConfig& c) {
-      ++invocations;
+    options.runner.run_fn = [&invocations, &interrupted, &trigger_armed,
+                             workers](const ScenarioConfig& c) {
+      // Parallel leg: hold every job after the third until the cancel
+      // lands, so the workers cannot claim all 12 instant jobs before the
+      // flag flips.
+      if (++invocations > 3 && workers > 1 && trigger_armed.load()) {
+        while (!interrupted.load()) std::this_thread::yield();
+      }
       return synthetic_run(c);
     };
     options.runner.on_progress = [&interrupted,

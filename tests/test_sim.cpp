@@ -2,6 +2,10 @@
 // trickle behavior.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "net/trickle.hpp"
@@ -95,27 +99,239 @@ TEST(EventQueue, MemoryBoundedAcross10MEvents) {
   // Regression for the former cancelled_flags_ bitmap, which grew one bit
   // per EventId ever issued: ids are recycled via a slot pool, so memory
   // tracks the peak number of *pending* events, not lifetime throughput.
-  EventQueue q;
-  constexpr int kPendingTarget = 64;
-  std::uint64_t scheduled = 0;
-  std::uint64_t fired = 0;
-  TimeUs t = 0;
-  auto fn = [&fired] { ++fired; };
-  for (int i = 0; i < kPendingTarget; ++i) q.schedule(static_cast<TimeUs>(++scheduled), fn);
-  while (scheduled < 10'000'000) {
-    ASSERT_TRUE(q.run_next(t));
-    q.schedule(static_cast<TimeUs>(++scheduled), fn);
-    if (scheduled % 5 == 0) {  // exercise cancellation reclamation too
-      const EventId id = q.schedule(static_cast<TimeUs>(scheduled + 1), fn);
-      q.cancel(id);
+  // The same holds for the batch storage behind the instants: distinct
+  // instants (period 1) and slot-grid instants shared by eight events
+  // (period 8) must both reuse nodes instead of growing with throughput.
+  for (const TimeUs period : {1, 8}) {
+    EventQueue q;
+    constexpr int kPendingTarget = 64;
+    std::uint64_t scheduled = 0;
+    std::uint64_t fired = 0;
+    TimeUs t = 0;
+    auto fn = [&fired] { ++fired; };
+    auto instant = [period](std::uint64_t n) {
+      return static_cast<TimeUs>(n) / period * period;
+    };
+    for (int i = 0; i < kPendingTarget; ++i) q.schedule(instant(++scheduled), fn);
+    while (scheduled < 10'000'000) {
+      ASSERT_TRUE(q.run_next(t));
+      q.schedule(instant(++scheduled), fn);
+      if (scheduled % 5 == 0) {  // exercise cancellation reclamation too
+        const EventId id = q.schedule(instant(scheduled + 1), fn);
+        q.cancel(id);
+      }
     }
+    while (q.run_next(t)) {
+    }
+    EXPECT_EQ(fired, scheduled);  // every non-cancelled event ran
+    // Growth is bounded by peak concurrency (pending + cancelled entries
+    // awaiting lazy reclamation), nowhere near the 10M ids issued.
+    EXPECT_LE(q.slot_pool_size(), 2 * kPendingTarget);
+    EXPECT_LE(q.batch_storage(), 3 * kPendingTarget);
   }
+}
+
+TEST(EventQueue, ScheduleBehindPeekedInstantRunsFirst) {
+  // next_time() activates the batch at t=20; events scheduled before it
+  // afterwards (and into it) must still run in (at, key, seq) order.
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(20, [&] { order.push_back(3); });
+  q.schedule(20, [&] { order.push_back(4); });
+  EXPECT_EQ(q.next_time(), 20);
+  q.schedule(10, [&] { order.push_back(1); });
+  q.schedule_keyed(20, 0, [&] { order.push_back(2); });
+  q.schedule(15, [&] { order.push_back(0); });
+  TimeUs t = 0;
+  ASSERT_TRUE(q.run_next(t));
+  EXPECT_EQ(t, 10);
+  q.schedule(12, [&] { order.push_back(5); });
   while (q.run_next(t)) {
   }
-  EXPECT_EQ(fired, scheduled);  // every non-cancelled event ran
-  // Pool growth is bounded by peak concurrency (pending + a cancelled
-  // entry awaiting lazy reclamation), nowhere near the 10M ids issued.
-  EXPECT_LE(q.slot_pool_size(), 2 * kPendingTarget);
+  EXPECT_EQ(order, (std::vector<int>{1, 5, 0, 2, 3, 4}));
+}
+
+// --------------------------------------------------- event-order oracle --
+
+enum class TimePattern { kSlotGrid, kDrifted, kMixed };
+
+/// Drives a Simulator with seeded random sequences of `at`, `at_keyed`
+/// with node-id keys, owner scopes, `cancel`, OneShotTimer re-arms and
+/// same-instant scheduling from inside callbacks, and checks every event
+/// that fires against a std::set ordered by (at, key, owner, seq).
+class EventOrderOracle {
+ public:
+  EventOrderOracle(std::uint64_t seed, TimePattern pattern)
+      : sim_(seed), rng_(seed * 7919 + 1), pattern_(pattern) {
+    for (std::uint32_t node = 0; node < kTimers; ++node) {
+      timers_.push_back(std::make_unique<OneShotTimer>(sim_, node));
+      timer_id_.push_back(-1);
+    }
+  }
+
+  /// Runs the sequence in slices; returns the number of events checked.
+  std::uint64_t run() {
+    for (int slice = 0; slice < 40; ++slice) {
+      // Top level: schedule behind, into and after the batch that the
+      // previous run_until peeked at but did not run.
+      for (int i = 0; i < 30; ++i) act(kGlobalOwner);
+      sim_.run_until(sim_.now() + kSlot * 3 + 1234);
+      if (mismatches_ > 0) break;
+    }
+    sim_.run_all();
+    EXPECT_EQ(mismatches_, 0u);
+    EXPECT_TRUE(oracle_.empty());
+    EXPECT_EQ(sim_.events_processed(), fired_);
+    return fired_;
+  }
+
+ private:
+  static constexpr TimeUs kSlot = 10'000;
+  static constexpr std::uint32_t kTimers = 6;
+  static constexpr std::uint32_t kNodes = 8;
+  using Key = std::tuple<TimeUs, std::uint32_t, std::uint32_t, std::uint64_t, int>;
+
+  struct Pending {
+    Key key;
+    EventId id;
+  };
+
+  TimeUs pick_time(bool allow_now) {
+    const TimeUs now = sim_.now();
+    const bool grid = pattern_ == TimePattern::kSlotGrid ||
+                      (pattern_ == TimePattern::kMixed && rng_.bernoulli(0.5));
+    if (allow_now && rng_.bernoulli(0.25)) return now;
+    if (grid) {
+      const TimeUs base = now / kSlot * kSlot;
+      const TimeUs t = base + kSlot * static_cast<TimeUs>(rng_.uniform(5));
+      return t < now ? now : t;
+    }
+    return now + 1 + static_cast<TimeUs>(rng_.uniform(5 * kSlot));
+  }
+
+  std::uint32_t pick_key() {
+    return rng_.bernoulli(0.5) ? kDefaultEventKey
+                               : static_cast<std::uint32_t>(rng_.uniform(kNodes));
+  }
+
+  /// One random action, run with `owner` as the scheduling owner.
+  void act(std::uint32_t owner) {
+    const std::uint64_t r = rng_.uniform(10);
+    if (r < 5) {
+      schedule(owner, pick_time(true), pick_key());
+    } else if (r < 7) {
+      rearm_timer(owner);
+    } else if (r < 8) {
+      // Re-home the next event to another node, as boot code does.
+      const std::uint32_t other = static_cast<std::uint32_t>(rng_.uniform(kNodes));
+      Simulator::ScopedOwner scope(sim_, other);
+      schedule(other, pick_time(true), pick_key());
+    } else {
+      cancel_random();
+    }
+  }
+
+  void schedule(std::uint32_t owner, TimeUs at, std::uint32_t key) {
+    const int id = next_id_++;
+    const EventId eid = key == kDefaultEventKey && rng_.bernoulli(0.5)
+                            ? sim_.at(at, [this, id] { on_fire(id); })
+                            : sim_.at_keyed(at, key, [this, id] { on_fire(id); });
+    const Key k{at, key, owner, next_seq_++, id};
+    oracle_.insert(k);
+    pending_.emplace(id, Pending{k, eid});
+    live_ids_.push_back(id);
+  }
+
+  void rearm_timer(std::uint32_t owner) {
+    const std::uint32_t node = static_cast<std::uint32_t>(rng_.uniform(kTimers));
+    OneShotTimer& timer = *timers_[node];
+    if (timer_id_[node] >= 0) forget(timer_id_[node]);
+    const TimeUs at = pick_time(true);
+    const int id = next_id_++;
+    timer.start(at - sim_.now(), [this, id, node] {
+      timer_id_[node] = -1;
+      on_fire(id);
+    });
+    timer_id_[node] = id;
+    oracle_.insert(Key{at, node, owner, next_seq_++, id});
+  }
+
+  void cancel_random() {
+    while (!live_ids_.empty()) {
+      const std::size_t i = static_cast<std::size_t>(rng_.uniform(live_ids_.size()));
+      const int id = live_ids_[i];
+      live_ids_[i] = live_ids_.back();
+      live_ids_.pop_back();
+      const auto it = pending_.find(id);
+      if (it == pending_.end()) continue;  // already fired
+      sim_.cancel(it->second.id);
+      oracle_.erase(it->second.key);
+      pending_.erase(it);
+      return;
+    }
+  }
+
+  /// Drop a timer's pending entry from the oracle (start() cancels it).
+  void forget(int id) {
+    for (auto it = oracle_.begin(); it != oracle_.end(); ++it) {
+      if (std::get<4>(*it) == id) {
+        oracle_.erase(it);
+        return;
+      }
+    }
+  }
+
+  void on_fire(int id) {
+    ++fired_;
+    if (oracle_.empty() || std::get<4>(*oracle_.begin()) != id ||
+        std::get<0>(*oracle_.begin()) != sim_.now()) {
+      ++mismatches_;
+      ADD_FAILURE() << "event " << id << " fired at " << sim_.now()
+                    << " out of (at, key, owner, seq) order";
+      return;
+    }
+    const std::uint32_t owner = std::get<2>(*oracle_.begin());
+    oracle_.erase(oracle_.begin());
+    pending_.erase(id);
+    // Follow-ups inherit this event's owner; budget keeps runs finite.
+    if (fired_ < kBudget) {
+      const std::uint64_t follow_ups = rng_.uniform(4);
+      for (std::uint64_t i = 0; i < follow_ups; ++i) act(owner);
+    }
+  }
+
+  static constexpr std::uint64_t kBudget = 20'000;
+
+  Simulator sim_;
+  Rng rng_;
+  TimePattern pattern_;
+  std::set<Key> oracle_;
+  std::unordered_map<int, Pending> pending_;
+  std::vector<int> live_ids_;
+  std::vector<std::unique_ptr<OneShotTimer>> timers_;
+  std::vector<int> timer_id_;
+  std::uint64_t next_seq_ = 0;
+  int next_id_ = 0;
+  std::uint64_t fired_ = 0;
+  std::uint64_t mismatches_ = 0;
+};
+
+TEST(EventOrder, MatchesOracleOnSlotGrid) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EXPECT_GT(EventOrderOracle(seed, TimePattern::kSlotGrid).run(), 1000u);
+  }
+}
+
+TEST(EventOrder, MatchesOracleOnDriftedInstants) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EXPECT_GT(EventOrderOracle(seed, TimePattern::kDrifted).run(), 1000u);
+  }
+}
+
+TEST(EventOrder, MatchesOracleOnMixedInstants) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    EXPECT_GT(EventOrderOracle(seed, TimePattern::kMixed).run(), 1000u);
+  }
 }
 
 TEST(Simulator, ClockAdvancesToEventTimes) {
