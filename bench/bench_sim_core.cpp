@@ -161,6 +161,47 @@ void BM_MediumSingleMoveRefresh(benchmark::State& state) {
 }
 BENCHMARK(BM_MediumSingleMoveRefresh)->Arg(50)->Arg(200);
 
+/// Carrier sense as TSCH rx guards poll it: every eighth radio transmits on
+/// one of the 16 channels, and every other radio polls busy_until on each
+/// channel at one instant. One item per poll.
+void BM_CarrierSense(benchmark::State& state) {
+  constexpr int kChannels = 16;
+  constexpr PhysChannel kFirstChannel = 11;
+  const int nodes = static_cast<int>(state.range(0));
+  Simulator sim(5);
+  Medium medium(sim, std::make_unique<UnitDiskModel>(40.0, 1.0, 1.6), Rng(5));
+  std::vector<std::unique_ptr<Radio>> radios;
+  Rng place(7);
+  const double side = 30.0 * std::sqrt(static_cast<double>(nodes));
+  for (int i = 0; i < nodes; ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        sim, medium, static_cast<NodeId>(i),
+        Position{place.uniform_double(0, side), place.uniform_double(0, side)}));
+  }
+  std::vector<NodeId> listeners;
+  for (int i = 0; i < nodes; ++i) {
+    const auto id = static_cast<NodeId>(i);
+    if (i % 8 != 0) {
+      listeners.push_back(id);
+      continue;
+    }
+    const auto channel = static_cast<PhysChannel>(kFirstChannel + (i / 8) % kChannels);
+    radios[id]->transmit(make_data_frame(id, kBroadcastId, DataPayload{}), channel);
+  }
+  // The frames stay in flight: the clock never advances inside the loop.
+  for (auto _ : state) {
+    TimeUs acc = 0;
+    for (int c = 0; c < kChannels; ++c) {
+      const auto channel = static_cast<PhysChannel>(kFirstChannel + c);
+      for (const NodeId id : listeners) acc += medium.busy_until(id, channel);
+    }
+    benchmark::DoNotOptimize(acc);
+  }
+  state.SetItemsProcessed(state.iterations() * kChannels *
+                          static_cast<std::int64_t>(listeners.size()));
+}
+BENCHMARK(BM_CarrierSense)->Arg(50)->Arg(200);
+
 // ---------------------------------------------------------------------------
 // The end-to-end multi-point baseline.
 // ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ bool TxQueues::enqueue_unicast(NodeId neighbor, FramePtr frame, std::uint32_t ma
     if (control_count >= control_capacity_) return false;
   }
   q.packets.push_back(QueuedPacket{std::move(frame), mac_seq, 0, now});
+  ++unicast_queued_;
   return true;
 }
 
@@ -44,6 +45,7 @@ void TxQueues::pop_unicast(NodeId neighbor) {
   if (it == unicast_.end() || it->second.packets.empty()) return;
   if (is_data(it->second.packets.front().frame)) --data_queued_;
   it->second.packets.pop_front();
+  --unicast_queued_;
 }
 
 void TxQueues::pop_broadcast() {
@@ -64,35 +66,25 @@ std::vector<NodeId> TxQueues::backlogged_neighbors() const {
   return out;
 }
 
-std::optional<NodeId> TxQueues::any_backlogged() const {
-  for (const auto& [id, q] : unicast_)
-    if (!q.packets.empty()) return id;
-  return std::nullopt;
-}
-
 std::optional<NodeId> TxQueues::pick_any_unicast_shared() {
-  if (unicast_.empty()) return std::nullopt;
-  // Round-robin scan starting after rr_cursor_; queues in backoff consume
-  // one shared-cell opportunity instead of transmitting.
-  std::vector<std::map<NodeId, NeighborQueue>::iterator> order;
-  order.reserve(unicast_.size());
-  auto start = unicast_.upper_bound(rr_cursor_);
-  for (auto it = start; it != unicast_.end(); ++it) order.push_back(it);
-  for (auto it = unicast_.begin(); it != start; ++it) order.push_back(it);
-
+  // Empty queues neither transmit nor consume backoff, so with nothing
+  // queued the scan below would change nothing.
+  if (unicast_queued_ == 0) return std::nullopt;
+  // Round-robin scan starting after rr_cursor_ and wrapping once; queues in
+  // backoff consume one shared-cell opportunity instead of transmitting.
   std::optional<NodeId> chosen;
-  for (auto& it : order) {
-    NeighborQueue& q = it->second;
-    if (q.packets.empty()) continue;
+  const auto visit = [&chosen](NodeId id, NeighborQueue& q) {
+    if (q.packets.empty()) return;
     if (q.backoff_window > 0) {
       --q.backoff_window;
-      continue;
+      return;
     }
-    if (!chosen) {
-      chosen = it->first;
-      rr_cursor_ = it->first;
-    }
-  }
+    if (!chosen) chosen = id;
+  };
+  const auto start = unicast_.upper_bound(rr_cursor_);
+  for (auto it = start; it != unicast_.end(); ++it) visit(it->first, it->second);
+  for (auto it = unicast_.begin(); it != start; ++it) visit(it->first, it->second);
+  if (chosen) rr_cursor_ = *chosen;
   return chosen;
 }
 
@@ -119,7 +111,10 @@ std::size_t TxQueues::retarget(NodeId from, NodeId to) {
       ++moved;
     }
   }
-  // Dropped control frames reduce nothing in the data counter.
+  // Dropped control frames reduce nothing in the data counter. The moved
+  // data frames stay in src as moved-from elements, so only the control
+  // frames leave the unicast count.
+  unicast_queued_ -= src.packets.size() - moved;
   unicast_.erase(it);
   return moved;
 }
@@ -130,6 +125,7 @@ std::size_t TxQueues::drop_queue(NodeId neighbor) {
   std::size_t dropped = it->second.packets.size();
   for (const auto& pkt : it->second.packets)
     if (is_data(pkt.frame)) --data_queued_;
+  unicast_queued_ -= dropped;
   unicast_.erase(it);
   return dropped;
 }

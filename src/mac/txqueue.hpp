@@ -9,6 +9,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "phy/wire.hpp"
 #include "util/types.hpp"
@@ -24,6 +25,8 @@ struct QueuedPacket {
 
 /// Per-neighbor queue with TSCH shared-cell backoff state.
 struct NeighborQueue {
+  /// Mutated only by TxQueues, which counts its packets (callers reaching
+  /// a queue through queue_for/ensure_queue may touch the backoff state).
   std::deque<QueuedPacket> packets;
   int backoff_exponent = 0;  ///< current BE (0 = no backoff pending)
   int backoff_window = 0;    ///< shared-cell opportunities left to skip
@@ -50,17 +53,14 @@ class TxQueues {
   NeighborQueue* queue_for(NodeId neighbor);  // nullptr if absent
   NeighborQueue& ensure_queue(NodeId neighbor);
 
-  /// Neighbors with at least one queued packet, in round-robin order
-  /// starting after the last neighbor served via pick_any_unicast().
+  /// Neighbors with at least one queued packet, in ascending id order.
   std::vector<NodeId> backlogged_neighbors() const;
 
   /// Round-robin pick of a non-empty unicast queue (for shared cells).
   /// Honors backoff: queues with backoff_window > 0 are skipped after
   /// decrementing the window (a shared-cell opportunity passed).
+  /// Allocation-free, and O(1) when every unicast queue is empty.
   std::optional<NodeId> pick_any_unicast_shared();
-
-  /// Same, but without consuming backoff (for tests / inspection).
-  std::optional<NodeId> any_backlogged() const;
 
   /// Number of queued kData frames (the paper's q_i).
   std::size_t data_queued() const { return data_queued_; }
@@ -82,6 +82,8 @@ class TxQueues {
   std::size_t data_capacity_;
   std::size_t control_capacity_;
   std::size_t data_queued_ = 0;
+  /// Packets across all unicast queues, data and control.
+  std::size_t unicast_queued_ = 0;
   std::map<NodeId, NeighborQueue> unicast_;
   NeighborQueue broadcast_;
   NodeId rr_cursor_ = 0;  ///< round-robin position for shared-cell picks

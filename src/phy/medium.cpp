@@ -107,6 +107,7 @@ void Medium::set_link_cache_enabled(bool enabled) {
   link_cache_enabled_ = enabled;
   cache_valid_ = false;
   cache_ids_.clear();
+  cache_index_of_.clear();
   cache_radios_.clear();
   cache_pairs_.clear();
   cache_receivers_.clear();
@@ -200,6 +201,8 @@ void Medium::rebuild_cache() const {
     cache_ids_.push_back(id);
     cache_radios_.push_back(radio);
   }
+  cache_index_of_.assign(n == 0 ? 0 : std::size_t{cache_ids_.back()} + 1, kNpos32);
+  for (std::uint32_t i = 0; i < n; ++i) cache_index_of_[cache_ids_[i]] = i;
   cache_pairs_.assign(n * n, PairLink{});
   cache_receivers_.assign(n, {});
   cache_range_ = model_->max_interaction_range();
@@ -343,9 +346,9 @@ void Medium::ensure_cache() const {
 }
 
 std::size_t Medium::cache_index(NodeId id) const {
-  const auto it = std::lower_bound(cache_ids_.begin(), cache_ids_.end(), id);
-  if (it == cache_ids_.end() || *it != id) return kNpos;
-  return static_cast<std::size_t>(it - cache_ids_.begin());
+  if (id >= cache_index_of_.size()) return kNpos;
+  const std::uint32_t idx = cache_index_of_[id];
+  return idx == kNpos32 ? kNpos : idx;
 }
 
 void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel channel) {
@@ -383,10 +386,8 @@ void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel chann
 
 bool Medium::suffers_collision(const Shard& sh, const Transmission& tx, NodeId rid,
                                std::size_t rx_idx, const Radio* rx) const {
-  const auto bucket_it = sh.channels.find(tx.channel);
-  if (bucket_it == sh.channels.end()) return false;
   const std::size_t n = cache_ids_.size();
-  for (const auto& other : bucket_it->second.in_flight) {
+  for (const auto& other : sh.channels[tx.channel].in_flight) {
     if (other.id == tx.id) continue;
     if (other.sender == rid) continue;  // a radio cannot jam itself here:
     // it would be transmitting, and the listening check already failed.
@@ -410,16 +411,26 @@ bool Medium::suffers_collision(const Shard& sh, const Transmission& tx, NodeId r
 }
 
 TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
-  const auto lit = radios_.find(listener);
-  if (lit == radios_.end()) return 0;
   Shard& sh = shard();
-  const auto bucket_it = sh.channels.find(channel);
-  if (bucket_it == sh.channels.end()) return 0;
+  const std::vector<Transmission>& in_flight = sh.channels[channel].in_flight;
+  if (in_flight.empty()) return 0;
   ensure_cache();
-  const std::size_t l_idx = cache_index(listener);
+  // ensure_cache() leaves the cache matching radios_, so in cached mode an
+  // id it does not know is not attached.
+  std::size_t l_idx = kNpos;
+  const Radio* lradio = nullptr;
+  if (link_cache_enabled_) {
+    l_idx = cache_index(listener);
+    if (l_idx == kNpos) return 0;
+    lradio = cache_radios_[l_idx];
+  } else {
+    const auto lit = radios_.find(listener);
+    if (lit == radios_.end()) return 0;
+    lradio = lit->second;
+  }
   const std::size_t n = cache_ids_.size();
   const TimeUs now = sim_.now();
-  const Position& lpos = lit->second->position();
+  const Position& lpos = lradio->position();
   // Batch the bucket scan: all nodes polling carrier sense at the same
   // (instant, channel) — every receiver of a TSCH slot during its rx
   // guard — share one pass that resolves live transmissions and their
@@ -433,7 +444,7 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
     memo.mutations = sh.mutations;
     memo.cache_builds = cache_builds_;
     memo.live.clear();
-    for (const auto& tx : bucket_it->second.in_flight) {
+    for (const auto& tx : in_flight) {
       if (tx.end <= now) continue;
       const std::size_t s_idx = cache_index(tx.sender);
       memo.live.push_back(LiveTx{
@@ -698,10 +709,11 @@ void Medium::on_partition() {
     total.collision_losses += sp->stats.collision_losses;
     total.prr_losses += sp->stats.prr_losses;
     max_id = std::max(max_id, sp->next_tx_id);
-    for (auto& [ch, cs] : sp->channels) {
+    for (std::size_t ch = 0; ch < sp->channels.size(); ++ch) {
+      ChannelState& cs = sp->channels[ch];
       for (const PendingDrain& d : cs.pending_drains) {
         sim_.cancel(d.event);
-        const auto key = std::make_pair(ch, d.end);
+        const auto key = std::make_pair(static_cast<PhysChannel>(ch), d.end);
         if (std::find(pending.begin(), pending.end(), key) == pending.end())
           pending.push_back(key);
       }
@@ -735,9 +747,11 @@ void Medium::on_partition() {
   // whose shard holds the frames. The fixed drain key makes the new
   // event's position in the time-step identical to the cancelled one's.
   for (const auto& sp : shards_) {
-    for (auto& [ch, cs] : sp->channels) {
+    for (std::size_t ch = 0; ch < sp->channels.size(); ++ch) {
+      ChannelState& cs = sp->channels[ch];
+      const auto channel = static_cast<PhysChannel>(ch);
       for (const Transmission& t : cs.in_flight) {
-        if (std::find(pending.begin(), pending.end(), std::make_pair(ch, t.end)) ==
+        if (std::find(pending.begin(), pending.end(), std::make_pair(channel, t.end)) ==
             pending.end())
           continue;
         bool scheduled = false;
@@ -749,7 +763,6 @@ void Medium::on_partition() {
         }
         if (scheduled) continue;
         Simulator::ScopedOwner own(sim_, t.sender);
-        const PhysChannel channel = ch;
         const TimeUs end = t.end;
         cs.pending_drains.push_back(PendingDrain{
             end, sim_.at_keyed(end, kDrainEventKey,

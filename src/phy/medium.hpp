@@ -2,7 +2,9 @@
 // per-receiver outcomes (link loss, collisions, hidden terminals).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -71,7 +73,13 @@ class Medium final : public IslandSource {
   void reset_stats();
 
   /// Latest end time of any in-flight transmission on `channel` audible at
-  /// `listener` (carrier sense). Returns 0 when the channel is clear.
+  /// `listener` (carrier sense). Returns 0 when the channel is clear or the
+  /// listener is not attached. Constant work per query apart from the live
+  /// transmissions themselves: an empty channel bucket answers before any
+  /// lookup, the bucket scan is shared by every listener polling the same
+  /// (instant, channel), and the listener resolves through the cache's
+  /// id-indexed table (the radio map is read only in the uncached
+  /// reference mode).
   TimeUs busy_until(NodeId listener, PhysChannel channel) const;
 
   const LinkModel& link_model() const { return *model_; }
@@ -165,7 +173,9 @@ class Medium final : public IslandSource {
   /// sequential / global shard). Island lanes only ever touch their own
   /// shard, selected by the executing simulator context.
   struct Shard {
-    std::map<PhysChannel, ChannelState> channels;
+    /// Indexed by physical channel: one bucket for every PhysChannel value,
+    /// so no lookup or bounds check is needed.
+    std::array<ChannelState, std::numeric_limits<PhysChannel>::max() + 1> channels;
     MediumStats stats;
     std::uint64_t next_tx_id = 1;
     /// Bucket-change counter; invalidates the carrier-sense memo.
@@ -207,7 +217,7 @@ class Medium final : public IslandSource {
   /// grid neighborhood, or every node when the model has no spatial bound.
   void collect_candidates(const Position& pos, std::vector<std::uint32_t>& out) const;
   bool grid_active() const;
-  /// Cache row index for `id`, or npos when unknown (e.g. detached).
+  /// Cache row index for `id`, or npos when unknown (e.g. detached). O(1).
   std::size_t cache_index(NodeId id) const;
 
   Simulator& sim_;
@@ -229,6 +239,10 @@ class Medium final : public IslandSource {
   mutable std::uint64_t cache_builds_ = 0;  ///< full rebuild counter
   mutable bool cache_valid_ = false;
   mutable std::vector<NodeId> cache_ids_;     ///< ascending
+  /// NodeId -> cache index (kNpos32 when absent), sized by the largest
+  /// cached id. Stale between a detach and the next ensure_cache(), exactly
+  /// like cache_ids_.
+  mutable std::vector<std::uint32_t> cache_index_of_;
   mutable std::vector<Radio*> cache_radios_;  ///< parallel to cache_ids_
   mutable std::vector<PairLink> cache_pairs_;
   /// Per sender index: receiver indices with prr > 0, ascending by NodeId

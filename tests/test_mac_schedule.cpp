@@ -266,6 +266,40 @@ TEST(TxQueues, RetargetMovesDataRewritesDst) {
   EXPECT_EQ(q.data_queued(), 2u);
 }
 
+// The shared pick returns early when its count of unicast packets reads 0,
+// so a count that reads low starves shared cells. retarget leaves the moved
+// data frames behind as moved-from elements; only the dropped control frame
+// may leave the count.
+TEST(TxQueues, SharedPickFollowsRetargetedFrames) {
+  TxQueues q(8, 8);
+  q.enqueue_unicast(5, data_frame(1, 5), 1, 0);
+  q.enqueue_unicast(5, data_frame(1, 5), 2, 0);
+  SixpPayload p;
+  q.enqueue_unicast(5, make_sixp_frame(1, 5, p), 3, 0);
+  ASSERT_EQ(q.retarget(5, 9), 2u);
+  for (int popped = 0; popped < 2; ++popped) {
+    EXPECT_EQ(q.pick_any_unicast_shared(), std::optional<NodeId>(9));
+    q.pop_unicast(9);
+  }
+  EXPECT_EQ(q.pick_any_unicast_shared(), std::nullopt);
+}
+
+TEST(TxQueues, SharedPickFollowsDropQueue) {
+  TxQueues q(8, 8);
+  q.enqueue_unicast(5, data_frame(1, 5), 1, 0);
+  q.enqueue_unicast(5, data_frame(1, 5), 2, 0);
+  SixpPayload p;
+  q.enqueue_unicast(5, make_sixp_frame(1, 5, p), 3, 0);
+  q.enqueue_unicast(9, data_frame(1, 9), 4, 0);
+  q.enqueue_unicast(9, data_frame(1, 9), 5, 0);
+  ASSERT_EQ(q.drop_queue(5), 3u);
+  for (int popped = 0; popped < 2; ++popped) {
+    EXPECT_EQ(q.pick_any_unicast_shared(), std::optional<NodeId>(9));
+    q.pop_unicast(9);
+  }
+  EXPECT_EQ(q.pick_any_unicast_shared(), std::nullopt);
+}
+
 TEST(TxQueues, DropQueueUpdatesDataCount) {
   TxQueues q(8, 8);
   q.enqueue_unicast(5, data_frame(1, 5), 1, 0);

@@ -540,5 +540,89 @@ TEST(MediumCacheIncremental, WholeNetworkMoveCapFiresAtLiveRadioCount) {
   EXPECT_LT(model->calls(), 2u * kNodes);
 }
 
+// ---------------------------------------------------------------------------
+// Carrier sense: the cached busy_until against the uncached reference.
+// ---------------------------------------------------------------------------
+
+struct CarrierSenseAnswers {
+  std::vector<TimeUs> answers;  ///< every (instant, id, channel) probe, in order
+  int busy = 0;                 ///< probes that heard a live transmission
+};
+
+/// One medium with a seeded air scenario: 12 radios, broadcasts on random
+/// channels 11-26, random moves, and radio 3 destroyed (detached) while its
+/// frame is in flight. At the probe instants every id — the attached ones,
+/// the detached one and a never-attached one — polls busy_until on every
+/// channel. Every random draw happens up front, so the cached and uncached
+/// media run the same event sequence.
+CarrierSenseAnswers carrier_sense_answers(std::uint64_t seed, bool cached) {
+  constexpr int kNodes = 12;
+  constexpr std::size_t kDetached = 3;
+  constexpr NodeId kNeverAttached = 40;
+  constexpr TimeUs kDetachTx = 500_ms;
+  Simulator sim(seed);
+  Medium medium(sim, std::make_unique<UnitDiskModel>(35.0, 1.0, 1.5), Rng(seed));
+  medium.set_link_cache_enabled(cached);
+  Rng rng(seed * 31 + 7);
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (int i = 0; i < kNodes; ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        sim, medium, static_cast<NodeId>(i),
+        Position{rng.uniform_double(0, 100), rng.uniform_double(0, 100)}));
+  }
+  const auto transmit = [&radios](std::size_t who, PhysChannel ch) {
+    Radio* r = radios[who].get();
+    if (r == nullptr || r->state() == RadioState::kTransmitting) return;
+    r->transmit(make_data_frame(static_cast<NodeId>(who), kBroadcastId, DataPayload{}), ch);
+  };
+  for (int t = 0; t < 400; ++t) {
+    const auto at = static_cast<TimeUs>(rng.uniform(1000000));
+    const auto who = static_cast<std::size_t>(rng.uniform(kNodes));
+    const auto ch = static_cast<PhysChannel>(11 + rng.uniform(16));
+    sim.at(at, [&transmit, who, ch] { transmit(who, ch); });
+  }
+  for (int m = 0; m < 30; ++m) {
+    const auto at = static_cast<TimeUs>(rng.uniform(1000000));
+    const auto who = static_cast<std::size_t>(rng.uniform(kNodes));
+    const Position to{rng.uniform_double(0, 100), rng.uniform_double(0, 100)};
+    sim.at(at, [&radios, who, to] {
+      if (radios[who] != nullptr) radios[who]->set_position(to);
+    });
+  }
+  sim.at(kDetachTx, [&transmit] { transmit(kDetached, 15); });
+  sim.at(kDetachTx + 100, [&radios] { radios[kDetached].reset(); });
+
+  CarrierSenseAnswers out;
+  const auto probe = [&] {
+    for (NodeId id = 0; id <= kNodes; ++id) {
+      const NodeId listener = id == kNodes ? kNeverAttached : id;
+      const bool attached = listener < kNodes && radios[listener] != nullptr;
+      for (PhysChannel ch = 11; ch <= 26; ++ch) {
+        const TimeUs busy = medium.busy_until(listener, ch);
+        if (!attached) {
+          EXPECT_EQ(busy, 0) << "unattached listener " << listener;
+        }
+        if (busy > sim.now()) ++out.busy;
+        out.answers.push_back(busy);
+      }
+    }
+  };
+  std::vector<TimeUs> probes{kDetachTx + 200, kDetachTx + 300};
+  for (int p = 0; p < 80; ++p) probes.push_back(static_cast<TimeUs>(rng.uniform(1100000)));
+  for (const TimeUs at : probes) sim.at(at, probe);
+  sim.run_until(1200_ms);
+  return out;
+}
+
+TEST(MediumCarrierSense, CachedBusyUntilMatchesUncachedReference) {
+  for (const std::uint64_t seed : {3u, 17u, 29u, 41u}) {
+    const CarrierSenseAnswers cached = carrier_sense_answers(seed, true);
+    const CarrierSenseAnswers reference = carrier_sense_answers(seed, false);
+    ASSERT_EQ(cached.answers.size(), reference.answers.size());
+    EXPECT_EQ(cached.answers, reference.answers) << "seed " << seed;
+    EXPECT_GT(cached.busy, 0) << "seed " << seed << ": no probe heard anything";
+  }
+}
+
 }  // namespace
 }  // namespace gttsch
