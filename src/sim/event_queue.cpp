@@ -53,7 +53,7 @@ EventRecord* EventPool::record_for(EventId id) {
 }
 
 std::uint32_t InstantQueue::link_node(const EventEntry& entry,
-                                      std::uint32_t head) {
+                                      std::uint32_t next) {
   std::uint32_t n = free_nodes_;
   if (n != kNil) {
     free_nodes_ = nodes_[n].next;
@@ -61,7 +61,7 @@ std::uint32_t InstantQueue::link_node(const EventEntry& entry,
     n = static_cast<std::uint32_t>(nodes_.size());
     nodes_.emplace_back();
   }
-  nodes_[n] = Node{entry.seq, entry.key, entry.owner, entry.slot, head};
+  nodes_[n] = Node{entry.seq, entry.key, entry.owner, entry.slot, next};
   return n;
 }
 
@@ -100,7 +100,7 @@ void InstantQueue::evict(CacheLine& line) {
         first.next);
     free_node(line.head);
   }
-  line = CacheLine{kNoInstant, kNil};
+  line = CacheLine{kNoInstant, kNil, kNil};
 }
 
 void InstantQueue::push(const EventEntry& entry) {
@@ -111,17 +111,24 @@ void InstantQueue::push(const EventEntry& entry) {
   if (entry.at < active_at_) close_active();
   CacheLine& line = cache_[cache_index(entry.at)];
   if (line.at == entry.at) {
-    // The instant already has a heap element; order inside a batch does
-    // not matter (activation sorts it), so prepend to the line's list.
-    line.head = link_node(entry, line.head);
+    // The instant already has a heap element: append to the line's list,
+    // so activation gathers the instant in insertion order.
+    const std::uint32_t n = link_node(entry, kNil);
+    if (line.head == kNil) {
+      line.head = n;
+    } else {
+      nodes_[line.tail].next = n;
+    }
+    line.tail = n;
     return;
   }
   evict(line);
   push_instant(entry, kNil);
-  line = CacheLine{entry.at, kNil};
+  line = CacheLine{entry.at, kNil, kNil};
 }
 
-const EventEntry* InstantQueue::activate_next() {
+void InstantQueue::activate_next(EventPool& pool,
+                                 std::vector<std::uint32_t>& free_slots) {
   active_.clear();
   active_pos_ = 0;
   active_at_ = instants_.front().at;
@@ -137,12 +144,53 @@ const EventEntry* InstantQueue::activate_next() {
   CacheLine& line = cache_[cache_index(active_at_)];
   if (line.at == active_at_) {
     take_list(active_at_, line.head, active_);
-    line = CacheLine{kNoInstant, kNil};
+    line = CacheLine{kNoInstant, kNil, kNil};
   }
-  if (active_.size() > 1) {
-    std::sort(active_.begin(), active_.end(), SameInstantBefore{});
+  if (active_.size() == 1) return;  // next_live() checks a lone entry
+  // Drop cancelled entries before any ordering work, keeping the gathered
+  // order, and note where the live entries stop ascending in (key, owner,
+  // seq) order.
+  std::size_t kept = 0;
+  run_ends_.clear();
+  for (std::size_t i = 0; i < active_.size(); ++i) {
+    const EventEntry e = active_[i];
+    if (pool.record(e.slot).cancelled) {
+      pool.release(e.slot, free_slots);
+      continue;
+    }
+    if (kept > 0 && !SameInstantBefore{}(active_[kept - 1], e)) {
+      run_ends_.push_back(kept);
+    }
+    active_[kept++] = e;
   }
-  return active_.data();
+  active_.resize(kept);
+  if (!run_ends_.empty()) merge_runs();
+}
+
+void InstantQueue::merge_runs() {
+  // Merge neighbouring runs pairwise, ping-ponging with merge_buf_, until
+  // one is left: ceil(log2(runs)) passes over the batch.
+  run_ends_.push_back(active_.size());
+  merge_buf_.resize(active_.size());
+  while (run_ends_.size() > 1) {
+    std::size_t begin = 0;
+    std::size_t merged = 0;
+    for (std::size_t r = 0; r < run_ends_.size(); r += 2) {
+      const std::size_t mid = run_ends_[r];
+      const std::size_t end = r + 1 < run_ends_.size() ? run_ends_[r + 1] : mid;
+      const auto first = active_.begin();
+      std::merge(first + static_cast<std::ptrdiff_t>(begin),
+                 first + static_cast<std::ptrdiff_t>(mid),
+                 first + static_cast<std::ptrdiff_t>(mid),
+                 first + static_cast<std::ptrdiff_t>(end),
+                 merge_buf_.begin() + static_cast<std::ptrdiff_t>(begin),
+                 SameInstantBefore{});
+      run_ends_[merged++] = end;
+      begin = end;
+    }
+    run_ends_.resize(merged);
+    active_.swap(merge_buf_);
+  }
 }
 
 void InstantQueue::insert_active(const EventEntry& entry) {
@@ -161,8 +209,9 @@ void InstantQueue::insert_active(const EventEntry& entry) {
 
 void InstantQueue::close_active() {
   if (active_pos_ < active_.size()) {
+    // Link the remainder back to front, so its list keeps batch order.
     std::uint32_t more = kNil;
-    for (std::size_t i = active_pos_ + 1; i < active_.size(); ++i) {
+    for (std::size_t i = active_.size() - 1; i > active_pos_; --i) {
       more = link_node(active_[i], more);
     }
     push_instant(active_[active_pos_], more);
@@ -182,7 +231,7 @@ void InstantQueue::drain(std::vector<EventEntry>& out) {
   }
   for (CacheLine& line : cache_) {
     if (line.at != kNoInstant) take_list(line.at, line.head, out);
-    line = CacheLine{kNoInstant, kNil};
+    line = CacheLine{kNoInstant, kNil, kNil};
   }
   instants_.clear();
   active_.clear();
@@ -190,7 +239,7 @@ void InstantQueue::drain(std::vector<EventEntry>& out) {
   active_at_ = kNoInstant;
 }
 
-EventId EventQueue::schedule_keyed(TimeUs at, std::uint32_t key, SmallFn fn) {
+EventId EventQueue::schedule_keyed(TimeUs at, std::uint32_t key, SmallFn&& fn) {
   const std::uint32_t slot = pool_.alloc(free_slots_);
   EventRecord& rec = pool_.record(slot);
   rec.fn = std::move(fn);
@@ -205,44 +254,25 @@ void EventQueue::cancel(EventId id) {
   EventRecord* rec = pool_.record_for(id);
   if (rec == nullptr || !rec->armed || rec->cancelled) return;
   rec->cancelled = true;
-  rec->fn.reset();  // release captures now; the queue entry dies lazily
+  rec->fn.reset();  // release captures now; the queue entry leaves later
   GTTSCH_CHECK(live_ > 0);
   --live_;
-}
-
-const EventEntry* EventQueue::next_live() {
-  for (;;) {
-    const EventEntry* top = queue_.peek();
-    if (top == nullptr || !pool_.record(top->slot).cancelled) return top;
-    pool_.release(top->slot, free_slots_);
-    queue_.pop_front();
-  }
 }
 
 TimeUs EventQueue::next_time() {
-  const EventEntry* top = next_live();
+  const EventEntry* top = queue_.next_live(kInfiniteTime, pool_, free_slots_);
   return top == nullptr ? kInfiniteTime : top->at;
 }
 
-bool EventQueue::pop_next(TimeUs& out_time, SmallFn& out_fn) {
-  const EventEntry* top = next_live();
+bool EventQueue::run_next(TimeUs& out_time) {
+  const EventEntry* top = queue_.next_live(kInfiniteTime, pool_, free_slots_);
   if (top == nullptr) return false;
-  // Move the callback out before running it: the callback may schedule
-  // new events and mutate both the queue and the slot pool.
-  const EventEntry e = *top;
+  out_time = top->at;
+  const std::uint32_t slot = top->slot;
   queue_.pop_front();
-  out_time = e.at;
-  out_fn = std::move(pool_.record(e.slot).fn);
-  pool_.release(e.slot, free_slots_);
   GTTSCH_CHECK(live_ > 0);
   --live_;
-  return true;
-}
-
-bool EventQueue::run_next(TimeUs& out_time) {
-  SmallFn fn;
-  if (!pop_next(out_time, fn)) return false;
-  fn();
+  pool_.run(slot, free_slots_);
   return true;
 }
 

@@ -11,8 +11,10 @@
 //     runs every node on one global slot grid, so with perfect clocks most
 //     events fire at exactly the instant of the event before them; popping
 //     such an event is an index increment, not a heap pop through the
-//     four-field comparator. A batch is sorted by (key, owner, seq) once,
-//     when its instant becomes the earliest.
+//     four-field comparator. When an instant becomes the earliest, its
+//     entries are gathered in insertion order, cancelled ones are dropped
+//     and their slots released, and the rest is put in (key, owner, seq)
+//     order by merging its ascending runs, if it is not in order already.
 //   * EventQueue — a single-threaded facade of one pool and one queue,
 //     used by unit tests and simple consumers.
 #pragma once
@@ -98,8 +100,10 @@ struct EventRecord {
   SmallFn fn;
   std::uint32_t generation = 1;
   std::uint32_t ctx = 0;   // execution context whose queue holds the entry
-  bool armed = false;      // a queue entry references this slot
-  bool cancelled = false;  // armed but logically dead; reclaimed on pop
+  bool armed = false;      // a queue entry references this slot and the
+                           // event has not started running
+  bool cancelled = false;  // armed but logically dead; released when the
+                           // queue next reaches its entry
 };
 
 /// Chunked slot store. Chunks are allocated once and never move, so
@@ -125,6 +129,18 @@ class EventPool {
   /// Reclaim a slot after its entry left a queue: resets the callback,
   /// bumps the generation, and pushes the slot onto `free_slots`.
   void release(std::uint32_t slot, std::vector<std::uint32_t>& free_slots);
+
+  /// Run the callback of an entry that just left its queue, in place, then
+  /// release the slot. The record is disarmed first, so cancel() of the
+  /// running event is a no-op, and the slot is released only after the
+  /// call, so events the callback schedules cannot reuse it. Chunks never
+  /// move, so the record stays put while the callback grows the pool.
+  void run(std::uint32_t slot, std::vector<std::uint32_t>& free_slots) {
+    EventRecord& rec = record(slot);
+    rec.armed = false;
+    rec.fn();
+    release(slot, free_slots);
+  }
 
   EventRecord& record(std::uint32_t slot) {
     return chunks_[slot >> kChunkShift].load(std::memory_order_acquire)
@@ -152,14 +168,25 @@ class EventPool {
 /// Level one is a binary min-heap keyed on `at` alone. Each heap element
 /// carries one entry inline plus a linked list, in a node pool, of further
 /// entries at the same instant. When the earliest instant is reached, all
-/// of its entries become the *active batch*: a vector sorted by (key,
-/// owner, seq) and consumed front to back. So an event costs one heap push
-/// and pop per *instant*, not per event, plus its share of one small sort.
-/// The grouping is what pays: a heap of single entries compared on `at`
-/// alone, draining the earliest instant into the same sorted batch, still
-/// pops the heap once per event and kept only a sixth of the gain on
+/// of its entries become the *active batch*, a vector consumed front to
+/// back. So an event costs one heap push and pop per *instant*, not per
+/// event. The grouping is what pays: a heap of single entries compared on
+/// `at` alone, draining the earliest instant into the same sorted batch,
+/// still pops the heap once per event and kept only a sixth of the gain on
 /// perfbench's mesh-200 (README, "Performance").
 ///
+///   * Activation gathers the batch in insertion order (lists are FIFO) and
+///     drops the entries whose events were cancelled, releasing their
+///     slots, before any ordering work; a batch left empty moves on to the
+///     next instant. Since seq grows with insertion, a batch is then
+///     usually already in (key, owner, seq) order and needs no ordering.
+///     Otherwise it is a few ascending runs, typically one per earlier
+///     instant whose events armed entries here, and merging those takes
+///     fewer passes than a full sort. An event cancelled after
+///     activation (by an earlier event at the same instant) is dropped
+///     when next_live() reaches it, and so is a cancelled lone entry: an
+///     instant of one entry, the usual case under drifted clocks, gets no
+///     pass over its batch.
 ///   * Scheduling into the active instant inserts by binary search among
 ///     the entries not yet run (slot-boundary work scheduling same-instant
 ///     follow-ups).
@@ -173,31 +200,45 @@ class EventPool {
 ///     Drifted clocks, where nearly every instant is distinct, thus pay
 ///     neither a hash-map insert and erase nor a node per instant.
 ///   * Scheduling *before* the active instant (a caller filling in events
-///     behind a batch that was peeked but not run) returns the active
-///     batch's remainder to the heap first. peek(until) avoids the usual
-///     cause by not activating instants beyond its bound.
+///     behind a batch that was reached but not run) returns the active
+///     batch's remainder to the heap first. next_live(until) avoids the
+///     usual cause by not activating instants beyond its bound.
 ///
 /// Storage stays bounded by the peak number of pending entries: the node
 /// pool only grows when its freelist is empty, and the active vector drops
-/// its consumed prefix before it would grow.
+/// its consumed prefix before it would grow. Cancelled entries count as
+/// pending until their instant is activated.
 class InstantQueue {
  public:
-  InstantQueue() { cache_.fill(CacheLine{kNoInstant, kNil}); }
+  InstantQueue() { cache_.fill(CacheLine{kNoInstant, kNil, kNil}); }
 
-  /// Earliest entry if it is due at or before `until`, else nullptr. The
-  /// pointer stays valid until the next push, pop_front or drain. An
-  /// instant later than `until` is never activated, so a caller that stops
-  /// at `until` and then schedules earlier events (run_until in slices)
-  /// does not force that batch back into the heap.
-  const EventEntry* peek(TimeUs until = kInfiniteTime) {
-    if (active_pos_ < active_.size()) {
-      return active_at_ <= until ? &active_[active_pos_] : nullptr;
+  /// Earliest live entry if it is due at or before `until`, else nullptr.
+  /// Entries of cancelled events met on the way leave the queue, and their
+  /// slots go back to `pool` through `free_slots`. The pointer stays valid
+  /// until the next push, pop_front or drain. An instant later than `until`
+  /// is never activated, so a caller that stops at `until` and then
+  /// schedules earlier events (run_until in slices) does not force that
+  /// batch back into the heap.
+  const EventEntry* next_live(TimeUs until, EventPool& pool,
+                              std::vector<std::uint32_t>& free_slots) {
+    for (;;) {
+      if (active_pos_ < active_.size()) {
+        if (active_at_ > until) return nullptr;
+        const EventEntry& top = active_[active_pos_];
+        if (!pool.record(top.slot).cancelled) return &top;
+        // A lone entry (activation skips its check) or one cancelled after
+        // activation by an earlier event of this instant.
+        pool.release(top.slot, free_slots);
+        ++active_pos_;
+      } else if (instants_.empty() || instants_.front().at > until) {
+        return nullptr;
+      } else {
+        activate_next(pool, free_slots);
+      }
     }
-    if (instants_.empty() || instants_.front().at > until) return nullptr;
-    return activate_next();
   }
 
-  /// Remove the entry the last peek() returned (it must not be null).
+  /// Remove the entry the last next_live() returned (it must not be null).
   void pop_front() { ++active_pos_; }
 
   void push(const EventEntry& entry);
@@ -207,11 +248,12 @@ class InstantQueue {
   /// pushes the entries into their new homes.
   void drain(std::vector<EventEntry>& out);
 
-  /// Entries the queue's storage holds room for (heap, node pool and active
-  /// vector) — bounded by the peak count of pending entries (regression
-  /// hook for the memory tests).
+  /// Entries the queue's storage holds room for (heap, node pool, active
+  /// batch and its merge buffer) — bounded by the peak count of pending
+  /// entries (regression hook for the memory tests).
   std::size_t storage_capacity() const {
-    return instants_.capacity() + nodes_.size() + active_.capacity();
+    return instants_.capacity() + nodes_.size() + active_.capacity() +
+           merge_buf_.capacity();
   }
 
  private:
@@ -245,6 +287,7 @@ class InstantQueue {
   struct CacheLine {
     TimeUs at;           // an instant with a pending heap element
     std::uint32_t head;  // list of further entries at `at`, or kNil
+    std::uint32_t tail;  // last node of that list (valid when head != kNil)
   };
 
   static std::size_t cache_index(TimeUs at) {
@@ -253,18 +296,22 @@ class InstantQueue {
         (64 - kCacheBits));
   }
 
-  /// Prepend `entry` to the list starting at `head`; returns the new head.
-  std::uint32_t link_node(const EventEntry& entry, std::uint32_t head);
+  /// A node holding `entry` and linked to `next`; returns its index.
+  std::uint32_t link_node(const EventEntry& entry, std::uint32_t next);
   void free_node(std::uint32_t n);
-  /// Append the entries of list `head`, all at `at`, to `out` and free
-  /// their nodes.
+  /// Append the entries of list `head`, all at `at`, to `out` in list
+  /// order and free their nodes.
   void take_list(TimeUs at, std::uint32_t head, std::vector<EventEntry>& out);
   void push_instant(const EventEntry& entry, std::uint32_t more);
   /// Remove the earliest heap element.
   void pop_instant();
   /// Move a line's list into a heap element of its own and clear the line.
   void evict(CacheLine& line);
-  const EventEntry* activate_next();
+  /// Make the earliest instant the active batch: gather its entries, drop
+  /// the cancelled ones and order the rest. The batch may end up empty.
+  void activate_next(EventPool& pool, std::vector<std::uint32_t>& free_slots);
+  /// Order the active batch, whose ascending runs end at run_ends_.
+  void merge_runs();
   void insert_active(const EventEntry& entry);
   void close_active();
 
@@ -272,6 +319,8 @@ class InstantQueue {
   std::vector<Node> nodes_;
   std::uint32_t free_nodes_ = kNil;
   std::vector<EventEntry> active_;
+  std::vector<EventEntry> merge_buf_;    // merge_runs() output, then swapped
+  std::vector<std::size_t> run_ends_;    // ends of the batch's ascending runs
   std::size_t active_pos_ = 0;
   TimeUs active_at_ = kNoInstant;
   std::array<CacheLine, std::size_t{1} << kCacheBits> cache_;
@@ -279,8 +328,9 @@ class InstantQueue {
 
 /// Single-threaded queue of (time, key, insertion order) -> callback.
 /// Events inserted earlier fire first among equal (time, key) pairs, which
-/// keeps runs reproducible. Cancellation is lazy: cancelled entries are
-/// skipped on pop.
+/// keeps runs reproducible. A cancelled event's callback is destroyed at
+/// once; its queue entry leaves when its instant becomes the earliest,
+/// through the same InstantQueue::next_live() the Simulator uses.
 ///
 /// Callbacks live in a recycled slot pool (an EventId is slot + generation),
 /// so the queue performs no per-event heap allocation in steady state and
@@ -288,10 +338,10 @@ class InstantQueue {
 /// pending* events, not by the total number of events ever scheduled.
 class EventQueue {
  public:
-  EventId schedule(TimeUs at, SmallFn fn) {
+  EventId schedule(TimeUs at, SmallFn&& fn) {
     return schedule_keyed(at, kDefaultEventKey, std::move(fn));
   }
-  EventId schedule_keyed(TimeUs at, std::uint32_t key, SmallFn fn);
+  EventId schedule_keyed(TimeUs at, std::uint32_t key, SmallFn&& fn);
   void cancel(EventId id);
 
   bool empty() const { return live_ == 0; }
@@ -300,12 +350,9 @@ class EventQueue {
   /// Time of the earliest live event; kInfiniteTime when empty.
   TimeUs next_time();
 
-  /// Pop the earliest live event without running it. Returns false if
-  /// none. The caller advances its clock to `out_time` *before* invoking
-  /// `out_fn`, so callbacks observe the correct current time.
-  bool pop_next(TimeUs& out_time, SmallFn& out_fn);
-
-  /// Pop and run the earliest live event. Returns false if none.
+  /// Pop and run the earliest live event, setting `out_time` to its time
+  /// first. Returns false if none. The callback runs in place in its pool
+  /// record, like Simulator events: cancelling itself is a no-op.
   bool run_next(TimeUs& out_time);
 
   /// Number of callback slots ever allocated — bounded by the peak count of
@@ -317,10 +364,6 @@ class EventQueue {
   std::size_t batch_storage() const { return queue_.storage_capacity(); }
 
  private:
-  /// Earliest live entry, reclaiming cancelled ones on the way; nullptr
-  /// when none.
-  const EventEntry* next_live();
-
   EventPool pool_;
   InstantQueue queue_;
   std::vector<std::uint32_t> free_slots_;

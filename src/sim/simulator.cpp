@@ -126,25 +126,27 @@ bool Simulator::watchdog_step(SimContext& c) {
   return false;
 }
 
-EventId Simulator::at(TimeUs when, SmallFn fn) {
+EventId Simulator::at(TimeUs when, SmallFn&& fn) {
   return at_keyed(when, kDefaultEventKey, std::move(fn));
 }
 
-EventId Simulator::after(TimeUs delay, SmallFn fn) {
+EventId Simulator::after(TimeUs delay, SmallFn&& fn) {
   return after_keyed(delay, kDefaultEventKey, std::move(fn));
 }
 
-EventId Simulator::at_keyed(TimeUs when, std::uint32_t key, SmallFn fn) {
+EventId Simulator::at_keyed(TimeUs when, std::uint32_t key, SmallFn&& fn) {
   GTTSCH_CHECK(when >= now());
   return schedule_impl(when, key, std::move(fn));
 }
 
-EventId Simulator::after_keyed(TimeUs delay, std::uint32_t key, SmallFn fn) {
+EventId Simulator::after_keyed(TimeUs delay, std::uint32_t key,
+                               SmallFn&& fn) {
   GTTSCH_CHECK(delay >= 0);
   return schedule_impl(now() + delay, key, std::move(fn));
 }
 
-EventId Simulator::schedule_impl(TimeUs when, std::uint32_t key, SmallFn fn) {
+EventId Simulator::schedule_impl(TimeUs when, std::uint32_t key,
+                                 SmallFn&& fn) {
   SimContext& cur = current_context();
   // The event inherits the owner of the event being executed, and is
   // homed to that owner's context: its sequence number comes from the
@@ -172,7 +174,7 @@ void Simulator::cancel(EventId id) {
   EventRecord* rec = pool_.record_for(id);
   if (rec == nullptr || !rec->armed || rec->cancelled) return;
   rec->cancelled = true;
-  rec->fn.reset();  // release captures now; the queue entry dies lazily
+  rec->fn.reset();  // release captures now; the queue entry leaves later
   GTTSCH_CHECK(rec->ctx < ctxs_.size());
   SimContext& home = *ctxs_[rec->ctx];
   GTTSCH_CHECK(home.live > 0);
@@ -180,12 +182,7 @@ void Simulator::cancel(EventId id) {
 }
 
 const EventEntry* Simulator::next_live(SimContext& c, TimeUs until) {
-  for (;;) {
-    const EventEntry* top = c.queue.peek(until);
-    if (top == nullptr || !pool_.record(top->slot).cancelled) return top;
-    pool_.release(top->slot, c.free_slots);
-    c.queue.pop_front();
-  }
+  return c.queue.next_live(until, pool_, c.free_slots);
 }
 
 void Simulator::execute(SimContext& c, const EventEntry& e) {
@@ -194,13 +191,11 @@ void Simulator::execute(SimContext& c, const EventEntry& e) {
   c.now = e.at;
   c.owner = e.owner;
   c.key = e.key;
-  // Move the callback out before running it: the callback may schedule
-  // new events and mutate both the queue and the slot pool.
-  SmallFn fn = std::move(pool_.record(e.slot).fn);
-  pool_.release(e.slot, c.free_slots);
   GTTSCH_CHECK(c.live > 0);
   --c.live;
-  fn();
+  // The callback runs in its pool record (see EventPool::run); it may
+  // schedule and cancel events, its own id included, and grow the pool.
+  pool_.run(e.slot, c.free_slots);
   ++c.processed;
   c.owner = kGlobalOwner;
   c.key = kDefaultEventKey;

@@ -2,7 +2,7 @@
 //
 // Events run in the total order (at, key, owner, seq). Each execution
 // context holds its pending events in an InstantQueue (see
-// event_queue.hpp): a heap over distinct instants plus a sorted batch for
+// event_queue.hpp): a heap over distinct instants plus an ordered batch for
 // the current one, so the many events that share a TSCH slot boundary cost
 // no heap operation each. Callbacks live in one EventPool shared by all
 // contexts.
@@ -103,16 +103,16 @@ class Simulator {
   }
 
   /// Schedule `fn` at absolute virtual time `at` (must be >= now()).
-  EventId at(TimeUs when, SmallFn fn);
+  EventId at(TimeUs when, SmallFn&& fn);
 
   /// Schedule `fn` after `delay` microseconds.
-  EventId after(TimeUs delay, SmallFn fn);
+  EventId after(TimeUs delay, SmallFn&& fn);
 
   /// Keyed variants: `key` picks the ordering class among same-time events
   /// (lower first; see kDefaultEventKey). Slot-boundary timers use the
   /// node id so boundary ordering is independent of when they were armed.
-  EventId at_keyed(TimeUs when, std::uint32_t key, SmallFn fn);
-  EventId after_keyed(TimeUs delay, std::uint32_t key, SmallFn fn);
+  EventId at_keyed(TimeUs when, std::uint32_t key, SmallFn&& fn);
+  EventId after_keyed(TimeUs delay, std::uint32_t key, SmallFn&& fn);
 
   void cancel(EventId id);
 
@@ -191,8 +191,8 @@ class Simulator {
  private:
   SimContext& main_ctx() { return *ctxs_.front(); }
   SimContext& current_context() const;
-  EventId schedule_impl(TimeUs when, std::uint32_t key, SmallFn fn);
-  /// Earliest live entry of `c` due at or before `until`, reclaiming
+  EventId schedule_impl(TimeUs when, std::uint32_t key, SmallFn&& fn);
+  /// Earliest live entry of `c` due at or before `until`, releasing
   /// cancelled entries on the way; nullptr when there is none.
   const EventEntry* next_live(SimContext& c, TimeUs until);
   /// Run `e`, already removed from c's queue, on context `c`.

@@ -2,7 +2,12 @@
 // trickle behavior.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <memory>
+#include <queue>
 #include <set>
 #include <tuple>
 #include <unordered_map>
@@ -131,6 +136,51 @@ TEST(EventQueue, MemoryBoundedAcross10MEvents) {
   }
 }
 
+TEST(EventQueue, MemoryBoundedUnderCancelHeavyRearms) {
+  // Every fired event re-arms its own timer and one other, so about half
+  // of all schedules end as cancelled entries. Such an entry leaves the
+  // queue, and gives back its slot, when its instant is activated, so
+  // storage must stay bounded by the peak count of pending entries: live
+  // ones plus cancelled ones whose instant has not been reached.
+  for (const TimeUs period : {1, 8}) {
+    EventQueue q;
+    constexpr int kTimers = 64;
+    Rng rng(static_cast<std::uint64_t>(period));
+    std::vector<EventId> timer(kTimers, kInvalidEvent);
+    std::vector<TimeUs> timer_at(kTimers, 0);
+    // Instants of cancelled entries that may still be in the queue.
+    std::priority_queue<TimeUs, std::vector<TimeUs>, std::greater<>> tombstones;
+    std::size_t peak_pending = 0;
+    std::uint64_t scheduled = 0;
+    TimeUs t = 0;
+    std::function<void(int)> arm = [&](int i) {
+      // One of the next four instants of the period grid.
+      const TimeUs at = (t / period + 1 + static_cast<TimeUs>(rng.uniform(4))) * period;
+      const auto n = static_cast<std::size_t>(i);
+      timer[n] = q.schedule(at, [&arm, i] { arm(i); });
+      timer_at[n] = at;
+      ++scheduled;
+    };
+    for (int i = 0; i < kTimers; ++i) arm(i);
+    while (scheduled < 4'000'000) {
+      ASSERT_TRUE(q.run_next(t));  // the callback re-arms its own timer
+      while (!tombstones.empty() && tombstones.top() < t) tombstones.pop();
+      const auto other = static_cast<std::size_t>(rng.uniform(kTimers));
+      q.cancel(timer[other]);
+      tombstones.push(timer_at[other]);
+      arm(static_cast<int>(other));
+      ASSERT_EQ(q.size(), static_cast<std::size_t>(kTimers));
+      peak_pending = std::max(peak_pending, q.size() + tombstones.size());
+    }
+    // Half the schedules were cancelled, yet the pending peak stays near
+    // two entries per timer; +1 is the record of the running event, held
+    // while its callback schedules the next one.
+    EXPECT_LE(peak_pending, 3u * kTimers);
+    EXPECT_LE(q.slot_pool_size(), peak_pending + 1);
+    EXPECT_LE(q.batch_storage(), 2 * peak_pending);
+  }
+}
+
 TEST(EventQueue, ScheduleBehindPeekedInstantRunsFirst) {
   // next_time() activates the batch at t=20; events scheduled before it
   // afterwards (and into it) must still run in (at, key, seq) order.
@@ -155,14 +205,25 @@ TEST(EventQueue, ScheduleBehindPeekedInstantRunsFirst) {
 
 enum class TimePattern { kSlotGrid, kDrifted, kMixed };
 
-/// Drives a Simulator with seeded random sequences of `at`, `at_keyed`
+/// The event core an oracle run drives: the Simulator, or the EventQueue
+/// facade (no owners, no timers, and no bound on how far it activates).
+enum class Core { kSimulator, kFacade };
+
+/// Drives an event core with seeded random sequences of `at`, `at_keyed`
 /// with node-id keys, owner scopes, `cancel`, OneShotTimer re-arms and
 /// same-instant scheduling from inside callbacks, and checks every event
-/// that fires against a std::set ordered by (at, key, owner, seq).
+/// that fires against a std::set ordered by (at, key, owner, seq). Fired
+/// events also cancel some pending events of their own instant, which are
+/// already in the active batch, and every pending event of one later
+/// instant, whose batch then holds nothing but cancelled entries.
 class EventOrderOracle {
  public:
-  EventOrderOracle(std::uint64_t seed, TimePattern pattern)
-      : sim_(seed), rng_(seed * 7919 + 1), pattern_(pattern) {
+  EventOrderOracle(std::uint64_t seed, TimePattern pattern,
+                   Core core = Core::kSimulator)
+      : sim_(seed),
+        rng_(seed * 7919 + 1),
+        pattern_(pattern),
+        facade_(core == Core::kFacade) {
     for (std::uint32_t node = 0; node < kTimers; ++node) {
       timers_.push_back(std::make_unique<OneShotTimer>(sim_, node));
       timer_id_.push_back(-1);
@@ -173,15 +234,23 @@ class EventOrderOracle {
   std::uint64_t run() {
     for (int slice = 0; slice < 40; ++slice) {
       // Top level: schedule behind, into and after the batch that the
-      // previous run_until peeked at but did not run.
-      for (int i = 0; i < 30; ++i) act(kGlobalOwner);
-      sim_.run_until(sim_.now() + kSlot * 3 + 1234);
+      // previous slice reached but did not run.
+      for (int i = 0; i < 40; ++i) act(kGlobalOwner);
+      run_until(now() + kSlot * 3 + 1234);
       if (mismatches_ > 0) break;
     }
-    sim_.run_all();
+    if (facade_) {
+      while (queue_.run_next(queue_now_)) {
+      }
+      EXPECT_TRUE(queue_.empty());
+    } else {
+      sim_.run_all();
+      EXPECT_EQ(sim_.events_processed(), fired_);
+      EXPECT_EQ(sim_.pending_events(), 0u);
+    }
     EXPECT_EQ(mismatches_, 0u);
     EXPECT_TRUE(oracle_.empty());
-    EXPECT_EQ(sim_.events_processed(), fired_);
+    EXPECT_GT(instant_cancels_, 0u);
     return fired_;
   }
 
@@ -190,23 +259,37 @@ class EventOrderOracle {
   static constexpr std::uint32_t kTimers = 6;
   static constexpr std::uint32_t kNodes = 8;
   using Key = std::tuple<TimeUs, std::uint32_t, std::uint32_t, std::uint64_t, int>;
+  using OracleIt = std::set<Key>::iterator;
 
   struct Pending {
     Key key;
     EventId id;
   };
 
+  TimeUs now() const { return facade_ ? queue_now_ : sim_.now(); }
+
+  void run_until(TimeUs until) {
+    if (!facade_) {
+      sim_.run_until(until);
+      return;
+    }
+    // next_time() activates the next instant even past `until`, so the
+    // facade also covers scheduling behind an activated batch.
+    while (queue_.next_time() <= until) queue_.run_next(queue_now_);
+    queue_now_ = until;
+  }
+
   TimeUs pick_time(bool allow_now) {
-    const TimeUs now = sim_.now();
+    const TimeUs t_now = now();
     const bool grid = pattern_ == TimePattern::kSlotGrid ||
                       (pattern_ == TimePattern::kMixed && rng_.bernoulli(0.5));
-    if (allow_now && rng_.bernoulli(0.25)) return now;
+    if (allow_now && rng_.bernoulli(0.25)) return t_now;
     if (grid) {
-      const TimeUs base = now / kSlot * kSlot;
+      const TimeUs base = t_now / kSlot * kSlot;
       const TimeUs t = base + kSlot * static_cast<TimeUs>(rng_.uniform(5));
-      return t < now ? now : t;
+      return t < t_now ? t_now : t;
     }
-    return now + 1 + static_cast<TimeUs>(rng_.uniform(5 * kSlot));
+    return t_now + 1 + static_cast<TimeUs>(rng_.uniform(5 * kSlot));
   }
 
   std::uint32_t pick_key() {
@@ -214,10 +297,11 @@ class EventOrderOracle {
                                : static_cast<std::uint32_t>(rng_.uniform(kNodes));
   }
 
-  /// One random action, run with `owner` as the scheduling owner.
+  /// One random action, run with `owner` as the scheduling owner. The
+  /// facade has neither timers nor owners, so it schedules instead.
   void act(std::uint32_t owner) {
     const std::uint64_t r = rng_.uniform(10);
-    if (r < 5) {
+    if (r < 5 || (facade_ && r < 8)) {
       schedule(owner, pick_time(true), pick_key());
     } else if (r < 7) {
       rearm_timer(owner);
@@ -233,9 +317,14 @@ class EventOrderOracle {
 
   void schedule(std::uint32_t owner, TimeUs at, std::uint32_t key) {
     const int id = next_id_++;
-    const EventId eid = key == kDefaultEventKey && rng_.bernoulli(0.5)
-                            ? sim_.at(at, [this, id] { on_fire(id); })
-                            : sim_.at_keyed(at, key, [this, id] { on_fire(id); });
+    auto fire = [this, id] { on_fire(id); };
+    const bool plain = key == kDefaultEventKey && rng_.bernoulli(0.5);
+    EventId eid;
+    if (facade_) {
+      eid = plain ? queue_.schedule(at, fire) : queue_.schedule_keyed(at, key, fire);
+    } else {
+      eid = plain ? sim_.at(at, fire) : sim_.at_keyed(at, key, fire);
+    }
     const Key k{at, key, owner, next_seq_++, id};
     oracle_.insert(k);
     pending_.emplace(id, Pending{k, eid});
@@ -248,12 +337,20 @@ class EventOrderOracle {
     if (timer_id_[node] >= 0) forget(timer_id_[node]);
     const TimeUs at = pick_time(true);
     const int id = next_id_++;
-    timer.start(at - sim_.now(), [this, id, node] {
+    timer.start(at - now(), [this, id, node] {
       timer_id_[node] = -1;
       on_fire(id);
     });
     timer_id_[node] = id;
     oracle_.insert(Key{at, node, owner, next_seq_++, id});
+  }
+
+  void cancel_event(EventId id) {
+    if (facade_) {
+      queue_.cancel(id);
+    } else {
+      sim_.cancel(id);
+    }
   }
 
   void cancel_random() {
@@ -263,11 +360,52 @@ class EventOrderOracle {
       live_ids_[i] = live_ids_.back();
       live_ids_.pop_back();
       const auto it = pending_.find(id);
-      if (it == pending_.end()) continue;  // already fired
-      sim_.cancel(it->second.id);
+      if (it == pending_.end()) continue;  // already fired or cancelled
+      cancel_event(it->second.id);
       oracle_.erase(it->second.key);
       pending_.erase(it);
       return;
+    }
+  }
+
+  /// Cancel the event behind oracle entry `it`; returns the next entry.
+  OracleIt cancel_entry(OracleIt it) {
+    const int id = std::get<4>(*it);
+    const auto p = pending_.find(id);
+    if (p != pending_.end()) {
+      cancel_event(p->second.id);
+      pending_.erase(p);
+    } else {
+      // A timer's event: stopping the timer cancels it.
+      for (std::uint32_t node = 0; node < kTimers; ++node) {
+        if (timer_id_[node] == id) {
+          timers_[node]->stop();
+          timer_id_[node] = -1;
+        }
+      }
+    }
+    return oracle_.erase(it);
+  }
+
+  /// Cancel pending events at instant `at`: every one, or each with
+  /// probability 1/2.
+  void cancel_at(TimeUs at, bool every) {
+    auto it = oracle_.lower_bound(Key{at, 0, 0, 0, std::numeric_limits<int>::min()});
+    while (it != oracle_.end() && std::get<0>(*it) == at) {
+      it = every || rng_.bernoulli(0.5) ? cancel_entry(it) : std::next(it);
+    }
+    ++instant_cancels_;
+  }
+
+  /// Cancel every pending event of the instant of a random later event.
+  void cancel_later_instant() {
+    for (int tries = 0; tries < 4 && !live_ids_.empty(); ++tries) {
+      const int id = live_ids_[static_cast<std::size_t>(rng_.uniform(live_ids_.size()))];
+      const auto p = pending_.find(id);
+      if (p != pending_.end() && std::get<0>(p->second.key) > now()) {
+        cancel_at(std::get<0>(p->second.key), /*every=*/true);
+        return;
+      }
     }
   }
 
@@ -284,9 +422,9 @@ class EventOrderOracle {
   void on_fire(int id) {
     ++fired_;
     if (oracle_.empty() || std::get<4>(*oracle_.begin()) != id ||
-        std::get<0>(*oracle_.begin()) != sim_.now()) {
+        std::get<0>(*oracle_.begin()) != now()) {
       ++mismatches_;
-      ADD_FAILURE() << "event " << id << " fired at " << sim_.now()
+      ADD_FAILURE() << "event " << id << " fired at " << now()
                     << " out of (at, key, owner, seq) order";
       return;
     }
@@ -297,14 +435,23 @@ class EventOrderOracle {
     if (fired_ < kBudget) {
       const std::uint64_t follow_ups = rng_.uniform(4);
       for (std::uint64_t i = 0; i < follow_ups; ++i) act(owner);
+      const std::uint64_t r = rng_.uniform(20);
+      if (r == 0) {
+        cancel_at(now(), /*every=*/false);
+      } else if (r == 1) {
+        cancel_later_instant();
+      }
     }
   }
 
   static constexpr std::uint64_t kBudget = 20'000;
 
   Simulator sim_;
+  EventQueue queue_;
+  TimeUs queue_now_ = 0;
   Rng rng_;
   TimePattern pattern_;
+  bool facade_;
   std::set<Key> oracle_;
   std::unordered_map<int, Pending> pending_;
   std::vector<int> live_ids_;
@@ -314,6 +461,7 @@ class EventOrderOracle {
   int next_id_ = 0;
   std::uint64_t fired_ = 0;
   std::uint64_t mismatches_ = 0;
+  std::uint64_t instant_cancels_ = 0;
 };
 
 TEST(EventOrder, MatchesOracleOnSlotGrid) {
@@ -331,6 +479,15 @@ TEST(EventOrder, MatchesOracleOnDriftedInstants) {
 TEST(EventOrder, MatchesOracleOnMixedInstants) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     EXPECT_GT(EventOrderOracle(seed, TimePattern::kMixed).run(), 1000u);
+  }
+}
+
+TEST(EventOrder, FacadeMatchesOracle) {
+  for (const TimePattern pattern :
+       {TimePattern::kSlotGrid, TimePattern::kDrifted, TimePattern::kMixed}) {
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+      EXPECT_GT(EventOrderOracle(seed, pattern, Core::kFacade).run(), 1000u);
+    }
   }
 }
 
@@ -376,6 +533,89 @@ TEST(Simulator, RunUntilPastQueueLeavesClockAtBound) {
   Simulator sim(1);
   sim.run_until(123);
   EXPECT_EQ(sim.now(), 123);
+}
+
+// ------------------------------------------- callbacks run in their record --
+
+TEST(Simulator, CallbackCancellingItselfKeepsRunning) {
+  Simulator sim(1);
+  auto payload = std::make_shared<std::vector<int>>(std::vector<int>{4, 5, 6});
+  EventId self = kInvalidEvent;
+  std::vector<int> seen;
+  self = sim.at(10, [&sim, &self, &seen, payload] {
+    sim.cancel(self);  // the running event: a no-op
+    EXPECT_EQ(sim.pending_events(), 0u);
+    // The captures outlive the cancel, and so does the record: a new event
+    // scheduled now must not reuse the running event's slot.
+    sim.at(10, [&seen] { seen.push_back(7); });
+    seen.insert(seen.end(), payload->begin(), payload->end());
+    EXPECT_EQ(payload.use_count(), 2);
+  });
+  sim.run_all();
+  EXPECT_EQ(seen, (std::vector<int>{4, 5, 6, 7}));
+  EXPECT_EQ(payload.use_count(), 1);  // the closure died after its call
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.cancel(self);  // stale by now
+}
+
+TEST(Simulator, CallbackCancelsLaterEventOfItsBatch) {
+  Simulator sim(1);
+  std::vector<int> order;
+  EventId victim = kInvalidEvent;
+  sim.at(10, [&] {
+    order.push_back(1);
+    sim.cancel(victim);  // already in the active batch at t=10
+    EXPECT_EQ(sim.pending_events(), 1u);
+  });
+  victim = sim.at(10, [&] { order.push_back(2); });
+  sim.at(10, [&] { order.push_back(3); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.events_processed(), 2u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, OneShotTimerRearmsFromItsOwnCallback) {
+  Simulator sim(1);
+  OneShotTimer timer(sim, 3);
+  std::vector<TimeUs> fired;
+  std::function<void()> arm = [&] {
+    // Alternate a same-instant re-arm (into the active batch) with a
+    // later one.
+    timer.start(fired.size() % 2 == 0 ? 5 : 0, [&] {
+      fired.push_back(sim.now());
+      if (fired.size() < 5) arm();
+      EXPECT_EQ(timer.running(), fired.size() < 5);
+    });
+  };
+  arm();
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<TimeUs>{5, 5, 10, 10, 15}));
+  EXPECT_FALSE(timer.running());
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(Simulator, CallbackGrowsThePoolWhileRunning) {
+  // The running record sits in the pool's first chunk while the callback
+  // allocates more than a chunk of new slots.
+  Simulator sim(1);
+  static constexpr std::uint32_t kEvents = 2 * EventPool::kChunkSize + 17;
+  auto tag = std::make_shared<int>(42);
+  std::uint32_t ran = 0;
+  EventId self = kInvalidEvent;
+  self = sim.at(1, [&sim, &ran, &self, tag] {
+    for (std::uint32_t i = 0; i < kEvents; ++i) {
+      sim.at(1 + i % 3, [&ran] { ++ran; });
+    }
+    sim.cancel(self);
+    EXPECT_EQ(*tag, 42);
+    EXPECT_EQ(sim.pending_events(), kEvents);
+  });
+  sim.run_all();
+  EXPECT_EQ(ran, kEvents);
+  EXPECT_EQ(tag.use_count(), 1);
+  EXPECT_EQ(sim.events_processed(), kEvents + 1);
 }
 
 TEST(OneShotTimer, FiresOnce) {

@@ -15,8 +15,11 @@ Prints, for every end-to-end metric in BENCHMARK.json: each side's median
 and quartiles, the change in the median, whether that change is larger
 than the parent's quartile distance, and how many pairs the working tree
 won (ties count for neither side). Then the number of runs whose stderr
-said "behaviour changed" and the failed operations, per side. Exits 1 when
-a run did not produce a result line; the numbers themselves never fail it.
+said "behaviour changed" and the failed operations, per side.
+
+Exits 1 when a run did not produce a result line, or when any run of the
+working tree said "behaviour changed": a pure performance change must
+never move a digest. The timing numbers themselves never fail it.
 """
 
 import json
@@ -113,7 +116,9 @@ def main(argv):
         attempted = sum(r["attempted"] for r in results[side])
         print("%s: behaviour changed in %d runs, %d/%d operations failed" % (
             side, changed[side], failed, attempted))
-    return 1 if missing else 0
+    if changed["change"]:
+        print("FAIL: the working tree changed behaviour in %d runs" % changed["change"])
+    return 1 if missing or changed["change"] else 0
 
 
 if __name__ == "__main__":
