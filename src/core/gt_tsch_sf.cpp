@@ -206,13 +206,13 @@ int GtTschSf::children_demand() const {
 int GtTschSf::allocated_tx_cells() const {
   const Slotframe* sf = mac_.schedule().get(kSlotframeHandle);
   if (sf == nullptr) return 0;
-  return static_cast<int>(TxSlotAllocator::extract_data_cells(*sf).tx.size());
+  return TxSlotAllocator::count_data_cells(*sf).tx;
 }
 
 int GtTschSf::allocated_rx_cells() const {
   const Slotframe* sf = mac_.schedule().get(kSlotframeHandle);
   if (sf == nullptr) return 0;
-  return static_cast<int>(TxSlotAllocator::extract_data_cells(*sf).rx.size());
+  return TxSlotAllocator::count_data_cells(*sf).rx;
 }
 
 std::uint16_t GtTschSf::advertised_free_rx() {

@@ -50,6 +50,18 @@ std::uint16_t nearest_cyclic(const std::vector<std::uint16_t>& v, std::uint16_t 
 
 }  // namespace
 
+TxSlotAllocator::DataCellCounts TxSlotAllocator::count_data_cells(const Slotframe& sf) {
+  DataCellCounts n;
+  for (std::uint16_t s = 0; s < sf.length(); ++s) {
+    for (const Cell& c : sf.cells_at(s)) {
+      if (!is_data_cell(c)) continue;
+      if (c.is_tx()) ++n.tx;
+      if (c.is_rx()) ++n.rx;
+    }
+  }
+  return n;
+}
+
 TxSlotAllocator::DataCells TxSlotAllocator::extract_data_cells(const Slotframe& sf) {
   DataCells out;
   for (const Cell& c : sf.all_cells()) {
@@ -182,9 +194,8 @@ std::optional<std::uint16_t> TxSlotAllocator::place_free(
 }
 
 bool TxSlotAllocator::tx_exceeds_rx(const Slotframe& sf) {
-  const DataCells cells = extract_data_cells(sf);
-  if (cells.rx.empty()) return true;
-  return cells.tx.size() > cells.rx.size();
+  const DataCellCounts n = count_data_cells(sf);
+  return n.rx == 0 || n.tx > n.rx;
 }
 
 bool TxSlotAllocator::rx_interleaved(const Slotframe& sf) {

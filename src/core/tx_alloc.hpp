@@ -38,6 +38,14 @@ class TxSlotAllocator {
 
   static DataCells extract_data_cells(const Slotframe& sf);
 
+  /// Sizes of extract_data_cells(sf).tx and .rx, counted in place with
+  /// the same data-cell predicate.
+  struct DataCellCounts {
+    int tx = 0;
+    int rx = 0;
+  };
+  static DataCellCounts count_data_cells(const Slotframe& sf);
+
   /// How many additional Rx cells this node could currently grant while
   /// honouring rules (a) and (b). This is the l^rx advertised in DIOs.
   static int grantable_rx(const Slotframe& sf, const SlotframeLayout& layout, bool is_root,

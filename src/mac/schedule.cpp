@@ -102,15 +102,25 @@ void TschSchedule::set_change_listener(std::function<void()> listener) {
 
 void TschSchedule::ensure_table() const {
   if (!table_dirty_) return;
-  table_.clear();
-  table_.reserve(frames_.size());
+  table_.resize(frames_.size());
+  auto entry = table_.begin();
   for (const auto& [handle, sf] : frames_) {
-    (void)handle;
-    FrameTable t;
+    CompiledFrame& t = *entry++;
+    t.handle = handle;
     t.length = sf.length();
-    for (std::uint16_t s = 0; s < sf.length(); ++s)
-      if (!sf.by_slot_[s].empty()) t.occupied.push_back(s);
-    table_.push_back(std::move(t));
+    t.frame = &sf;
+    t.gap.clear();
+    if (sf.size() == 0) continue;
+    // Two backward passes over the ring: the first seeds the distance from
+    // the last offsets to the first occupied one after the wrap.
+    t.gap.resize(t.length);
+    std::uint16_t gap = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (std::uint16_t s = t.length; s-- > 0;) {
+        gap = sf.by_slot_[s].empty() ? static_cast<std::uint16_t>(gap + 1) : 0;
+        t.gap[s] = gap;
+      }
+    }
   }
   table_dirty_ = false;
 }
@@ -119,18 +129,9 @@ Asn TschSchedule::next_active_asn(Asn after) const {
   ensure_table();
   Asn best = kNoActiveAsn;
   const Asn base = after + 1;
-  for (const FrameTable& t : table_) {
-    if (t.occupied.empty()) continue;
-    const auto slot = static_cast<std::uint16_t>(base % t.length);
-    const auto it = std::lower_bound(t.occupied.begin(), t.occupied.end(), slot);
-    Asn candidate;
-    if (it != t.occupied.end()) {
-      candidate = base + (*it - slot);
-    } else {
-      // Wrap to the first occupied slot of the next slotframe cycle.
-      candidate = base + (t.length - slot) + t.occupied.front();
-    }
-    best = std::min(best, candidate);
+  for (const CompiledFrame& t : table_) {
+    if (t.gap.empty()) continue;
+    best = std::min(best, base + t.gap[base % t.length]);
   }
   return best;
 }
@@ -142,10 +143,10 @@ std::vector<TschSchedule::ActiveCell> TschSchedule::active_cells(Asn asn) const 
 }
 
 void TschSchedule::active_cells_into(Asn asn, std::vector<ActiveCell>& out) const {
+  ensure_table();
   out.clear();
-  for (const auto& [handle, sf] : frames_) {
-    const auto slot = static_cast<std::uint16_t>(asn % sf.length());
-    for (const Cell& c : sf.cells_at(slot)) out.emplace_back(handle, c);
+  for (const CompiledFrame& t : table_) {
+    for (const Cell& c : t.frame->by_slot_[asn % t.length]) out.emplace_back(t.handle, c);
   }
 }
 

@@ -60,11 +60,14 @@ class Slotframe {
 /// A node's full schedule: slotframes keyed (and prioritised) by handle.
 ///
 /// Beyond the cell containers, the schedule maintains a compiled timetable
-/// — per slotframe, the sorted list of occupied slot offsets — rebuilt
-/// (lazily) whenever any cell or slotframe is added or removed. The MAC
-/// fast path uses it to jump directly to the next ASN holding at least one
-/// cell instead of waking on every slot, and registers a change listener so
-/// mid-run 6P/RPL schedule edits re-aim an already-armed wakeup.
+/// — one flat entry per slotframe in handle order, holding the slotframe's
+/// length, a pointer to its cells and, per slot offset, the cyclic gap to
+/// the next occupied offset — rebuilt (lazily) whenever any cell or
+/// slotframe is added or removed. Both slot queries walk this table, so a
+/// slot start costs one indexed read per slotframe: the MAC fast path uses
+/// next_active_asn to jump directly to the next ASN holding at least one
+/// cell instead of waking on every slot, and registers a change listener
+/// so mid-run 6P/RPL schedule edits re-aim an already-armed wakeup.
 class TschSchedule {
  public:
   TschSchedule() = default;
@@ -121,16 +124,21 @@ class TschSchedule {
   void on_mutated();
   void ensure_table() const;
 
-  /// Compiled timetable entry: one slotframe's occupied slot offsets.
-  struct FrameTable {
+  /// Compiled timetable entry for one slotframe.
+  struct CompiledFrame {
+    std::uint16_t handle = 0;
     std::uint16_t length = 0;
-    std::vector<std::uint16_t> occupied;  ///< sorted, slots with >=1 cell
+    const Slotframe* frame = nullptr;
+    /// gap[s]: slots from offset s forward (cyclically) to the first
+    /// occupied offset, 0 when s itself holds a cell; empty when the
+    /// slotframe holds no cell at all.
+    std::vector<std::uint16_t> gap;
   };
 
   std::map<std::uint16_t, Slotframe> frames_;
   std::uint64_t version_ = 0;
   std::function<void()> change_listener_;
-  mutable std::vector<FrameTable> table_;
+  mutable std::vector<CompiledFrame> table_;
   mutable bool table_dirty_ = true;
 };
 

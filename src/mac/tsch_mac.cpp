@@ -165,6 +165,7 @@ void TschMac::associate_from_eb(const Frame& frame) {
 TimeUs TschMac::local_slot_duration() const { return config_.timing.slot_duration; }
 
 void TschMac::arm_slot_timer() {
+  wake_owner_ = sim_.current_owner();
   slot_timer_.start(std::max<TimeUs>(0, next_slot_time_ - sim_.now()),
                     [this] { on_slot_start(); });
 }
@@ -186,9 +187,18 @@ void TschMac::arm_wake_at(Asn target) {
       total += config_.timing.slot_duration + walk.advance();
     accum = walk.accum;
   }
+  const TimeUs at = current_slot_start_ + total;
+  // Already armed for this very boundary, by the same owner: re-arming
+  // would cancel the entry and schedule an identical one (same instant,
+  // key and owner), leaving a tombstone behind. The common case is an
+  // active slot whose cutoff boundary asn_+1 is also the next active slot.
+  if (slot_timer_.running() && target == wake_asn_ && at == next_slot_time_ &&
+      accum == wake_drift_accum_ && wake_owner_ == sim_.current_owner()) {
+    return;
+  }
   wake_asn_ = target;
   wake_drift_accum_ = accum;
-  next_slot_time_ = current_slot_start_ + total;
+  next_slot_time_ = at;
   arm_slot_timer();
 }
 

@@ -14,6 +14,13 @@
 // per-slot stepping; the GTTSCH_FORCE_PER_SLOT environment variable (or
 // MacConfig::per_slot_stepping) restores the reference per-slot behaviour,
 // which the fast-path equivalence tests compare bit-for-bit.
+//
+// Each slot start costs constant work: the compiled timetable answers both
+// the cell lookup and next_active_asn with one indexed read per slotframe,
+// shared cells pick from the queues' backlog index, and re-aiming the wake
+// at the boundary it is already armed for (an active slot followed by
+// another) keeps the armed event instead of cancelling and re-scheduling
+// an identical one.
 #pragma once
 
 #include <deque>
@@ -227,6 +234,8 @@ class TschMac {
   Asn wake_asn_ = 0;             ///< slot the armed slot timer will start
   TimeUs next_slot_time_ = 0;    ///< its boundary time
   double wake_drift_accum_ = 0.0;  ///< drift residue to commit at the wake
+  /// Simulator owner the wake was armed under; the event inherits it.
+  std::uint32_t wake_owner_ = 0;
 
   NodeId time_source_ = kNoNode;
   TimeUs total_sync_correction_ = 0;

@@ -19,8 +19,8 @@ bool TxQueues::enqueue_unicast(NodeId neighbor, FramePtr frame, std::uint32_t ma
                       [](const QueuedPacket& p) { return p.frame->type != FrameType::kData; }));
     if (control_count >= control_capacity_) return false;
   }
+  if (q.packets.empty()) add_backlogged(neighbor, q);
   q.packets.push_back(QueuedPacket{std::move(frame), mac_seq, 0, now});
-  ++unicast_queued_;
   return true;
 }
 
@@ -30,10 +30,23 @@ bool TxQueues::enqueue_broadcast(FramePtr frame, std::uint32_t mac_seq, TimeUs n
   return true;
 }
 
+TxQueues::BacklogIt TxQueues::backlog_lower_bound(NodeId neighbor) {
+  return std::lower_bound(backlog_.begin(), backlog_.end(), neighbor,
+                          [](const Backlogged& b, NodeId id) { return b.id < id; });
+}
+
+TxQueues::BacklogIt TxQueues::find_backlogged(NodeId neighbor) {
+  const auto it = backlog_lower_bound(neighbor);
+  return it != backlog_.end() && it->id == neighbor ? it : backlog_.end();
+}
+
+void TxQueues::add_backlogged(NodeId neighbor, NeighborQueue& q) {
+  backlog_.insert(backlog_lower_bound(neighbor), Backlogged{neighbor, &q});
+}
+
 QueuedPacket* TxQueues::peek_unicast(NodeId neighbor) {
-  const auto it = unicast_.find(neighbor);
-  if (it == unicast_.end() || it->second.packets.empty()) return nullptr;
-  return &it->second.packets.front();
+  const auto it = find_backlogged(neighbor);
+  return it == backlog_.end() ? nullptr : &it->queue->packets.front();
 }
 
 QueuedPacket* TxQueues::peek_broadcast() {
@@ -41,11 +54,12 @@ QueuedPacket* TxQueues::peek_broadcast() {
 }
 
 void TxQueues::pop_unicast(NodeId neighbor) {
-  const auto it = unicast_.find(neighbor);
-  if (it == unicast_.end() || it->second.packets.empty()) return;
-  if (is_data(it->second.packets.front().frame)) --data_queued_;
-  it->second.packets.pop_front();
-  --unicast_queued_;
+  const auto it = find_backlogged(neighbor);
+  if (it == backlog_.end()) return;
+  auto& packets = it->queue->packets;
+  if (is_data(packets.front().frame)) --data_queued_;
+  packets.pop_front();
+  if (packets.empty()) backlog_.erase(it);
 }
 
 void TxQueues::pop_broadcast() {
@@ -61,36 +75,36 @@ NeighborQueue& TxQueues::ensure_queue(NodeId neighbor) { return unicast_[neighbo
 
 std::vector<NodeId> TxQueues::backlogged_neighbors() const {
   std::vector<NodeId> out;
-  for (const auto& [id, q] : unicast_)
-    if (!q.packets.empty()) out.push_back(id);
+  out.reserve(backlog_.size());
+  for (const Backlogged& b : backlog_) out.push_back(b.id);
   return out;
 }
 
 std::optional<NodeId> TxQueues::pick_any_unicast_shared() {
-  // Empty queues neither transmit nor consume backoff, so with nothing
-  // queued the scan below would change nothing.
-  if (unicast_queued_ == 0) return std::nullopt;
-  // Round-robin scan starting after rr_cursor_ and wrapping once; queues in
-  // backoff consume one shared-cell opportunity instead of transmitting.
+  // Round-robin scan of the backlogged queues starting after rr_cursor_
+  // and wrapping once; queues in backoff consume one shared-cell
+  // opportunity instead of transmitting. Empty queues neither transmit nor
+  // consume backoff, so leaving them out of the scan changes nothing.
   std::optional<NodeId> chosen;
-  const auto visit = [&chosen](NodeId id, NeighborQueue& q) {
-    if (q.packets.empty()) return;
-    if (q.backoff_window > 0) {
-      --q.backoff_window;
+  const auto visit = [&chosen](const Backlogged& b) {
+    if (b.queue->backoff_window > 0) {
+      --b.queue->backoff_window;
       return;
     }
-    if (!chosen) chosen = id;
+    if (!chosen) chosen = b.id;
   };
-  const auto start = unicast_.upper_bound(rr_cursor_);
-  for (auto it = start; it != unicast_.end(); ++it) visit(it->first, it->second);
-  for (auto it = unicast_.begin(); it != start; ++it) visit(it->first, it->second);
+  const auto start =
+      std::upper_bound(backlog_.begin(), backlog_.end(), rr_cursor_,
+                       [](NodeId id, const Backlogged& b) { return id < b.id; });
+  for (auto it = start; it != backlog_.end(); ++it) visit(*it);
+  for (auto it = backlog_.begin(); it != start; ++it) visit(*it);
   if (chosen) rr_cursor_ = *chosen;
   return chosen;
 }
 
 std::size_t TxQueues::total_queued() const {
   std::size_t n = broadcast_.packets.size();
-  for (const auto& [_, q] : unicast_) n += q.packets.size();
+  for (const Backlogged& b : backlog_) n += b.queue->packets.size();
   return n;
 }
 
@@ -99,6 +113,7 @@ std::size_t TxQueues::retarget(NodeId from, NodeId to) {
   if (it == unicast_.end() || from == to) return 0;
   NeighborQueue& src = it->second;
   NeighborQueue& dst = ensure_queue(to);
+  const bool dst_was_empty = dst.packets.empty();
   std::size_t moved = 0;
   for (auto& pkt : src.packets) {
     if (is_data(pkt.frame)) {
@@ -111,11 +126,10 @@ std::size_t TxQueues::retarget(NodeId from, NodeId to) {
       ++moved;
     }
   }
-  // Dropped control frames reduce nothing in the data counter. The moved
-  // data frames stay in src as moved-from elements, so only the control
-  // frames leave the unicast count.
-  unicast_queued_ -= src.packets.size() - moved;
+  // Dropped control frames reduce nothing in the data counter.
+  if (!src.packets.empty()) backlog_.erase(find_backlogged(from));
   unicast_.erase(it);
+  if (dst_was_empty && moved > 0) add_backlogged(to, dst);
   return moved;
 }
 
@@ -125,7 +139,7 @@ std::size_t TxQueues::drop_queue(NodeId neighbor) {
   std::size_t dropped = it->second.packets.size();
   for (const auto& pkt : it->second.packets)
     if (is_data(pkt.frame)) --data_queued_;
-  unicast_queued_ -= dropped;
+  if (dropped > 0) backlog_.erase(find_backlogged(neighbor));
   unicast_.erase(it);
   return dropped;
 }

@@ -25,8 +25,9 @@ struct QueuedPacket {
 
 /// Per-neighbor queue with TSCH shared-cell backoff state.
 struct NeighborQueue {
-  /// Mutated only by TxQueues, which counts its packets (callers reaching
-  /// a queue through queue_for/ensure_queue may touch the backoff state).
+  /// Mutated only by TxQueues, which indexes the non-empty queues (callers
+  /// reaching a queue through queue_for/ensure_queue may touch the backoff
+  /// state).
   std::deque<QueuedPacket> packets;
   int backoff_exponent = 0;  ///< current BE (0 = no backoff pending)
   int backoff_window = 0;    ///< shared-cell opportunities left to skip
@@ -35,6 +36,9 @@ struct NeighborQueue {
 class TxQueues {
  public:
   TxQueues(std::size_t data_capacity, std::size_t control_capacity_per_queue);
+  // Non-copyable: the backlog index points into this object's queue map.
+  TxQueues(const TxQueues&) = delete;
+  TxQueues& operator=(const TxQueues&) = delete;
 
   /// Enqueue toward a unicast neighbor. Returns false (drop) when the data
   /// cap (for kData) or the per-queue control cap is hit.
@@ -59,7 +63,8 @@ class TxQueues {
   /// Round-robin pick of a non-empty unicast queue (for shared cells).
   /// Honors backoff: queues with backoff_window > 0 are skipped after
   /// decrementing the window (a shared-cell opportunity passed).
-  /// Allocation-free, and O(1) when every unicast queue is empty.
+  /// Allocation-free; walks only the backlogged queues, so it is O(1)
+  /// when every unicast queue is empty.
   std::optional<NodeId> pick_any_unicast_shared();
 
   /// Number of queued kData frames (the paper's q_i).
@@ -79,12 +84,29 @@ class TxQueues {
  private:
   bool is_data(const FramePtr& f) const { return f->type == FrameType::kData; }
 
+  /// One non-empty unicast queue. std::map nodes never move, so the
+  /// pointer stays valid until the queue's entry is erased.
+  struct Backlogged {
+    NodeId id;
+    NeighborQueue* queue;
+  };
+  using BacklogIt = std::vector<Backlogged>::iterator;
+
+  /// First backlog entry with id >= neighbor (end() if none).
+  BacklogIt backlog_lower_bound(NodeId neighbor);
+  /// Backlog entry of `neighbor`, or end() when its queue is empty/absent.
+  BacklogIt find_backlogged(NodeId neighbor);
+  /// Index `q` after its first packet arrived.
+  void add_backlogged(NodeId neighbor, NeighborQueue& q);
+
   std::size_t data_capacity_;
   std::size_t control_capacity_;
   std::size_t data_queued_ = 0;
-  /// Packets across all unicast queues, data and control.
-  std::size_t unicast_queued_ = 0;
   std::map<NodeId, NeighborQueue> unicast_;
+  /// Exactly the unicast queues holding at least one packet, ascending id
+  /// (the map's order): the shared-cell pick and unicast peeks walk this
+  /// instead of every neighbor ever queued toward.
+  std::vector<Backlogged> backlog_;
   NeighborQueue broadcast_;
   NodeId rr_cursor_ = 0;  ///< round-robin position for shared-cell picks
 };

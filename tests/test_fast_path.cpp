@@ -445,5 +445,171 @@ TEST(FastPathEquivalence, LateInstalledCellIsServed) {
   EXPECT_GE(mac.counters().eb_sent, 20u);  // EB period 2 s over 60 s
 }
 
+/// Everything observable about a two-MAC run driven directly (no Node
+/// stack): both MACs' counters, radio times, ASNs and sync corrections,
+/// the child's transmit outcomes and the medium's delivery stats.
+struct BackToBackResult {
+  std::map<NodeId, NodeSnapshot> nodes;
+  std::vector<std::pair<bool, int>> child_tx_results;  // (acked, attempts)
+  std::uint64_t root_data_received = 0;
+  MediumStats medium;
+  std::uint64_t events_processed = 0;
+};
+
+struct RecordingUpcalls final : MacUpcalls {
+  std::vector<std::pair<bool, int>> tx_results;
+  std::uint64_t data_received = 0;
+  void mac_associated(Asn, const Frame&) override {}
+  void mac_frame_received(const Frame& frame) override {
+    if (frame.type == FrameType::kData) ++data_received;
+  }
+  void mac_tx_result(const Frame&, bool acked, int attempts) override {
+    tx_results.emplace_back(acked, attempts);
+  }
+};
+
+Cell cell_at(std::uint16_t slot, ChannelOffset ch, std::uint8_t options, NodeId neighbor) {
+  Cell c;
+  c.slot_offset = slot;
+  c.channel_offset = ch;
+  c.options = options;
+  c.neighbor = neighbor;
+  return c;
+}
+
+/// A root and a child whose schedules hold active cells at consecutive
+/// offsets 0..3 of a 7-slot frame: the shared broadcast cell (EBs, so the
+/// child resyncs to its time source), then the child's idle Tx cell toward
+/// an absent neighbor, its idle Rx cell from that neighbor, and its Tx
+/// cell toward the root that carries traffic. Each active slot's cutoff
+/// boundary is the next active slot, so every one of them exercises the
+/// wake that is already armed for the boundary being re-aimed at.
+BackToBackResult run_back_to_back(bool per_slot, double child_drift_ppm) {
+  constexpr NodeId kRoot = 1;
+  constexpr NodeId kChild = 2;
+  constexpr NodeId kAbsent = 3;
+  Simulator sim(7);
+  Medium medium(sim, std::make_unique<UnitDiskModel>(50.0), Rng(7));
+  Radio root_radio(sim, medium, kRoot, {});
+  Radio child_radio(sim, medium, kChild, {});
+  MacConfig root_cfg;
+  root_cfg.per_slot_stepping = per_slot;
+  MacConfig child_cfg = root_cfg;
+  child_cfg.drift_ppm = child_drift_ppm;
+  TschMac root(sim, medium, root_radio, root_cfg, Rng(8));
+  TschMac child(sim, medium, child_radio, child_cfg, Rng(9));
+  RecordingUpcalls root_up, child_up;
+  root.set_upcalls(&root_up);
+  child.set_upcalls(&child_up);
+
+  const Cell broadcast = cell_at(0, 0, kCellTx | kCellRx | kCellShared, kBroadcastId);
+  root.set_eb_provider([] { return EbPayload{}; });
+  root.start_as_root();
+  auto& root_sf = root.schedule().add_slotframe(0, 7);
+  root_sf.add(broadcast);
+  root_sf.add(cell_at(3, 2, kCellRx, kChild));
+  child.start_scanning();
+  sim.run_until(30_s);
+  EXPECT_TRUE(child.associated());
+  auto& child_sf = child.schedule().add_slotframe(0, 7);
+  child_sf.add(broadcast);
+  child_sf.add(cell_at(1, 1, kCellTx, kAbsent));  // nothing queued: idle
+  child_sf.add(cell_at(2, 1, kCellRx, kAbsent));  // nobody sends: idle listen
+  child_sf.add(cell_at(3, 2, kCellTx, kRoot));
+  // Traffic at a period that is not a multiple of the slotframe, so frames
+  // arrive both inside and between the back-to-back block.
+  for (int i = 0; i < 400; ++i) {
+    sim.at(30_s + i * 233_ms, [&child, i] {
+      child.enqueue(make_data_frame(kChild, kRoot,
+                                    DataPayload{kChild, static_cast<std::uint32_t>(i), 0, 0}));
+    });
+  }
+  sim.run_until(130_s);
+
+  BackToBackResult out;
+  for (const TschMac* mac : {&root, &child}) {
+    const Radio& radio = mac == &root ? root_radio : child_radio;
+    NodeSnapshot snap;
+    snap.mac = mac->counters();
+    snap.radio_on = radio.on_time();
+    snap.radio_tx = radio.tx_time();
+    snap.radio_rx = radio.rx_time();
+    snap.sync_correction = mac->total_sync_correction();
+    snap.asn = mac->asn();
+    out.nodes.emplace(mac->id(), snap);
+  }
+  out.child_tx_results = child_up.tx_results;
+  out.root_data_received = root_up.data_received;
+  out.medium = medium.stats();
+  out.events_processed = sim.events_processed();
+  return out;
+}
+
+void expect_back_to_back_identical(const BackToBackResult& fast, const BackToBackResult& ref) {
+  for (const auto& [id, f] : fast.nodes) {
+    SCOPED_TRACE(::testing::Message() << "node " << id);
+    const NodeSnapshot& r = ref.nodes.at(id);
+    EXPECT_EQ(f.mac.unicast_tx_attempts, r.mac.unicast_tx_attempts);
+    EXPECT_EQ(f.mac.unicast_success, r.mac.unicast_success);
+    EXPECT_EQ(f.mac.retransmissions, r.mac.retransmissions);
+    EXPECT_EQ(f.mac.eb_sent, r.mac.eb_sent);
+    EXPECT_EQ(f.mac.rx_frames, r.mac.rx_frames);
+    EXPECT_EQ(f.mac.acks_sent, r.mac.acks_sent);
+    EXPECT_EQ(f.radio_on, r.radio_on);
+    EXPECT_EQ(f.radio_tx, r.radio_tx);
+    EXPECT_EQ(f.radio_rx, r.radio_rx);
+    EXPECT_EQ(f.sync_correction, r.sync_correction);
+    EXPECT_EQ(f.asn, r.asn);
+  }
+  EXPECT_EQ(fast.child_tx_results, ref.child_tx_results);
+  EXPECT_EQ(fast.root_data_received, ref.root_data_received);
+  EXPECT_EQ(fast.medium.transmissions, ref.medium.transmissions);
+  EXPECT_EQ(fast.medium.deliveries, ref.medium.deliveries);
+  EXPECT_EQ(fast.medium.collision_losses, ref.medium.collision_losses);
+  EXPECT_EQ(fast.medium.prr_losses, ref.medium.prr_losses);
+  EXPECT_LT(fast.events_processed, ref.events_processed);
+}
+
+TEST(FastPathEquivalence, BackToBackActiveSlots) {
+  const BackToBackResult fast = run_back_to_back(/*per_slot=*/false, /*drift=*/0.0);
+  const BackToBackResult ref = run_back_to_back(/*per_slot=*/true, /*drift=*/0.0);
+  expect_back_to_back_identical(fast, ref);
+  EXPECT_GT(fast.root_data_received, 300u);  // the traffic cell really carried frames
+}
+
+TEST(FastPathEquivalence, BackToBackActiveSlotsUnderDriftAndResync) {
+  // The child's oscillator runs 40 ppm slow and every EB from the root
+  // shifts its slot anchor and its armed wake (maybe_resync).
+  const BackToBackResult fast = run_back_to_back(/*per_slot=*/false, /*drift=*/40.0);
+  const BackToBackResult ref = run_back_to_back(/*per_slot=*/true, /*drift=*/40.0);
+  expect_back_to_back_identical(fast, ref);
+  EXPECT_GT(fast.nodes.at(2).sync_correction, 0);
+  EXPECT_GT(fast.root_data_received, 300u);
+}
+
+TEST(FastPathEquivalence, CellRemovedAndRestoredBeforeItsSlotIsServed) {
+  // Emptying the schedule stops the armed wake; putting the same cell back
+  // before its slot comes round must arm that very boundary again, even
+  // though it equals the wake the MAC had armed before.
+  Simulator sim(5);
+  Medium medium(sim, std::make_unique<UnitDiskModel>(50.0), Rng(5));
+  Radio radio(sim, medium, 1, {});
+  TschMac mac(sim, medium, radio, MacConfig{}, Rng(6));
+  mac.set_eb_provider([] { return EbPayload{}; });
+  mac.start_as_root();
+  const Cell bcast = cell_at(3, 0, kCellTx | kCellRx | kCellShared, kBroadcastId);
+  mac.schedule().add_slotframe(0, 101).add(bcast);
+  sim.run_until(30_s + 7_ms);  // mid-slot, with the next slot-3 wake armed
+  const std::uint64_t before = mac.counters().eb_sent;
+  {
+    // Edit under the node's own owner id, as its protocol events would.
+    Simulator::ScopedOwner owner(sim, radio.id());
+    mac.schedule().get(0)->remove(bcast);
+    mac.schedule().get(0)->add(bcast);
+  }
+  sim.run_until(90_s);
+  EXPECT_GE(mac.counters().eb_sent, before + 20);  // EB period 2 s over 60 s
+}
+
 }  // namespace
 }  // namespace gttsch

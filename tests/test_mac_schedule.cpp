@@ -1,9 +1,15 @@
 // Tests for TSCH schedule containers, hopping, and transmit queues.
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <optional>
+#include <vector>
+
 #include "mac/hopping.hpp"
 #include "mac/schedule.hpp"
 #include "mac/txqueue.hpp"
+#include "util/rng.hpp"
 
 namespace gttsch {
 namespace {
@@ -186,6 +192,119 @@ TEST(Schedule, TotalCells) {
   EXPECT_EQ(s.total_cells(), 2u);
 }
 
+// --- Compiled slot table vs brute force ------------------------------------
+
+/// Reference for active_cells: every slotframe in handle order, read
+/// straight from the cell containers.
+std::vector<TschSchedule::ActiveCell> brute_active_cells(const TschSchedule& s, Asn asn) {
+  std::vector<TschSchedule::ActiveCell> out;
+  s.for_each([&](const Slotframe& sf) {
+    for (const Cell& c : sf.cells_at(static_cast<std::uint16_t>(asn % sf.length())))
+      out.emplace_back(sf.handle(), c);
+  });
+  return out;
+}
+
+/// Reference for next_active_asn: step ASN by ASN. Any occupied slot
+/// recurs within its slotframe's length, so the longest length bounds the
+/// scan; nothing within it means every slotframe is empty.
+Asn brute_next_active(const TschSchedule& s, Asn after) {
+  std::uint16_t longest = 0;
+  s.for_each([&](const Slotframe& sf) { longest = std::max(longest, sf.length()); });
+  for (Asn asn = after + 1; asn <= after + longest; ++asn)
+    if (!brute_active_cells(s, asn).empty()) return asn;
+  return TschSchedule::kNoActiveAsn;
+}
+
+/// One random schedule edit: slotframe add/remove, cell add/remove,
+/// remove_if, or a frame reduced to a single occupied slot (whose cyclic
+/// gap wraps the whole slotframe).
+void random_schedule_edit(TschSchedule& s, Rng& rng) {
+  static constexpr std::uint16_t kLengths[] = {7, 32, 101, 397};
+  const auto handle = static_cast<std::uint16_t>(rng.uniform(4));
+  Slotframe* sf = s.get(handle);
+  if (sf == nullptr) {
+    s.add_slotframe(handle, kLengths[rng.uniform(4)]);  // starts empty
+    return;
+  }
+  const auto slot = static_cast<std::uint16_t>(rng.uniform(sf->length()));
+  const Cell cell = make_cell(slot, static_cast<ChannelOffset>(rng.uniform(3)),
+                              rng.uniform(2) ? kCellTx : kCellRx,
+                              static_cast<NodeId>(rng.uniform(3)));
+  switch (rng.uniform(10)) {
+    case 0:
+      s.remove_slotframe(handle);
+      break;
+    case 1:
+      sf->remove_if([](const Cell&) { return true; });
+      sf->add(cell);
+      break;
+    case 2:
+      sf->remove_if([&](const Cell& c) { return c.neighbor == cell.neighbor; });
+      break;
+    case 3:
+    case 4: {
+      const auto cells = sf->all_cells();
+      if (!cells.empty()) sf->remove(cells[rng.uniform(cells.size())]);
+      break;
+    }
+    default:
+      sf->add(cell);
+      break;
+  }
+}
+
+void expect_table_matches_brute(const TschSchedule& s, Rng& rng) {
+  std::vector<TschSchedule::ActiveCell> scratch;
+  // Random far-off probes exercise the modulo of large ASNs...
+  for (int i = 0; i < 8; ++i) {
+    const Asn asn = rng.uniform(Asn{1} << 40);
+    ASSERT_EQ(s.next_active_asn(asn), brute_next_active(s, asn)) << "after " << asn;
+    s.active_cells_into(asn, scratch);
+    ASSERT_EQ(scratch, brute_active_cells(s, asn)) << "asn " << asn;
+  }
+  // ...and a walk over two periods of the longest slotframe checks every
+  // ASN in between: the jumps land on the brute-force next active slot,
+  // and the cells there come out in handle order.
+  const Asn start = rng.uniform(1000);
+  Asn asn = start;
+  while (asn < start + 2 * 397) {
+    const Asn next = s.next_active_asn(asn);
+    ASSERT_EQ(next, brute_next_active(s, asn)) << "after " << asn;
+    if (next == TschSchedule::kNoActiveAsn) break;
+    s.active_cells_into(next, scratch);
+    ASSERT_FALSE(scratch.empty());
+    ASSERT_EQ(scratch, brute_active_cells(s, next)) << "asn " << next;
+    asn = next;
+  }
+}
+
+TEST(CompiledSlotTable, MatchesBruteForceUnderInterleavedEdits) {
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    TschSchedule s;
+    for (int step = 0; step < 150; ++step) {
+      random_schedule_edit(s, rng);
+      expect_table_matches_brute(s, rng);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+}
+
+TEST(CompiledSlotTable, SingleOccupiedSlotWrapsTheSlotframe) {
+  TschSchedule s;
+  s.add_slotframe(1, 397).add(make_cell(0, 0, kCellTx));
+  s.add_slotframe(2, 7);  // empty frames take no part
+  EXPECT_EQ(s.next_active_asn(0), 397u);
+  EXPECT_EQ(s.next_active_asn(396), 397u);
+  EXPECT_EQ(s.next_active_asn(397), 794u);
+  s.get(1)->remove(make_cell(0, 0, kCellTx));
+  s.get(1)->add(make_cell(396, 0, kCellTx));
+  EXPECT_EQ(s.next_active_asn(395), 396u);
+  EXPECT_EQ(s.next_active_asn(396), 793u);
+}
+
 // --- TxQueues --------------------------------------------------------------
 
 FramePtr data_frame(NodeId src, NodeId dst) { return make_data_frame(src, dst, DataPayload{}); }
@@ -266,10 +385,9 @@ TEST(TxQueues, RetargetMovesDataRewritesDst) {
   EXPECT_EQ(q.data_queued(), 2u);
 }
 
-// The shared pick returns early when its count of unicast packets reads 0,
-// so a count that reads low starves shared cells. retarget leaves the moved
-// data frames behind as moved-from elements; only the dropped control frame
-// may leave the count.
+// The shared pick walks only the backlog index, so a queue the index misses
+// is starved of shared cells: retarget must index the queue its data frames
+// moved to, and drop the one they left.
 TEST(TxQueues, SharedPickFollowsRetargetedFrames) {
   TxQueues q(8, 8);
   q.enqueue_unicast(5, data_frame(1, 5), 1, 0);
@@ -314,6 +432,163 @@ TEST(TxQueues, BackloggedNeighbors) {
   q.enqueue_unicast(7, data_frame(1, 7), 2, 0);
   const auto b = q.backlogged_neighbors();
   EXPECT_EQ(b, (std::vector<NodeId>{5, 7}));
+}
+
+// --- TxQueues backlog index vs the full-map scan ---------------------------
+
+/// Reference model: every unicast queue ever created, scanned in full for
+/// shared picks (empty queues skipped before their backoff is touched).
+struct QueueModel {
+  struct Entry {
+    std::deque<std::uint32_t> seqs;
+    std::deque<bool> is_data;
+    int backoff_window = 0;
+  };
+  std::size_t data_capacity = 0;
+  std::size_t control_capacity = 0;
+  std::size_t data_queued = 0;
+  std::map<NodeId, Entry> queues;
+  NodeId rr_cursor = 0;
+
+  bool enqueue(NodeId n, bool data, std::uint32_t seq) {
+    Entry& e = queues[n];
+    if (data) {
+      if (data_queued >= data_capacity) return false;
+      ++data_queued;
+    } else if (static_cast<std::size_t>(std::count(e.is_data.begin(), e.is_data.end(),
+                                                   false)) >= control_capacity) {
+      return false;
+    }
+    e.seqs.push_back(seq);
+    e.is_data.push_back(data);
+    return true;
+  }
+  void pop(NodeId n) {
+    const auto it = queues.find(n);
+    if (it == queues.end() || it->second.seqs.empty()) return;
+    if (it->second.is_data.front()) --data_queued;
+    it->second.seqs.pop_front();
+    it->second.is_data.pop_front();
+  }
+  std::size_t retarget(NodeId from, NodeId to) {
+    const auto it = queues.find(from);
+    if (it == queues.end() || from == to) return 0;
+    Entry& dst = queues[to];
+    std::size_t moved = 0;
+    for (std::size_t i = 0; i < it->second.seqs.size(); ++i) {
+      if (!it->second.is_data[i]) continue;
+      dst.seqs.push_back(it->second.seqs[i]);
+      dst.is_data.push_back(true);
+      ++moved;
+    }
+    queues.erase(it);
+    return moved;
+  }
+  std::size_t drop(NodeId n) {
+    const auto it = queues.find(n);
+    if (it == queues.end()) return 0;
+    const std::size_t dropped = it->second.seqs.size();
+    data_queued -= static_cast<std::size_t>(
+        std::count(it->second.is_data.begin(), it->second.is_data.end(), true));
+    queues.erase(it);
+    return dropped;
+  }
+  std::optional<NodeId> pick() {
+    std::optional<NodeId> chosen;
+    const auto visit = [&chosen](NodeId id, Entry& e) {
+      if (e.seqs.empty()) return;
+      if (e.backoff_window > 0) {
+        --e.backoff_window;
+        return;
+      }
+      if (!chosen) chosen = id;
+    };
+    const auto start = queues.upper_bound(rr_cursor);
+    for (auto it = start; it != queues.end(); ++it) visit(it->first, it->second);
+    for (auto it = queues.begin(); it != start; ++it) visit(it->first, it->second);
+    if (chosen) rr_cursor = *chosen;
+    return chosen;
+  }
+  std::vector<NodeId> backlogged() const {
+    std::vector<NodeId> out;
+    for (const auto& [id, e] : queues)
+      if (!e.seqs.empty()) out.push_back(id);
+    return out;
+  }
+};
+
+void expect_queues_match(TxQueues& q, const QueueModel& m) {
+  ASSERT_EQ(q.backlogged_neighbors(), m.backlogged());
+  ASSERT_EQ(q.data_queued(), m.data_queued);
+  for (NodeId n = 0; n < 40; ++n) {
+    SCOPED_TRACE(::testing::Message() << "neighbor " << n);
+    const auto it = m.queues.find(n);
+    NeighborQueue* nq = q.queue_for(n);
+    ASSERT_EQ(nq != nullptr, it != m.queues.end());
+    if (nq == nullptr) continue;
+    ASSERT_EQ(nq->backoff_window, it->second.backoff_window);
+    const QueuedPacket* head = q.peek_unicast(n);
+    ASSERT_EQ(head != nullptr, !it->second.seqs.empty());
+    if (head != nullptr) {
+      ASSERT_EQ(head->mac_seq, it->second.seqs.front());
+    }
+  }
+}
+
+TEST(TxQueues, BacklogIndexMatchesFullScanModel) {
+  for (const std::uint64_t seed : {11ull, 12ull, 13ull}) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    Rng rng(seed);
+    TxQueues q(24, 3);
+    QueueModel m;
+    m.data_capacity = 24;
+    m.control_capacity = 3;
+    std::uint32_t seq = 0;
+    // Mostly a few hot neighbors, so queues both fill and drain; the rest
+    // spread over 40 ids, so sparse backlogs among many queues occur too.
+    const auto pick_neighbor = [&rng] {
+      return static_cast<NodeId>(rng.uniform(4) == 0 ? rng.uniform(40) : rng.uniform(6));
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const NodeId n = pick_neighbor();
+      switch (rng.uniform(12)) {
+        case 0:
+        case 1:
+        case 2: {
+          const bool data = rng.uniform(4) != 0;
+          ++seq;
+          const FramePtr f = data ? data_frame(1, n) : make_sixp_frame(1, n, SixpPayload{});
+          ASSERT_EQ(q.enqueue_unicast(n, f, seq, 0), m.enqueue(n, data, seq));
+          break;
+        }
+        case 3:
+        case 4:
+          q.pop_unicast(n);
+          m.pop(n);
+          break;
+        case 5: {
+          const NodeId to = pick_neighbor();
+          ASSERT_EQ(q.retarget(n, to), m.retarget(n, to));
+          break;
+        }
+        case 6:
+          ASSERT_EQ(q.drop_queue(n), m.drop(n));
+          break;
+        case 7:
+          // A failed shared-cell transmission backs the queue off.
+          if (NeighborQueue* nq = q.queue_for(n)) {
+            nq->backoff_window = static_cast<int>(rng.uniform(5));
+            m.queues.at(n).backoff_window = nq->backoff_window;
+          }
+          break;
+        default:
+          ASSERT_EQ(q.pick_any_unicast_shared(), m.pick()) << "step " << step;
+          break;
+      }
+      expect_queues_match(q, m);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace

@@ -32,6 +32,10 @@ TEST(TxAlloc, ExtractSeparatesKinds) {
   EXPECT_EQ(cells.rx, (std::vector<std::uint16_t>{2}));
   ASSERT_EQ(cells.rx_owner.size(), 1u);
   EXPECT_EQ(cells.rx_owner[0], 7);
+  // The in-place counts use the same definition of a data cell.
+  const auto counts = TxSlotAllocator::count_data_cells(sf);
+  EXPECT_EQ(counts.tx, 1);
+  EXPECT_EQ(counts.rx, 1);
 }
 
 TEST(TxAlloc, RootGrantsWithoutTxCells) {
