@@ -14,12 +14,6 @@
 //   nodes-200   200-node random-disk mesh over a full simulated hour
 //   churn-100   100-node random-disk mesh under crashloop fault
 //               injection (staggered fail -> revive cycles)
-//   mobile-100-parallel / nodes-200-parallel
-//               the mobility and scale points again with island-parallel
-//               stepping (4 lanes), bypassing the core-count clamp so the
-//               coordination cost is measured even on small runners; the
-//               wall-clock ratio vs the sequential sibling is the repo's
-//               parallel-speedup trajectory (perf_diff prints it)
 // — written to BENCH_simcore.json so every later PR can be compared per
 // scenario class (tools/perf_diff.py prints the delta table; CI's
 // perf-smoke job runs it against the committed baseline).
@@ -216,7 +210,6 @@ struct ScenarioPoint {
   TimeUs measure = 600_s;
   bool with_per_slot = false;   ///< also time the per-slot reference
   bool with_telemetry = false;  ///< attach a Telemetry recorder to the run
-  int parallel_lanes = 0;       ///< >1: island-parallel stepping, this many lanes
 };
 
 ScenarioPoint sparse7_point() {
@@ -340,28 +333,6 @@ ScenarioPoint churn100_point() {
   return p;
 }
 
-// The mobility and scale points again under island-parallel stepping.
-// Bit-identical results to the sequential siblings (the parallel tests
-// prove it), so only the wall columns differ; the ratio against the
-// sibling is the parallel-speedup trajectory. Four lanes regardless of
-// the host's core count: unlike run_scenario, the bench does *not* clamp
-// through available_island_workers, so a single-core runner still
-// measures the coordination overhead instead of silently demoting to
-// the sequential path.
-ScenarioPoint mobile100_parallel_point() {
-  ScenarioPoint p = mobile100_point();
-  p.name = "mobile-100-parallel";
-  p.parallel_lanes = 4;
-  return p;
-}
-
-ScenarioPoint nodes200_parallel_point() {
-  ScenarioPoint p = nodes200_point();
-  p.name = "nodes-200-parallel";
-  p.parallel_lanes = 4;
-  return p;
-}
-
 struct EndToEnd {
   double wall_seconds = 0.0;
   double sim_per_wall = 0.0;
@@ -407,9 +378,6 @@ EndToEnd run_point(const ScenarioPoint& p, bool per_slot) {
     telemetry->default_probe_window(p.formation, p.formation + p.measure);
     telemetry->attach(*net, /*stats=*/nullptr);
   }
-  if (p.parallel_lanes > 1 && !per_slot) {
-    net->sim().set_parallel(p.parallel_lanes, &net->medium());
-  }
   net->start();
   player.start();
   net->sim().run_until(p.formation);
@@ -441,8 +409,7 @@ bool write_simcore_json(const std::string& path) {
   const std::vector<ScenarioPoint> points = {
       sparse7_point(),   telemetry_overhead_point(), dense50_point(),
       mobile100_point(), nodes200_point(),           alice50_point(),
-      emsf50_point(),    churn100_point(),           mobile100_parallel_point(),
-      nodes200_parallel_point()};
+      emsf50_point(),    churn100_point()};
   FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "bench_sim_core: cannot write %s\n", path.c_str());
@@ -456,12 +423,12 @@ bool write_simcore_json(const std::string& path) {
                  "    {\"name\": \"%s\",\n"
                  "      \"topology\": \"%s\", \"nodes\": %zu, \"joined\": %zu,\n"
                  "      \"slotframe_length\": %u, \"traffic_ppm\": %.0f,\n"
-                 "      \"movers\": %d, \"parallel_lanes\": %d,\n"
+                 "      \"movers\": %d,\n"
                  "      \"measured_sim_seconds\": %.0f,\n",
                  p.name, topology_name(p.config.topology), fast.nodes, fast.joined,
                  p.config.gt_slotframe_length, p.config.traffic_ppm,
                  p.config.trace_kind == TraceKind::kNone ? 0 : p.config.trace_movers,
-                 p.parallel_lanes, us_to_s(p.measure));
+                 us_to_s(p.measure));
     if (p.with_per_slot) {
       const EndToEnd ref = run_point(p, /*per_slot=*/true);
       const double speedup =

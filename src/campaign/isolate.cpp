@@ -117,12 +117,9 @@ constexpr CfgBool kBools[] = {
     {"enforce_interleave", &ScenarioConfig::enforce_interleave},
 };
 // Plus, handled individually below: topology / trace_kind (enums as
-// ordinals) and queue_capacity (size_t). `parallel_islands` is left out
-// on purpose: it is an execution knob with bit-identical results, and
-// isolated children always run sequentially (one lane per job keeps the
-// worker budget with the campaign pool).
+// ordinals) and queue_capacity (size_t).
 #if (defined(__x86_64__) || defined(__aarch64__)) && defined(_GLIBCXX_RELEASE)
-static_assert(sizeof(ScenarioConfig) == 304,
+static_assert(sizeof(ScenarioConfig) == 296,
               "ScenarioConfig changed: add the new field to the envelope "
               "tables above, then update this size");
 #endif

@@ -40,6 +40,14 @@ std::string fmt(double v) {
 
 std::string fmt(std::uint64_t v) { return std::to_string(v); }
 
+/// Nodes joined at the end of a run, averaged over the point's seeds (the
+/// aggregate sums it, like the other counters).
+double nodes_joined_mean(const PointAggregate& a) {
+  return a.runs == 0 ? 0.0
+                     : static_cast<double>(a.mean.nodes_joined) /
+                           static_cast<double>(a.runs);
+}
+
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 2);
@@ -78,7 +86,7 @@ std::vector<std::string> csv_header(const std::vector<PointAggregate>& aggregate
         "pre_generated", "churn_generated", "post_generated", "pre_delivered",
         "churn_delivered", "post_delivered", "probes_sent", "probes_delivered",
         "node_failures", "node_revivals", "node_rejoins", "orphan_intervals",
-        "recovery_ttr_censored"}) {
+        "recovery_ttr_censored", "nodes_joined"}) {
     header.push_back(name);
   }
   return header;
@@ -121,6 +129,7 @@ std::vector<std::string> csv_row(const PointAggregate& a) {
   row.push_back(fmt(a.mean.node_rejoins));
   row.push_back(fmt(a.mean.orphan_intervals));
   row.push_back(fmt(a.mean.recovery_ttr_censored));
+  row.push_back(fmt(nodes_joined_mean(a)));
   return row;
 }
 
@@ -195,7 +204,8 @@ std::string render_json(const std::vector<PointAggregate>& aggregates) {
            ", \"node_revivals\": " + fmt(a.mean.node_revivals) +
            ", \"node_rejoins\": " + fmt(a.mean.node_rejoins) +
            ", \"orphan_intervals\": " + fmt(a.mean.orphan_intervals) +
-           ", \"recovery_ttr_censored\": " + fmt(a.mean.recovery_ttr_censored) + "},\n";
+           ", \"recovery_ttr_censored\": " + fmt(a.mean.recovery_ttr_censored) +
+           ", \"nodes_joined\": " + fmt(nodes_joined_mean(a)) + "},\n";
     out += "    \"medium\": {\"transmissions\": " + fmt(a.medium_sum.transmissions) +
            ", \"deliveries\": " + fmt(a.medium_sum.deliveries) +
            ", \"collision_losses\": " + fmt(a.medium_sum.collision_losses) +

@@ -13,7 +13,8 @@ namespace gttsch::campaign {
 /// Column layout: label, one column per axis coordinate, runs,
 /// fully_formed_runs, status (ok/failed/empty), failed_jobs,
 /// failure_kinds ("kind:count" pairs, ';'-joined, "" when clean), then
-/// mean/stddev/ci95 per panel metric, then the summed counters.
+/// mean/stddev/ci95 per panel metric, then the summed counters, then
+/// nodes_joined (the per-seed mean).
 /// Coordinate columns come from the first aggregate.
 std::vector<std::string> csv_header(const std::vector<PointAggregate>& aggregates);
 std::vector<std::string> csv_row(const PointAggregate& aggregate);

@@ -387,12 +387,6 @@ Runner::Result Runner::run(const std::vector<Job>& jobs) {
   int workers = default_worker_count(options_.jobs);
   workers = std::min<int>(workers, static_cast<int>(jobs.size()));
 
-  // Reserve our worker count for the duration of the campaign so nested
-  // island-parallel runs size themselves into the leftover hardware
-  // threads instead of multiplying against us (GTTSCH_JOBS x islands
-  // stays bounded by the machine).
-  WorkerReservation reservation(workers);
-
   std::atomic<std::size_t> next{0};
   std::atomic<std::size_t> done{0};
   std::mutex progress_mutex;

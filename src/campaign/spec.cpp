@@ -619,16 +619,12 @@ void mix_config(Fingerprint& fp, const ScenarioConfig& c, TraceContentCache& cac
     // before any job runs anyway.
     fp.mix(canonical_trace_content(c.trace, cache));
   }
-  // `parallel_islands` is deliberately NOT mixed: it is an execution knob
-  // (island-parallel stepping is bit-identical to the sequential
-  // reference), so two campaigns differing only in lane count are the
-  // same campaign and must resume/merge against each other's journals.
 }
 // The std::string `trace` member makes sizeof stdlib-dependent (32 bytes
 // under libstdc++, 24 under libc++), so the tripwire is gated on libstdc++
 // — the library every CI leg builds against.
 #if (defined(__x86_64__) || defined(__aarch64__)) && defined(_GLIBCXX_RELEASE)
-static_assert(sizeof(ScenarioConfig) == 304,
+static_assert(sizeof(ScenarioConfig) == 296,
               "ScenarioConfig changed: add the new field to mix_config, then "
               "update this size");
 #endif

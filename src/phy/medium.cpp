@@ -20,12 +20,11 @@ constexpr TimeUs kInFlightRetention = kMaxFrameAirtime;
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 constexpr std::uint32_t kNpos32 = 0xFFFFFFFFu;
 
-/// Ordering key for drain events. Giving drains a *fixed* key (above every
-/// node id, below the default class) pins their position among same-time
-/// events to (end, kDrainEventKey, owner) — independent of the insertion
-/// sequence number. That independence is what lets a repartition cancel
-/// and re-home a pending drain without perturbing the event order the
-/// sequential reference mode produces.
+/// Ordering key for drain events: above every node id and below the
+/// default class, so a frame ending at a slot boundary resolves after that
+/// instant's slot-boundary timers (keyed by node id) and before its
+/// default-key protocol events. Every recorded result depends on this
+/// position.
 constexpr std::uint32_t kDrainEventKey = 0xFFFFFFFEu;
 
 /// Grid-cell coordinates of a position, clamped so they pack into 32 bits.
@@ -59,14 +58,6 @@ void erase_sorted(std::vector<std::uint32_t>& v, std::uint32_t value) {
 Medium::Medium(Simulator& sim, std::unique_ptr<LinkModel> model, Rng rng)
     : sim_(sim), model_(std::move(model)), rng_(rng) {
   GTTSCH_CHECK(model_ != nullptr);
-  shards_.push_back(std::make_unique<Shard>());
-}
-
-Medium::~Medium() = default;
-
-Medium::Shard& Medium::shard() const {
-  const std::uint32_t ctx = sim_.current_ctx();
-  return ctx < shards_.size() ? *shards_[ctx] : *shards_[0];
 }
 
 void Medium::attach(Radio* radio) {
@@ -85,7 +76,6 @@ void Medium::detach(NodeId id) {
 }
 
 void Medium::position_changed(NodeId id) {
-  ++position_epoch_;
   if (!cache_valid_) return;  // a full (re)build is pending anyway
   // Deduplicate: a node walking many steps between medium queries stays
   // one dirty entry (the refresh reads its *current* position anyway), so
@@ -121,20 +111,7 @@ void Medium::set_link_cache_enabled(bool enabled) {
   for (auto& [id, radio] : radios_) radio->set_medium_slot(Radio::kNoMediumSlot);
 }
 
-MediumStats Medium::stats() const {
-  MediumStats total;
-  for (const auto& sp : shards_) {
-    total.transmissions += sp->stats.transmissions;
-    total.deliveries += sp->stats.deliveries;
-    total.collision_losses += sp->stats.collision_losses;
-    total.prr_losses += sp->stats.prr_losses;
-  }
-  return total;
-}
-
-void Medium::reset_stats() {
-  for (const auto& sp : shards_) sp->stats = MediumStats{};
-}
+void Medium::reset_stats() { stats_ = MediumStats{}; }
 
 Rng& Medium::rx_rng(NodeId id) const {
   const auto it = rx_rngs_.find(id);
@@ -355,39 +332,32 @@ void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel chann
   // kInFlightRetention's overlap bound assumes no frame outlives the
   // maximal legal airtime; enforce the 127-byte invariant at the source.
   GTTSCH_CHECK(frame->length_bytes <= kMaxMacFrameBytes);
-  Shard& sh = shard();
   const TimeUs air = frame_airtime(frame->length_bytes);
-  const std::uint64_t id = sh.next_tx_id++;
+  const std::uint64_t id = next_tx_id_++;
   const TimeUs end = sim_.now() + air;
-  ChannelState& cs = sh.channels[channel];
+  ChannelState& cs = channels_[channel];
   cs.in_flight.push_back(
       Transmission{id, sender.id(), std::move(frame), channel, sim_.now(), end});
-  ++sh.stats.transmissions;
-  ++sh.mutations;
+  ++stats_.transmissions;
+  ++mutations_;
   // One drain event per (channel, end-time) rendezvous: every later frame
   // ending at the same instant on the same channel (the TSCH case — equal
   // frame lengths transmitted at the same slot's tx offset) rides the
   // first frame's event. Airtime is strictly positive, so the drain this
   // frame may join cannot have fired already. The event inherits the
-  // sender as owner, homing it to the sender's island.
-  bool have_drain = false;
-  for (const PendingDrain& d : cs.pending_drains) {
-    if (d.end == end) {
-      have_drain = true;
-      break;
-    }
-  }
-  if (!have_drain) {
-    const EventId ev = sim_.at_keyed(
-        end, kDrainEventKey, [this, channel, end] { drain_channel(channel, end); });
-    cs.pending_drains.push_back(PendingDrain{end, ev});
+  // sender as owner.
+  if (std::find(cs.pending_drains.begin(), cs.pending_drains.end(), end) ==
+      cs.pending_drains.end()) {
+    sim_.at_keyed(end, kDrainEventKey,
+                  [this, channel, end] { drain_channel(channel, end); });
+    cs.pending_drains.push_back(end);
   }
 }
 
-bool Medium::suffers_collision(const Shard& sh, const Transmission& tx, NodeId rid,
-                               std::size_t rx_idx, const Radio* rx) const {
+bool Medium::suffers_collision(const Transmission& tx, NodeId rid, std::size_t rx_idx,
+                               const Radio* rx) const {
   const std::size_t n = cache_ids_.size();
-  for (const auto& other : sh.channels[tx.channel].in_flight) {
+  for (const auto& other : channels_[tx.channel].in_flight) {
     if (other.id == tx.id) continue;
     if (other.sender == rid) continue;  // a radio cannot jam itself here:
     // it would be transmitting, and the listening check already failed.
@@ -411,8 +381,7 @@ bool Medium::suffers_collision(const Shard& sh, const Transmission& tx, NodeId r
 }
 
 TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
-  Shard& sh = shard();
-  const std::vector<Transmission>& in_flight = sh.channels[channel].in_flight;
+  const std::vector<Transmission>& in_flight = channels_[channel].in_flight;
   if (in_flight.empty()) return 0;
   ensure_cache();
   // ensure_cache() leaves the cache matching radios_, so in cached mode an
@@ -436,12 +405,12 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
   // guard — share one pass that resolves live transmissions and their
   // sender cache indices; each listener then only walks the compact
   // (s_idx, end) list against its own column of the pair matrix.
-  BusyMemo& memo = sh.busy_memo;
+  BusyMemo& memo = busy_memo_;
   if (memo.at != now || memo.channel != channel ||
-      memo.mutations != sh.mutations || memo.cache_builds != cache_builds_) {
+      memo.mutations != mutations_ || memo.cache_builds != cache_builds_) {
     memo.at = now;
     memo.channel = channel;
-    memo.mutations = sh.mutations;
+    memo.mutations = mutations_;
     memo.cache_builds = cache_builds_;
     memo.live.clear();
     for (const auto& tx : in_flight) {
@@ -471,7 +440,7 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
   return latest;
 }
 
-void Medium::resolve_receiver_fast(Shard& sh, const Transmission& tx, NodeId rid,
+void Medium::resolve_receiver_fast(const Transmission& tx, NodeId rid,
                                    std::uint32_t r_idx, double prr) {
   // Receiver must have been listening on the right channel for the whole
   // frame (preamble included) — filters read the contiguous SoA mirror;
@@ -480,68 +449,66 @@ void Medium::resolve_receiver_fast(Shard& sh, const Transmission& tx, NodeId rid
   if (hot_channel_[r_idx] != tx.channel) return;
   if (hot_listen_since_[r_idx] > tx.start) return;
   if (prr <= 0.0) return;  // out of communication range entirely
-  if (suffers_collision(sh, tx, rid, r_idx, nullptr)) {
-    ++sh.stats.collision_losses;
+  if (suffers_collision(tx, rid, r_idx, nullptr)) {
+    ++stats_.collision_losses;
     GTTSCH_LOG_DEBUG("medium", "collision at node %u (frame %s from %u)", rid,
                      frame_type_name(tx.frame->type), tx.sender);
     return;
   }
   if (!hot_rng_[r_idx]->bernoulli(prr)) {
-    ++sh.stats.prr_losses;
+    ++stats_.prr_losses;
     return;
   }
-  ++sh.stats.deliveries;
+  ++stats_.deliveries;
   // The receiver's processing — and every event chain it spawns (ACKs,
   // slot timers, routing reactions) — belongs to the *receiver*: without
   // this re-homing, a node bootstrapped by another node's frame would
-  // inherit the sender's owner for its whole lifetime and a later
-  // repartition would tear its event chains across two islands.
+  // inherit the sender's owner, and with it the sender's place in every
+  // same-instant tie, for its whole lifetime.
   Simulator::ScopedOwner own(sim_, rid);
   cache_radios_[r_idx]->medium_deliver(tx.frame);
 }
 
-void Medium::resolve_receiver_slow(Shard& sh, const Transmission& tx, NodeId rid,
-                                   Radio& radio, double prr) {
+void Medium::resolve_receiver_slow(const Transmission& tx, NodeId rid, Radio& radio,
+                                   double prr) {
   if (radio.state() != RadioState::kListening) return;
   if (radio.channel() != tx.channel) return;
   if (radio.listening_since() > tx.start) return;
   if (prr <= 0.0) return;
-  if (suffers_collision(sh, tx, rid, kNpos, &radio)) {
-    ++sh.stats.collision_losses;
+  if (suffers_collision(tx, rid, kNpos, &radio)) {
+    ++stats_.collision_losses;
     GTTSCH_LOG_DEBUG("medium", "collision at node %u (frame %s from %u)", rid,
                      frame_type_name(tx.frame->type), tx.sender);
     return;
   }
   if (!rx_rng(rid).bernoulli(prr)) {
-    ++sh.stats.prr_losses;
+    ++stats_.prr_losses;
     return;
   }
-  ++sh.stats.deliveries;
+  ++stats_.deliveries;
   // Same receiver re-homing as the fast path (see above).
   Simulator::ScopedOwner own(sim_, rid);
   radio.medium_deliver(tx.frame);
 }
 
 void Medium::drain_channel(PhysChannel channel, TimeUs end) {
-  Shard& sh = shard();
-  ChannelState& cs = sh.channels[channel];
-  std::erase_if(cs.pending_drains,
-                [end](const PendingDrain& d) { return d.end == end; });
+  ChannelState& cs = channels_[channel];
+  std::erase(cs.pending_drains, end);
   // Snapshot the batch first: delivery callbacks may start new
   // transmissions (which end strictly later — never in this batch) and
   // the per-frame pruning below compacts the bucket.
-  sh.drain_scratch.clear();
+  drain_scratch_.clear();
   for (const Transmission& t : cs.in_flight) {
-    if (t.end == end) sh.drain_scratch.push_back(t.id);
+    if (t.end == end) drain_scratch_.push_back(t.id);
   }
   // Bucket order is insertion order, so the batch runs in ascending
   // transmission id — exactly the order the per-frame completion events
   // fired in before batching.
-  for (const std::uint64_t id : sh.drain_scratch) finish_transmission(sh, channel, id);
+  for (const std::uint64_t id : drain_scratch_) finish_transmission(channel, id);
 }
 
-void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t tx_id) {
-  auto& bucket = sh.channels[channel].in_flight;
+void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
+  auto& bucket = channels_[channel].in_flight;
   const auto it = std::find_if(bucket.begin(), bucket.end(),
                                [tx_id](const Transmission& t) { return t.id == tx_id; });
   GTTSCH_CHECK(it != bucket.end());
@@ -558,7 +525,7 @@ void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t t
     // in ascending node id — matching the full-radio iteration this fast
     // path replaces. Snapshot the candidates first: like the Transmission
     // copy above, delivery callbacks may invalidate the cache vectors.
-    auto& scratch = sh.delivery_scratch;
+    auto& scratch = delivery_scratch_;
     scratch.clear();
     for (const std::uint32_t r_idx : cache_receivers_[s_idx]) {
       scratch.push_back(DeliveryCandidate{cache_ids_[r_idx], r_idx, nullptr,
@@ -573,12 +540,12 @@ void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t t
     const std::uint64_t snap_builds = cache_builds_;
     for (const DeliveryCandidate& cand : scratch) {
       if (structure_version_ == snap_structure && cache_builds_ == snap_builds) {
-        resolve_receiver_fast(sh, tx, cand.id, cand.r_idx, cand.prr);
+        resolve_receiver_fast(tx, cand.id, cand.r_idx, cand.prr);
         continue;
       }
       const auto rit = radios_.find(cand.id);
       if (rit == radios_.end()) continue;
-      resolve_receiver_slow(sh, tx, cand.id, *rit->second, cand.prr);
+      resolve_receiver_slow(tx, cand.id, *rit->second, cand.prr);
     }
   } else {
     // Sender unknown to the cache (detached mid-flight, or reference
@@ -586,9 +553,8 @@ void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t t
     // same snapshot + revalidation discipline as above, since delivery
     // callbacks may detach radios mid-loop. Out-of-range receivers
     // (prr <= 0) are filtered here: they draw nothing and deliver
-    // nothing, and skipping them keeps the loop from touching radios the
-    // executing island does not own.
-    auto& scratch = sh.delivery_scratch;
+    // nothing.
+    auto& scratch = delivery_scratch_;
     scratch.clear();
     for (auto& [rid, radio] : radios_) {
       if (rid == tx.sender) continue;
@@ -600,7 +566,7 @@ void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t t
     for (const DeliveryCandidate& cand : scratch) {
       const auto rit = radios_.find(cand.id);
       if (rit == radios_.end() || rit->second != cand.radio) continue;
-      resolve_receiver_slow(sh, tx, cand.id, *cand.radio, cand.prr);
+      resolve_receiver_slow(tx, cand.id, *cand.radio, cand.prr);
     }
   }
 
@@ -608,7 +574,7 @@ void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t t
   // still in flight.
   const TimeUs horizon = sim_.now() - kInFlightRetention;
   std::erase_if(bucket, [&](const Transmission& t) { return t.end < horizon; });
-  ++sh.mutations;
+  ++mutations_;
 
   // Same revalidation as the receivers: a delivery callback may have
   // detached (destroyed) the sender since the lookup above.
@@ -616,159 +582,9 @@ void Medium::finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t t
   if (sit != radios_.end() && sit->second == sender && sender != nullptr) {
     // Owner re-homing, sender side: the tx-done processing (ACK timeout,
     // backoff, next-slot scheduling) is the sender's chain even when a
-    // batched drain event is owned by another island-mate's frame.
+    // batched drain event is owned by another sender's frame.
     Simulator::ScopedOwner own(sim_, tx.sender);
     sender->medium_tx_finished();
-  }
-}
-
-// --- IslandSource ---------------------------------------------------------
-
-std::uint64_t Medium::partition_epoch() const {
-  // Any attach/detach, any position change, or any link-model activation
-  // may change island membership; mix the three counters so each bump
-  // forces one repartition check at the next phase boundary.
-  return structure_version_ * 0x9E3779B97F4A7C15ull +
-         position_epoch_ * 0xC2B2AE3D27D4EB4Full + model_->version();
-}
-
-void Medium::settle(TimeUs /*now*/) {
-  // Runs on the main thread at every phase boundary, with the main clock
-  // already advanced: forces the link model's lazy activation recount and
-  // folds pending cache refreshes, so island lanes see ensure_cache() as
-  // a pure read for the whole phase.
-  if (link_cache_enabled_) {
-    ensure_cache();
-  } else {
-    (void)model_->version();
-  }
-}
-
-bool Medium::compute_islands(
-    std::vector<std::pair<std::uint32_t, std::uint32_t>>* owner_island,
-    std::uint32_t* island_count) {
-  if (!link_cache_enabled_) return false;
-  ensure_cache();
-  if (!cache_valid_ || !grid_active()) return false;
-  const std::size_t n = cache_ids_.size();
-  if (n == 0) return false;
-
-  // Union-find over the compiled pair matrix: two nodes are connected
-  // when either direction communicates (prr > 0) or interferes. Pairs
-  // beyond a node's 3x3 grid neighborhood are {0, false} by the model's
-  // max_interaction_range contract, so scanning neighborhoods covers
-  // every edge.
-  std::vector<std::uint32_t> parent(n);
-  for (std::uint32_t i = 0; i < n; ++i) parent[i] = i;
-  const auto find = [&parent](std::uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];  // path halving
-      x = parent[x];
-    }
-    return x;
-  };
-  for (std::uint32_t t = 0; t < n; ++t) {
-    collect_candidates(cache_radios_[t]->position(), candidate_scratch_);
-    for (const std::uint32_t r : candidate_scratch_) {
-      if (r == t) continue;
-      const PairLink& ab = cache_pairs_[t * n + r];
-      const PairLink& ba = cache_pairs_[r * n + t];
-      if (ab.prr > 0.0 || ab.interferes || ba.prr > 0.0 || ba.interferes) {
-        const std::uint32_t ra = find(t);
-        const std::uint32_t rb = find(r);
-        if (ra != rb) parent[rb] = ra;
-      }
-    }
-  }
-  // Dense island ids, ordered by smallest member index — deterministic
-  // regardless of union order.
-  std::vector<std::uint32_t> island(n, kNpos32);
-  owner_island->clear();
-  owner_island->reserve(n);
-  std::uint32_t next = 0;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint32_t root = find(i);
-    if (island[root] == kNpos32) island[root] = next++;
-    owner_island->emplace_back(cache_ids_[i], island[root]);
-  }
-  *island_count = next;
-  return true;
-}
-
-void Medium::on_partition() {
-  const std::uint32_t want = std::max<std::uint32_t>(1, sim_.ctx_count());
-  // Sweep every shard: sum stats, collect in-flight transmissions, and
-  // cancel all pending drains (they are re-homed below).
-  MediumStats total;
-  std::vector<Transmission> all;
-  std::vector<std::pair<PhysChannel, TimeUs>> pending;
-  std::uint64_t max_id = 1;
-  for (const auto& sp : shards_) {
-    total.transmissions += sp->stats.transmissions;
-    total.deliveries += sp->stats.deliveries;
-    total.collision_losses += sp->stats.collision_losses;
-    total.prr_losses += sp->stats.prr_losses;
-    max_id = std::max(max_id, sp->next_tx_id);
-    for (std::size_t ch = 0; ch < sp->channels.size(); ++ch) {
-      ChannelState& cs = sp->channels[ch];
-      for (const PendingDrain& d : cs.pending_drains) {
-        sim_.cancel(d.event);
-        const auto key = std::make_pair(static_cast<PhysChannel>(ch), d.end);
-        if (std::find(pending.begin(), pending.end(), key) == pending.end())
-          pending.push_back(key);
-      }
-      for (auto& t : cs.in_flight) all.push_back(std::move(t));
-    }
-  }
-  shards_.clear();
-  shards_.reserve(want);
-  for (std::uint32_t i = 0; i < want; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-    shards_.back()->next_tx_id = max_id;
-  }
-  shards_[0]->stats = total;
-  // Route by sender island in sequential insertion order — chronological
-  // by start, node id at equal starts (same-time tx events execute in
-  // node order in both modes) — re-assigning per-shard unique ids that
-  // preserve that order for the drain batches.
-  std::sort(all.begin(), all.end(),
-            [](const Transmission& a, const Transmission& b) {
-              if (a.start != b.start) return a.start < b.start;
-              return a.sender < b.sender;
-            });
-  for (Transmission& t : all) {
-    const std::uint32_t idx = sim_.island_of(t.sender);
-    Shard& s = *shards_[idx < want ? idx : 0];
-    t.id = s.next_tx_id++;
-    s.channels[t.channel].in_flight.push_back(std::move(t));
-  }
-  // Re-schedule one drain per (shard, channel, pending end), owned by the
-  // first frame of the rendezvous so the event executes on the island
-  // whose shard holds the frames. The fixed drain key makes the new
-  // event's position in the time-step identical to the cancelled one's.
-  for (const auto& sp : shards_) {
-    for (std::size_t ch = 0; ch < sp->channels.size(); ++ch) {
-      ChannelState& cs = sp->channels[ch];
-      const auto channel = static_cast<PhysChannel>(ch);
-      for (const Transmission& t : cs.in_flight) {
-        if (std::find(pending.begin(), pending.end(), std::make_pair(channel, t.end)) ==
-            pending.end())
-          continue;
-        bool scheduled = false;
-        for (const PendingDrain& d : cs.pending_drains) {
-          if (d.end == t.end) {
-            scheduled = true;
-            break;
-          }
-        }
-        if (scheduled) continue;
-        Simulator::ScopedOwner own(sim_, t.sender);
-        const TimeUs end = t.end;
-        cs.pending_drains.push_back(PendingDrain{
-            end, sim_.at_keyed(end, kDrainEventKey,
-                               [this, channel, end] { drain_channel(channel, end); })});
-      }
-    }
   }
 }
 

@@ -8,7 +8,6 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "phy/link_model.hpp"
@@ -45,18 +44,13 @@ struct MediumStats {
 /// rendezvous resolves every frame ending at that instant in transmission
 /// order, instead of one simulator event per frame.
 ///
-/// The medium is also the simulator's IslandSource (PR 10): the same grid
-/// that bounds cache refreshes partitions nodes into interference islands
-/// (union-find over the compiled pair matrix), and all transmission state
-/// is sharded per island so island lanes never share mutable PHY state.
 /// Delivery RNG is per-*receiver* (forked from the medium stream by node
-/// id at attach), so the draw a receiver makes is independent of the
-/// global interleaving of other islands' deliveries — the keystone of the
-/// parallel == sequential bit-identity contract.
-class Medium final : public IslandSource {
+/// id at attach), so the draws a receiver makes depend on the run seed,
+/// its identity and its own deliveries alone — not on attach order or on
+/// how other receivers' deliveries interleave with its own.
+class Medium {
  public:
   Medium(Simulator& sim, std::unique_ptr<LinkModel> model, Rng rng);
-  ~Medium() override;
 
   void attach(Radio* radio);
   void detach(NodeId id);
@@ -68,8 +62,7 @@ class Medium final : public IslandSource {
   /// Called by Radio::transmit. Takes care of completion and delivery.
   void start_transmission(Radio& sender, FramePtr frame, PhysChannel channel);
 
-  /// Aggregated over all island shards.
-  MediumStats stats() const;
+  MediumStats stats() const { return stats_; }
   void reset_stats();
 
   /// Latest end time of any in-flight transmission on `channel` audible at
@@ -106,14 +99,6 @@ class Medium final : public IslandSource {
     hot_listen_since_[slot] = listen_since;
   }
 
-  // --- IslandSource (see sim/simulator.hpp) -----------------------------
-  std::uint64_t partition_epoch() const override;
-  bool compute_islands(
-      std::vector<std::pair<std::uint32_t, std::uint32_t>>* owner_island,
-      std::uint32_t* island_count) override;
-  void on_partition() override;
-  void settle(TimeUs now) override;
-
  private:
   struct Transmission {
     std::uint64_t id;
@@ -124,18 +109,11 @@ class Medium final : public IslandSource {
     TimeUs end;
   };
 
-  /// A scheduled (channel, end-time) drain rendezvous. The EventId is
-  /// kept so a repartition can cancel and re-home pending drains.
-  struct PendingDrain {
-    TimeUs end;
-    EventId event;
-  };
-
   /// Per-channel in-flight bucket plus the end times that already have a
   /// drain event scheduled (one event per distinct end time).
   struct ChannelState {
     std::vector<Transmission> in_flight;
-    std::vector<PendingDrain> pending_drains;
+    std::vector<TimeUs> pending_drains;
   };
 
   /// One compiled link-cache entry (row-major: pairs_[tx_idx*n + rx_idx]).
@@ -169,41 +147,23 @@ class Medium final : public IslandSource {
     std::vector<LiveTx> live;
   };
 
-  /// All mutable transmission state of one island (shard 0 doubles as the
-  /// sequential / global shard). Island lanes only ever touch their own
-  /// shard, selected by the executing simulator context.
-  struct Shard {
-    /// Indexed by physical channel: one bucket for every PhysChannel value,
-    /// so no lookup or bounds check is needed.
-    std::array<ChannelState, std::numeric_limits<PhysChannel>::max() + 1> channels;
-    MediumStats stats;
-    std::uint64_t next_tx_id = 1;
-    /// Bucket-change counter; invalidates the carrier-sense memo.
-    std::uint64_t mutations = 0;
-    std::vector<std::uint64_t> drain_scratch;
-    std::vector<DeliveryCandidate> delivery_scratch;
-    BusyMemo busy_memo;
-  };
-
-  Shard& shard() const;
-
   /// Resolve every transmission on `channel` ending exactly at `end`, in
   /// transmission-id (= start) order — the batched replacement for the
   /// old one-event-per-frame completion.
   void drain_channel(PhysChannel channel, TimeUs end);
-  void finish_transmission(Shard& sh, PhysChannel channel, std::uint64_t tx_id);
+  void finish_transmission(PhysChannel channel, std::uint64_t tx_id);
   /// Resolve one candidate receiver of a finished transmission: listening
   /// filters, collision check, PRR draw, stats, delivery. `fast` reads
   /// the SoA mirror by cache index; `slow` reads the Radio (reference
   /// mode / structure changed mid-batch). Both share the filter order and
   /// RNG-draw discipline (part of the fast-path bit-equivalence
   /// contract). `prr` <= 0 draws nothing.
-  void resolve_receiver_fast(Shard& sh, const Transmission& tx, NodeId rid,
-                             std::uint32_t r_idx, double prr);
-  void resolve_receiver_slow(Shard& sh, const Transmission& tx, NodeId rid,
-                             Radio& radio, double prr);
-  bool suffers_collision(const Shard& sh, const Transmission& tx, NodeId rid,
-                         std::size_t rx_idx, const Radio* rx) const;
+  void resolve_receiver_fast(const Transmission& tx, NodeId rid, std::uint32_t r_idx,
+                             double prr);
+  void resolve_receiver_slow(const Transmission& tx, NodeId rid, Radio& radio,
+                             double prr);
+  bool suffers_collision(const Transmission& tx, NodeId rid, std::size_t rx_idx,
+                         const Radio* rx) const;
   Rng& rx_rng(NodeId id) const;
   void ensure_cache() const;
   void rebuild_cache() const;
@@ -226,14 +186,24 @@ class Medium final : public IslandSource {
   std::map<NodeId, Radio*> radios_;
   /// Per-receiver delivery RNG, forked by node id at first attach and
   /// persistent across reboots — draw order within one receiver is its
-  /// own delivery order, independent of other islands' interleaving.
+  /// own delivery order.
   mutable std::map<NodeId, Rng> rx_rngs_;
-  mutable std::vector<std::unique_ptr<Shard>> shards_;  ///< [0] = global
+
+  // --- transmission state -------------------------------------------------
+  /// Indexed by physical channel: one bucket for every PhysChannel value,
+  /// so no lookup or bounds check is needed.
+  std::array<ChannelState, std::numeric_limits<PhysChannel>::max() + 1> channels_;
+  MediumStats stats_;
+  std::uint64_t next_tx_id_ = 1;
+  /// Bucket-change counter; invalidates the carrier-sense memo.
+  std::uint64_t mutations_ = 0;
+  std::vector<std::uint64_t> drain_scratch_;
+  std::vector<DeliveryCandidate> delivery_scratch_;
+  mutable BusyMemo busy_memo_;
 
   // --- compiled link cache (see class comment) --------------------------
   bool link_cache_enabled_ = true;
   std::uint64_t structure_version_ = 1;  ///< attach/detach counter
-  std::uint64_t position_epoch_ = 0;     ///< every position_changed call
   mutable std::uint64_t cached_structure_version_ = 0;
   mutable std::uint64_t cached_model_version_ = 0;
   mutable std::uint64_t cache_builds_ = 0;  ///< full rebuild counter

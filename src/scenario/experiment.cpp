@@ -8,7 +8,6 @@
 #include "phy/dynamic_link.hpp"
 #include "stats/telemetry.hpp"
 #include "util/check.hpp"
-#include "util/concurrency.hpp"
 
 namespace gttsch {
 
@@ -232,26 +231,6 @@ bool run_scenario_impl(const ScenarioConfig& config, Telemetry* telemetry,
   Network net(config.seed, scenario_link_model_factory(config, trace, &failures),
               topology, config.make_node_config(), &stats);
   TracePlayer player(net, std::move(trace), failures);
-
-  // Island-parallel stepping. Bit-identical to the sequential path (see
-  // sim/simulator.hpp), so this only decides *how* the run executes.
-  int lanes = config.parallel_islands;
-  if (lanes == 0) {
-    if (const char* env = std::getenv("GTTSCH_PARALLEL")) {
-      const int parsed = std::atoi(env);
-      if (parsed > 0) lanes = parsed;
-    }
-  }
-  if (const char* env = std::getenv("GTTSCH_FORCE_SEQUENTIAL");
-      env != nullptr && env[0] != '\0' && env[0] != '0') {
-    lanes = 0;
-  }
-  if (telemetry != nullptr) lanes = 0;  // telemetry reads stats mid-run
-  lanes = available_island_workers(lanes);
-  if (lanes > 1) {
-    net.sim().set_parallel(lanes, &net.medium());
-    stats.set_concurrent(true, &net.sim());
-  }
 
   net.sim().at(config.warmup, [&stats] { stats.begin_measurement(); });
   net.sim().at(measure_end, [&stats] { stats.end_measurement(); });

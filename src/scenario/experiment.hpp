@@ -91,19 +91,6 @@ struct ScenarioConfig {
 
   std::uint64_t seed = 1;
 
-  /// Island-parallel stepping (PR 10): number of worker lanes the run may
-  /// use to step interference islands concurrently; 0 or 1 = the
-  /// sequential reference mode. Results are bit-identical either way, so
-  /// this is an execution knob, NOT part of the scenario's identity — the
-  /// campaign fingerprint excludes it. Environment overrides:
-  /// GTTSCH_PARALLEL supplies a default when this is 0, and
-  /// GTTSCH_FORCE_SEQUENTIAL (non-empty, non-"0") forces sequential.
-  /// The effective lane count is also clamped against the machine and
-  /// any campaign worker reservation (util/concurrency.hpp), and runs
-  /// with a telemetry recorder attached always step sequentially
-  /// (telemetry reads the stats accumulator mid-run).
-  int parallel_islands = 0;
-
   /// Derived: Table-II-style MAC settings for this scenario.
   NodeStackConfig make_node_config() const;
   TopologySpec make_topology() const;

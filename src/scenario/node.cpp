@@ -109,9 +109,9 @@ void Node::boot_stack() {
 
 // start/fail/reboot are the entry points that begin a node's causal chain
 // (boot events, trace application): the ScopedOwner attributes everything
-// they schedule — in both execution modes, so owners (part of the event
-// order) never differ between them — to this node, homing the chain to the
-// node's island.
+// they schedule to this node, so the chain's events take the node's place
+// in same-instant ties (owners are part of the event order) instead of the
+// global owner of the trace or scenario event that called them.
 
 void Node::start() {
   Simulator::ScopedOwner owner(sim_, id_);
@@ -227,7 +227,7 @@ void Node::rpl_parent_changed(NodeId old_parent, NodeId new_parent) {
   }
   stack_->sixp.abort_peer(old_parent);
   stack_->sf->on_parent_changed(old_parent, new_parent);
-  if (stats_ != nullptr) stats_->set_joined(id_, new_parent != kNoNode, sim_.now());
+  if (stats_ != nullptr) stats_->set_joined(id_, new_parent != kNoNode);
 }
 
 void Node::rpl_rank_changed(std::uint16_t) {}

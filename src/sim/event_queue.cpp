@@ -6,29 +6,17 @@
 
 namespace gttsch {
 
-EventPool::~EventPool() {
-  const std::uint32_t used = next_fresh_.load(std::memory_order_acquire);
-  const std::uint32_t chunk_count = (used + kChunkSize - 1u) >> kChunkShift;
-  for (std::uint32_t i = 0; i < chunk_count; ++i) {
-    delete[] chunks_[i].load(std::memory_order_acquire);
-  }
-}
-
 std::uint32_t EventPool::alloc(std::vector<std::uint32_t>& free_slots) {
   if (!free_slots.empty()) {
     const std::uint32_t slot = free_slots.back();
     free_slots.pop_back();
     return slot;
   }
-  const std::uint32_t slot = next_fresh_.fetch_add(1, std::memory_order_relaxed);
+  const std::uint32_t slot = next_fresh_++;
   const std::uint32_t chunk = slot >> kChunkShift;
   GTTSCH_CHECK(chunk < kMaxChunks);
-  if (chunks_[chunk].load(std::memory_order_acquire) == nullptr) {
-    std::lock_guard<std::mutex> lock(grow_mutex_);
-    if (chunks_[chunk].load(std::memory_order_relaxed) == nullptr) {
-      chunks_[chunk].store(new EventRecord[kChunkSize],
-                           std::memory_order_release);
-    }
+  if (chunks_[chunk] == nullptr) {
+    chunks_[chunk] = std::make_unique<EventRecord[]>(kChunkSize);
   }
   return slot;
 }
@@ -46,7 +34,7 @@ void EventPool::release(std::uint32_t slot,
 EventRecord* EventPool::record_for(EventId id) {
   if (id == kInvalidEvent) return nullptr;
   const std::uint32_t slot = event_id_slot(id);
-  if (slot >= next_fresh_.load(std::memory_order_acquire)) return nullptr;
+  if (slot >= next_fresh_) return nullptr;
   EventRecord& rec = record(slot);
   if (rec.generation != event_id_generation(id)) return nullptr;  // reclaimed
   return &rec;
@@ -216,24 +204,6 @@ void InstantQueue::close_active() {
     }
     push_instant(active_[active_pos_], more);
   }
-  active_.clear();
-  active_pos_ = 0;
-  active_at_ = kNoInstant;
-}
-
-void InstantQueue::drain(std::vector<EventEntry>& out) {
-  out.insert(out.end(),
-             active_.begin() + static_cast<std::ptrdiff_t>(active_pos_),
-             active_.end());
-  for (const Instant& e : instants_) {
-    out.push_back(EventEntry{e.at, e.seq, e.key, e.owner, e.slot});
-    take_list(e.at, e.more, out);
-  }
-  for (CacheLine& line : cache_) {
-    if (line.at != kNoInstant) take_list(line.at, line.head, out);
-    line = CacheLine{kNoInstant, kNil, kNil};
-  }
-  instants_.clear();
   active_.clear();
   active_pos_ = 0;
   active_at_ = kNoInstant;

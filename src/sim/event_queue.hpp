@@ -2,28 +2,27 @@
 //
 // The event machinery has three pieces:
 //   * EventPool — chunked, address-stable slot storage for callbacks. An
-//     EventId is a slot plus a generation, so ids stay valid while their
-//     entry moves between queues, and chunk growth is thread-safe so
-//     several execution contexts can allocate slots concurrently.
-//   * InstantQueue — the pending EventEntries of one execution context,
-//     kept on two levels: a min-heap over the pending instants, compared
-//     on `at` alone, and one batch of entries per instant. TSCH
-//     runs every node on one global slot grid, so with perfect clocks most
-//     events fire at exactly the instant of the event before them; popping
-//     such an event is an index increment, not a heap pop through the
-//     four-field comparator. When an instant becomes the earliest, its
-//     entries are gathered in insertion order, cancelled ones are dropped
-//     and their slots released, and the rest is put in (key, owner, seq)
-//     order by merging its ascending runs, if it is not in order already.
+//     EventId is a slot plus a generation, so a stale id (fired or
+//     cancelled long ago) never aliases a live event, and a callback keeps
+//     its record while the events it schedules grow the pool.
+//   * InstantQueue — the pending EventEntries, kept on two levels: a
+//     min-heap over the pending instants, compared on `at` alone, and one
+//     batch of entries per instant. TSCH runs every node on one global
+//     slot grid, so with perfect clocks most events fire at exactly the
+//     instant of the event before them; popping such an event is an index
+//     increment, not a heap pop through the four-field comparator. When
+//     an instant becomes the earliest, its entries are gathered in
+//     insertion order, cancelled ones are dropped and their slots
+//     released, and the rest is put in (key, owner, seq) order by merging
+//     its ascending runs, if it is not in order already.
 //   * EventQueue — a single-threaded facade of one pool and one queue,
 //     used by unit tests and simple consumers.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <limits>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "sim/small_fn.hpp"
@@ -47,20 +46,18 @@ inline constexpr std::uint32_t kDefaultEventKey = 0xFFFFFFFFu;
 
 /// Owner of an event that belongs to no particular node: scenario-level
 /// bookkeeping (trace application, measurement boundaries, stats timers).
-/// Global-owner events sort after node-owned events at equal (at, key) and
-/// always execute on the main thread between island phases.
+/// Its value sorts global-owner events after node-owned events at equal
+/// (at, key).
 inline constexpr std::uint32_t kGlobalOwner = 0xFFFFFFFFu;
 
 /// A scheduled event as it sits in a queue. `owner` is the node the event
 /// belongs to (kGlobalOwner for scenario-level events); it participates in
 /// the ordering so that ties between events of *different* nodes resolve
-/// by node id — independent of which island executed the scheduling code,
-/// which is what makes parallel island stepping bit-identical to the
-/// sequential reference mode. Ties within one owner keep FIFO order via
-/// `seq`, whose per-owner relative order is mode-independent as well.
+/// by node id, not by which node's code happened to schedule first. Ties
+/// within one owner keep FIFO order via `seq`.
 struct EventEntry {
   TimeUs at = 0;
-  std::uint64_t seq = 0;                 // per-context insertion order
+  std::uint64_t seq = 0;                 // insertion order
   std::uint32_t key = kDefaultEventKey;  // ordering class at equal times
   std::uint32_t owner = kGlobalOwner;    // node id, or kGlobalOwner
   std::uint32_t slot = 0;                // index into the EventPool
@@ -99,7 +96,6 @@ constexpr std::uint32_t event_id_generation(EventId id) {
 struct EventRecord {
   SmallFn fn;
   std::uint32_t generation = 1;
-  std::uint32_t ctx = 0;   // execution context whose queue holds the entry
   bool armed = false;      // a queue entry references this slot and the
                            // event has not started running
   bool cancelled = false;  // armed but logically dead; released when the
@@ -107,10 +103,10 @@ struct EventRecord {
 };
 
 /// Chunked slot store. Chunks are allocated once and never move, so
-/// `record()` references stay valid across growth — and growth itself is
-/// guarded so concurrent island threads can allocate fresh slots safely.
-/// Freelists are *external* (owned by each execution context): slot reuse
-/// is context-local and needs no synchronization.
+/// `record()` references stay valid across growth: a running callback
+/// (EventPool::run) keeps its record while the events it schedules carve
+/// fresh chunks. The freelist belongs to the caller (the Simulator or
+/// EventQueue that owns the pool).
 class EventPool {
  public:
   static constexpr std::uint32_t kChunkShift = 12;  // 4096 records per chunk
@@ -118,7 +114,6 @@ class EventPool {
   static constexpr std::uint32_t kMaxChunks = 2048;  // 8M concurrent events
 
   EventPool() = default;
-  ~EventPool();
   EventPool(const EventPool&) = delete;
   EventPool& operator=(const EventPool&) = delete;
 
@@ -143,8 +138,7 @@ class EventPool {
   }
 
   EventRecord& record(std::uint32_t slot) {
-    return chunks_[slot >> kChunkShift].load(std::memory_order_acquire)
-        [slot & (kChunkSize - 1u)];
+    return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1u)];
   }
 
   /// Generation-checked lookup; nullptr for invalid/stale ids.
@@ -152,18 +146,14 @@ class EventPool {
 
   /// Slots ever carved from the chunk store — bounded by the peak count of
   /// concurrently pending events (regression hook for the memory tests).
-  std::size_t slots_allocated() const {
-    return next_fresh_.load(std::memory_order_acquire);
-  }
+  std::size_t slots_allocated() const { return next_fresh_; }
 
  private:
-  std::array<std::atomic<EventRecord*>, kMaxChunks> chunks_{};
-  std::atomic<std::uint32_t> next_fresh_{0};
-  std::mutex grow_mutex_;
+  std::array<std::unique_ptr<EventRecord[]>, kMaxChunks> chunks_;
+  std::uint32_t next_fresh_ = 0;
 };
 
-/// Pending entries of one execution context, popped in (at, key, owner,
-/// seq) order.
+/// Pending entries, popped in (at, key, owner, seq) order.
 ///
 /// Level one is a binary min-heap keyed on `at` alone. Each heap element
 /// carries one entry inline plus a linked list, in a node pool, of further
@@ -215,7 +205,7 @@ class InstantQueue {
   /// Earliest live entry if it is due at or before `until`, else nullptr.
   /// Entries of cancelled events met on the way leave the queue, and their
   /// slots go back to `pool` through `free_slots`. The pointer stays valid
-  /// until the next push, pop_front or drain. An instant later than `until`
+  /// until the next push or pop_front. An instant later than `until`
   /// is never activated, so a caller that stops at `until` and then
   /// schedules earlier events (run_until in slices) does not force that
   /// batch back into the heap.
@@ -242,11 +232,6 @@ class InstantQueue {
   void pop_front() { ++active_pos_; }
 
   void push(const EventEntry& entry);
-
-  /// Append every entry to `out`, in no particular order, and leave the
-  /// queue empty. Island repartitioning drains each context this way and
-  /// pushes the entries into their new homes.
-  void drain(std::vector<EventEntry>& out);
 
   /// Entries the queue's storage holds room for (heap, node pool, active
   /// batch and its merge buffer) — bounded by the peak count of pending

@@ -1,9 +1,5 @@
 #include "stats/run_stats.hpp"
 
-#include <algorithm>
-#include <utility>
-
-#include "sim/simulator.hpp"
 #include "util/check.hpp"
 
 namespace gttsch {
@@ -20,7 +16,6 @@ void RunStats::register_node(NodeId id, bool is_root, const Radio* radio) {
   entry.joined = is_root;  // roots are always part of their DODAG
   nodes_[id] = entry;
   counters_[id];  // default-construct
-  logs_[id];      // pre-create: the log map never grows mid-run
 }
 
 void RunStats::set_churn_phases(TimeUs t1, TimeUs t2) {
@@ -41,7 +36,7 @@ RunStats::Bucket& RunStats::bucket_at(TimeUs t) const {
   return buckets_[idx];
 }
 
-void RunStats::apply_generated(NodeId origin, TimeUs now) {
+void RunStats::on_generated(NodeId origin, TimeUs now) {
   if (!in_window(now)) return;
   ++counters_[origin].generated;
   if (phases_enabled_) {
@@ -50,14 +45,15 @@ void RunStats::apply_generated(NodeId origin, TimeUs now) {
   }
 }
 
-void RunStats::apply_delivered(NodeId root, NodeId origin, TimeUs generated_at,
-                               std::uint16_t hops, TimeUs now) {
+void RunStats::on_delivered(NodeId root, const DataPayload& data, TimeUs now) {
+  const NodeId origin = data.origin;
+  const TimeUs generated_at = data.generated_at;
   ++counters_[root].delivered_sink;
   if (!in_window(generated_at)) return;
   ++counters_[origin].delivered_origin;
   delay_ms_.add(us_to_ms(now - generated_at));
   delay_hist_.add(us_to_ms(now - generated_at));
-  hops_.add(static_cast<double>(hops));
+  hops_.add(static_cast<double>(data.hops));
   if (phases_enabled_) {
     // Attributed by generation time (like the window itself), so the
     // per-phase counters sum exactly to the whole-run ones.
@@ -78,7 +74,7 @@ void RunStats::apply_delivered(NodeId root, NodeId origin, TimeUs generated_at,
   }
 }
 
-void RunStats::apply_node_failed(NodeId node, TimeUs now) {
+void RunStats::on_node_failed(NodeId node, TimeUs now) {
   ++failures_;
   const auto it = nodes_.find(node);
   if (it == nodes_.end()) return;
@@ -93,14 +89,14 @@ void RunStats::apply_node_failed(NodeId node, TimeUs now) {
   }
 }
 
-void RunStats::apply_node_rebooted(NodeId node, TimeUs now) {
+void RunStats::on_node_rebooted(NodeId node, TimeUs now) {
   (void)now;
   ++revivals_;
   const auto it = nodes_.find(node);
   if (it != nodes_.end() && it->second.failed_at >= 0) it->second.rebooted = true;
 }
 
-void RunStats::apply_associated(NodeId node, TimeUs now) {
+void RunStats::on_associated(NodeId node, TimeUs now) {
   const auto it = nodes_.find(node);
   if (it == nodes_.end()) return;
   if (it->second.rebooted && !it->second.rejoined) {
@@ -111,19 +107,19 @@ void RunStats::apply_associated(NodeId node, TimeUs now) {
   }
 }
 
-void RunStats::apply_forwarded(NodeId node, TimeUs now) {
+void RunStats::on_forwarded(NodeId node, TimeUs now) {
   if (in_window(now)) ++counters_[node].forwarded;
 }
 
-void RunStats::apply_queue_drop(NodeId node, TimeUs now) {
+void RunStats::on_queue_drop(NodeId node, TimeUs now) {
   if (in_window(now)) ++counters_[node].queue_drops;
 }
 
-void RunStats::apply_mac_drop(NodeId node, TimeUs now) {
+void RunStats::on_mac_drop(NodeId node, TimeUs now) {
   if (in_window(now)) ++counters_[node].mac_drops;
 }
 
-void RunStats::apply_no_route(NodeId node, TimeUs now) {
+void RunStats::on_no_route(NodeId node, TimeUs now) {
   if (in_window(now)) ++counters_[node].no_route_drops;
 }
 
@@ -137,7 +133,7 @@ void RunStats::end_measurement() {
     if (entry.radio != nullptr) entry.on_time_at_end = entry.radio->on_time();
 }
 
-void RunStats::apply_joined(NodeId node, bool joined) {
+void RunStats::set_joined(NodeId node, bool joined) {
   const auto it = nodes_.find(node);
   if (it == nodes_.end()) return;
   const bool now_joined = joined || it->second.is_root;
@@ -145,158 +141,7 @@ void RunStats::apply_joined(NodeId node, bool joined) {
   it->second.joined = now_joined;
 }
 
-// --- concurrent recording --------------------------------------------------
-
-void RunStats::record(NodeId recorder, Op op) {
-  op.recorder = recorder;
-  op.key = sim_->current_key();
-  const std::uint32_t owner = sim_->current_owner();
-  auto it = logs_.find(owner);
-  // Unseen owners only occur outside a partitioned run (e.g. hooks driven
-  // directly by unit tests) — always single-threaded, so growing is safe.
-  if (it == logs_.end()) it = logs_.try_emplace(owner).first;
-  it->second.push_back(op);
-}
-
-void RunStats::apply(const Op& op) {
-  switch (op.type) {
-    case OpType::kGenerated: apply_generated(op.recorder, op.at); break;
-    case OpType::kDelivered:
-      apply_delivered(op.recorder, op.a, op.t2, op.hops, op.at);
-      break;
-    case OpType::kForwarded: apply_forwarded(op.recorder, op.at); break;
-    case OpType::kQueueDrop: apply_queue_drop(op.recorder, op.at); break;
-    case OpType::kMacDrop: apply_mac_drop(op.recorder, op.at); break;
-    case OpType::kNoRoute: apply_no_route(op.recorder, op.at); break;
-    case OpType::kFailed: apply_node_failed(op.recorder, op.at); break;
-    case OpType::kRebooted: apply_node_rebooted(op.recorder, op.at); break;
-    case OpType::kAssociated: apply_associated(op.recorder, op.at); break;
-    case OpType::kJoined: apply_joined(op.recorder, op.flag); break;
-  }
-}
-
-void RunStats::replay() {
-  // Merge order: (time, event key, owner) — the simulator's event
-  // comparator — with ties broken by per-owner recorded order, which is
-  // that owner's execution order in both stepping modes (an island runs
-  // the sequential schedule's projection onto its owners). The flatten
-  // visits owners ascending with ops in recorded order, so a *stable*
-  // sort on (at, key, owner) reconstructs exactly the order a sequential
-  // run applies the hooks in — making every order-sensitive accumulation
-  // (the floating-point delay/recovery sums) bit-identical to direct
-  // sequential application, whichever mode recorded the ops.
-  std::vector<std::pair<std::uint32_t, Op>> ops;
-  for (auto& [owner, log] : logs_) {
-    for (const Op& op : log) ops.emplace_back(owner, op);
-    log.clear();
-  }
-  std::stable_sort(ops.begin(), ops.end(), [](const auto& x, const auto& y) {
-    if (x.second.at != y.second.at) return x.second.at < y.second.at;
-    if (x.second.key != y.second.key) return x.second.key < y.second.key;
-    return x.first < y.first;
-  });
-  for (const auto& [owner, op] : ops) apply(op);
-}
-
-// --- public hooks -----------------------------------------------------------
-
-void RunStats::on_generated(NodeId origin, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kGenerated;
-    return record(origin, op);
-  }
-  apply_generated(origin, now);
-}
-
-void RunStats::on_delivered(NodeId root, const DataPayload& data, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kDelivered;
-    op.a = data.origin;
-    op.t2 = data.generated_at;
-    op.hops = static_cast<std::uint16_t>(data.hops);
-    return record(root, op);
-  }
-  apply_delivered(root, data.origin, data.generated_at,
-                  static_cast<std::uint16_t>(data.hops), now);
-}
-
-void RunStats::on_forwarded(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kForwarded;
-    return record(node, op);
-  }
-  apply_forwarded(node, now);
-}
-
-void RunStats::on_queue_drop(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kQueueDrop;
-    return record(node, op);
-  }
-  apply_queue_drop(node, now);
-}
-
-void RunStats::on_mac_drop(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kMacDrop;
-    return record(node, op);
-  }
-  apply_mac_drop(node, now);
-}
-
-void RunStats::on_no_route(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kNoRoute;
-    return record(node, op);
-  }
-  apply_no_route(node, now);
-}
-
-void RunStats::on_node_failed(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kFailed;
-    return record(node, op);
-  }
-  apply_node_failed(node, now);
-}
-
-void RunStats::on_node_rebooted(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kRebooted;
-    return record(node, op);
-  }
-  apply_node_rebooted(node, now);
-}
-
-void RunStats::on_associated(NodeId node, TimeUs now) {
-  if (concurrent_) {
-    Op op{now};
-    op.type = OpType::kAssociated;
-    return record(node, op);
-  }
-  apply_associated(node, now);
-}
-
-void RunStats::set_joined(NodeId node, bool joined, TimeUs at) {
-  if (concurrent_) {
-    Op op{at};
-    op.type = OpType::kJoined;
-    op.flag = joined;
-    return record(node, op);
-  }
-  apply_joined(node, joined);
-}
-
-RunMetrics RunStats::finalize() {
-  replay();
+RunMetrics RunStats::finalize() const {
   RunMetrics m;
   m.node_count = nodes_.size();
   for (const auto& [id, c] : counters_) {

@@ -134,83 +134,20 @@ class RunStats {
   /// drain period afterwards is excluded).
   void end_measurement();
 
-  /// Report whether a node ended the run joined. `at` orders the update
-  /// against the event hooks in concurrent mode; the default (infinity)
-  /// is for the post-run sweep, which must land after every run event.
-  void set_joined(NodeId node, bool joined, TimeUs at = kInfiniteTime);
+  /// Report whether a node is joined: on every parent change during the
+  /// run, and once more for every node in the post-run sweep.
+  void set_joined(NodeId node, bool joined);
 
   /// Enable the churn-phase split: pre = [warmup, t1), churn = [t1, t2),
   /// post = [t2, measure_end]. Call before the run starts.
   void set_churn_phases(TimeUs t1, TimeUs t2);
 
-  /// Concurrent recording mode (island-parallel runs): every event hook
-  /// appends to a per-*event-owner* log instead of mutating shared state
-  /// — an op's owner is always a node of the executing island, so each
-  /// lane only touches its own logs, no locking — and finalize() replays
-  /// the merged log sorted by (time, event key, owner) with per-owner
-  /// recorded order breaking ties. That is exactly the simulator's
-  /// sequential event order, so the replayed accumulation (including
-  /// every order-sensitive floating-point sum) is bit-identical to the
-  /// direct sequential application, whichever mode recorded the ops.
-  /// Only begin/end_measurement and finalize stay main-thread-only.
-  void set_concurrent(bool concurrent, const Simulator* sim) {
-    concurrent_ = concurrent && sim != nullptr;
-    sim_ = sim;
-  }
-  bool concurrent() const { return concurrent_; }
-
-  /// Replays any pending concurrent log (no-op in sequential mode), then
-  /// computes the metrics. Idempotent, but no longer const: replay folds
-  /// the logs into the accumulator state.
-  RunMetrics finalize();
-  /// NOTE: in concurrent mode this is only up to date after finalize().
+  RunMetrics finalize() const;
   const std::map<NodeId, NodeCounters>& per_node() const { return counters_; }
   TimeUs warmup() const { return warmup_; }
   TimeUs measure_end() const { return measure_end_; }
 
  private:
-  enum class OpType : std::uint8_t {
-    kGenerated,
-    kDelivered,
-    kForwarded,
-    kQueueDrop,
-    kMacDrop,
-    kNoRoute,
-    kFailed,
-    kRebooted,
-    kAssociated,
-    kJoined,
-  };
-  /// One logged event hook (concurrent mode). `recorder` is the node the
-  /// hook names; `key` the executing event's ordering key (part of the
-  /// replay sort); `a`/`t2`/`hops` carry the delivery payload fields;
-  /// `flag` carries set_joined's value.
-  struct Op {
-    TimeUs at;
-    TimeUs t2 = 0;
-    std::uint32_t key = 0;
-    NodeId recorder = 0;
-    NodeId a = 0;
-    std::uint16_t hops = 0;
-    OpType type = OpType::kGenerated;
-    bool flag = false;
-  };
-  void record(NodeId recorder, Op op);
-  void replay();
-  void apply(const Op& op);
-
-  void apply_generated(NodeId origin, TimeUs now);
-  void apply_delivered(NodeId root, NodeId origin, TimeUs generated_at,
-                       std::uint16_t hops, TimeUs now);
-  void apply_forwarded(NodeId node, TimeUs now);
-  void apply_queue_drop(NodeId node, TimeUs now);
-  void apply_mac_drop(NodeId node, TimeUs now);
-  void apply_no_route(NodeId node, TimeUs now);
-  void apply_node_failed(NodeId node, TimeUs now);
-  void apply_node_rebooted(NodeId node, TimeUs now);
-  void apply_associated(NodeId node, TimeUs now);
-  void apply_joined(NodeId node, bool joined);
-
   bool in_window(TimeUs t) const { return t >= warmup_ && t <= measure_end_; }
   /// Phase index (0 pre / 1 churn / 2 post) of an in-window timestamp.
   std::size_t phase_of(TimeUs t) const {
@@ -263,14 +200,6 @@ class RunStats {
   SummaryStats delay_ms_;
   Histogram delay_hist_{0.0, 5000.0, 250};
   SummaryStats hops_;
-
-  bool concurrent_ = false;
-  const Simulator* sim_ = nullptr;  ///< owner/key source (concurrent mode)
-  /// Per-event-owner op logs (concurrent mode), keyed by owner id
-  /// (kGlobalOwner for unattributed events). Pre-created at register_node
-  /// so the map structure is never mutated mid-run: island lanes only
-  /// push_back into their own owners' vectors.
-  std::map<std::uint32_t, std::vector<Op>> logs_;
 };
 
 }  // namespace gttsch

@@ -7,9 +7,7 @@
 // through the global allocator and a rebooted node stays cache-resident.
 //
 // Not thread-safe by design: each arena belongs to one Network, and a
-// node's stack is only (de)allocated from its own island's lane or from
-// the global context — never concurrently (fail/reboot are trace-driven
-// global events).
+// Network runs on one thread (campaign workers each build their own).
 #pragma once
 
 #include <cstddef>

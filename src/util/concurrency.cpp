@@ -1,12 +1,9 @@
 #include "util/concurrency.hpp"
 
 #include <cstdlib>
+#include <thread>
 
 namespace gttsch {
-
-namespace {
-std::atomic<int> g_reserved_workers{0};
-}  // namespace
 
 int resolve_worker_count(int requested, unsigned hardware_threads,
                          const char* env_value) {
@@ -21,95 +18,6 @@ int resolve_worker_count(int requested, unsigned hardware_threads,
 int default_worker_count(int requested, const char* env_name) {
   return resolve_worker_count(requested, std::thread::hardware_concurrency(),
                               std::getenv(env_name));
-}
-
-int reserved_workers() {
-  return g_reserved_workers.load(std::memory_order_relaxed);
-}
-
-WorkerReservation::WorkerReservation(int count) : count_(count) {
-  g_reserved_workers.fetch_add(count_, std::memory_order_relaxed);
-}
-
-WorkerReservation::~WorkerReservation() {
-  g_reserved_workers.fetch_sub(count_, std::memory_order_relaxed);
-}
-
-int available_island_workers(int requested) {
-  if (requested <= 1) return 1;
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int hardware = hw > 0 ? static_cast<int>(hw) : 1;
-  const int reserved = reserved_workers();
-  // Each reserved campaign worker is a run that may itself go parallel;
-  // divide the hardware among them so jobs x islands <= hardware.
-  const int per_run = hardware / (reserved > 1 ? reserved : 1);
-  const int budget = per_run > 0 ? per_run : 1;
-  return requested < budget ? requested : budget;
-}
-
-WorkerPool::WorkerPool(int lanes) : lanes_(lanes < 1 ? 1 : lanes) {
-  threads_.reserve(static_cast<std::size_t>(lanes_ - 1));
-  for (int lane = 1; lane < lanes_; ++lane) {
-    threads_.emplace_back([this, lane] { worker_main(lane); });
-  }
-}
-
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    shutdown_ = true;
-  }
-  start_cv_.notify_all();
-  for (std::thread& t : threads_) t.join();
-}
-
-void WorkerPool::run(int n, const std::function<void(int)>& fn) {
-  int active = n < lanes_ ? n : lanes_;
-  if (active < 1) active = 1;
-  if (active == 1) {
-    fn(0);
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    job_ = &fn;
-    job_lanes_ = active;
-    outstanding_ = active - 1;  // helper lanes only; lane 0 is the caller
-    ++generation_;
-  }
-  start_cv_.notify_all();
-  fn(0);
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [this] { return outstanding_ == 0; });
-  job_ = nullptr;
-}
-
-void WorkerPool::worker_main(int lane) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    const std::function<void(int)>* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      start_cv_.wait(lock, [this, seen] {
-        return shutdown_ || generation_ != seen;
-      });
-      if (shutdown_) return;
-      seen = generation_;
-      if (lane < job_lanes_) {
-        job = job_;
-      } else {
-        // Not part of this dispatch; it still counted only active lanes,
-        // so nothing to signal.
-        continue;
-      }
-    }
-    (*job)(lane);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --outstanding_;
-    }
-    done_cv_.notify_one();
-  }
 }
 
 }  // namespace gttsch

@@ -1,19 +1,6 @@
-// Shared thread machinery for the two places the simulator goes parallel:
-// the campaign runner (one job per worker) and the island scheduler inside
-// a single run (one interference island per worker). Both draw from the
-// same process-wide worker budget so that GTTSCH_JOBS x islands never
-// oversubscribes the machine: campaign workers *reserve* their count while
-// a campaign is running, and the island scheduler divides the remaining
-// hardware threads among the runs in flight.
+// Worker-count resolution for the campaign runner, which runs one job per
+// worker thread.
 #pragma once
-
-#include <atomic>
-#include <condition_variable>
-#include <cstddef>
-#include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace gttsch {
 
@@ -30,64 +17,5 @@ int resolve_worker_count(int requested, unsigned hardware_threads,
 /// resolve_worker_count with live inputs: getenv(env_name) and
 /// std::thread::hardware_concurrency().
 int default_worker_count(int requested = 0, const char* env_name = "GTTSCH_JOBS");
-
-/// Workers currently reserved process-wide (see WorkerReservation).
-int reserved_workers();
-
-/// RAII reservation against the process-wide worker budget. The campaign
-/// runner holds one for the lifetime of Runner::run; nested parallelism
-/// (island scheduling inside each job) consults reserved_workers() to size
-/// itself into the leftover hardware threads.
-class WorkerReservation {
- public:
-  explicit WorkerReservation(int count);
-  ~WorkerReservation();
-  WorkerReservation(const WorkerReservation&) = delete;
-  WorkerReservation& operator=(const WorkerReservation&) = delete;
-
- private:
-  int count_;
-};
-
-/// Workers available to one simulation run that wants up to `requested`
-/// lanes: clamped so that (campaign reservation) x (island lanes) stays
-/// within the hardware thread count. With a fully reserved machine this
-/// returns 1 — the run stays sequential rather than oversubscribing.
-int available_island_workers(int requested);
-
-/// A persistent pool of `lanes - 1` helper threads plus the calling
-/// thread. run(n, fn) invokes fn(lane) for lanes 0..n-1 concurrently (the
-/// caller takes lane 0) and blocks until all lanes return. Dispatch and
-/// completion hand off through one mutex/condition pair, which doubles as
-/// the happens-before edge: everything written before run() is visible to
-/// every lane, and everything lanes wrote is visible after run() returns.
-class WorkerPool {
- public:
-  /// `lanes` total lanes (>= 1); spawns lanes - 1 threads.
-  explicit WorkerPool(int lanes);
-  ~WorkerPool();
-  WorkerPool(const WorkerPool&) = delete;
-  WorkerPool& operator=(const WorkerPool&) = delete;
-
-  int lanes() const { return lanes_; }
-
-  /// Run fn(lane) on min(n, lanes()) lanes; the calling thread executes
-  /// lane 0. Not reentrant; one run() at a time.
-  void run(int n, const std::function<void(int)>& fn);
-
- private:
-  void worker_main(int lane);
-
-  int lanes_;
-  std::vector<std::thread> threads_;
-  std::mutex mutex_;
-  std::condition_variable start_cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(int)>* job_ = nullptr;
-  int job_lanes_ = 0;
-  std::uint64_t generation_ = 0;
-  int outstanding_ = 0;
-  bool shutdown_ = false;
-};
 
 }  // namespace gttsch

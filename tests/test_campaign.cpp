@@ -1083,8 +1083,12 @@ TEST(CampaignFlags, BareJournalAndResumeRequirePaths) {
 
 TEST(CampaignReport, CsvRowsMatchHeaderWidth) {
   PointAccumulator acc;
-  acc.add(0, fake_result(90.0, 100.0, 240));
-  acc.add(1, fake_result(80.0, 150.0, 260));
+  ExperimentResult a = fake_result(90.0, 100.0, 240);
+  a.metrics.nodes_joined = 5;
+  ExperimentResult b = fake_result(80.0, 150.0, 260);
+  b.metrics.nodes_joined = 4;
+  acc.add(0, a);
+  acc.add(1, b);
   PointAggregate agg = acc.finalize();
   agg.label = "traffic_ppm=30";
   agg.coords = {{"traffic_ppm", "30"}};
@@ -1096,6 +1100,10 @@ TEST(CampaignReport, CsvRowsMatchHeaderWidth) {
   EXPECT_EQ(header.front(), "label");
   EXPECT_EQ(header[1], "traffic_ppm");
   EXPECT_EQ(row[1], "30");
+  // nodes_joined is reported as the mean over the point's seeds.
+  const auto joined = std::find(header.begin(), header.end(), "nodes_joined");
+  ASSERT_NE(joined, header.end());
+  EXPECT_EQ(row[static_cast<std::size_t>(joined - header.begin())], "4.5");
 }
 
 TEST(CampaignReport, JsonCarriesLabelsAndSpread) {

@@ -1,20 +1,11 @@
-// Worker-budget machinery (util/concurrency): the pure resolution rules
-// behind GTTSCH_JOBS, the campaign-vs-island reservation arithmetic that
-// keeps jobs x islands within the machine, and the WorkerPool dispatch
-// cycle the island scheduler reuses phase after phase.
+// Worker-count resolution (util/concurrency): the pure rules behind
+// GTTSCH_JOBS and the campaign runner's --jobs.
 #include "util/concurrency.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <set>
-#include <thread>
-#include <vector>
-
 namespace gttsch {
 namespace {
-
-// --- resolve_worker_count -------------------------------------------------
 
 TEST(ResolveWorkerCount, ExplicitRequestWinsOverEverything) {
   EXPECT_EQ(resolve_worker_count(4, 16, "8"), 4);
@@ -43,119 +34,6 @@ TEST(ResolveWorkerCount, DefaultWorkerCountNeverReturnsZero) {
   // Whatever this machine reports, the live wrapper obeys the same floor.
   EXPECT_GE(default_worker_count(), 1);
   EXPECT_EQ(default_worker_count(7), 7);
-}
-
-// --- reservation arithmetic ----------------------------------------------
-
-TEST(WorkerReservation, ReservationIsScopedAndStacks) {
-  const int base = reserved_workers();
-  {
-    WorkerReservation outer(4);
-    EXPECT_EQ(reserved_workers(), base + 4);
-    {
-      WorkerReservation inner(2);
-      EXPECT_EQ(reserved_workers(), base + 6);
-    }
-    EXPECT_EQ(reserved_workers(), base + 4);
-  }
-  EXPECT_EQ(reserved_workers(), base);
-}
-
-TEST(AvailableIslandWorkers, SequentialRequestsStaySequential) {
-  EXPECT_EQ(available_island_workers(0), 1);
-  EXPECT_EQ(available_island_workers(1), 1);
-  EXPECT_EQ(available_island_workers(-3), 1);
-}
-
-TEST(AvailableIslandWorkers, CampaignReservationBoundsTheProduct) {
-  // The oversubscription contract: with a campaign of `jobs` workers
-  // reserved, each run's island lanes are clamped so that
-  // jobs x islands <= hardware threads.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const int hardware = hw > 0 ? static_cast<int>(hw) : 1;
-
-  {
-    // Reserve the whole machine (as a campaign sized by GTTSCH_JOBS =
-    // hardware would): island runs must fall back to sequential.
-    WorkerReservation campaign(hardware);
-    EXPECT_EQ(available_island_workers(64), 1);
-  }
-  {
-    // Half the machine reserved: each run gets at most the other half.
-    WorkerReservation campaign(2);
-    const int granted = available_island_workers(1 << 20);
-    EXPECT_GE(granted, 1);
-    EXPECT_LE(2 * granted, hardware < 2 ? 2 : hardware);
-  }
-  // No reservation: the request is still clamped to the machine.
-  const int unreserved = available_island_workers(1 << 20);
-  EXPECT_GE(unreserved, 1);
-  EXPECT_LE(unreserved, hardware);
-  // And a modest request is granted outright.
-  EXPECT_EQ(available_island_workers(2), hardware >= 2 ? 2 : 1);
-}
-
-// --- WorkerPool -----------------------------------------------------------
-
-TEST(WorkerPool, RunsEveryLaneExactlyOnceWithCallerAsLaneZero) {
-  WorkerPool pool(4);
-  ASSERT_EQ(pool.lanes(), 4);
-
-  std::mutex mutex;
-  std::vector<int> lanes_seen;
-  std::thread::id lane0_thread;
-  pool.run(4, [&](int lane) {
-    std::lock_guard<std::mutex> lock(mutex);
-    lanes_seen.push_back(lane);
-    if (lane == 0) lane0_thread = std::this_thread::get_id();
-  });
-
-  EXPECT_EQ(lanes_seen.size(), 4u);
-  EXPECT_EQ(std::set<int>(lanes_seen.begin(), lanes_seen.end()),
-            (std::set<int>{0, 1, 2, 3}));
-  // The caller itself takes lane 0 — the pool never idles the dispatching
-  // thread while a helper works.
-  EXPECT_EQ(lane0_thread, std::this_thread::get_id());
-}
-
-TEST(WorkerPool, ReusableAcrossManyDispatchGenerations) {
-  // The island scheduler dispatches one run() per parallel phase —
-  // thousands per simulation. The pool must hand off cleanly every time,
-  // including when fewer lanes are requested than exist.
-  WorkerPool pool(3);
-  std::atomic<int> total{0};
-  for (int phase = 0; phase < 500; ++phase) {
-    const int n = 1 + (phase % 3);
-    pool.run(n, [&](int lane) {
-      ASSERT_LT(lane, n);
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  // 500 phases of 1, 2, 3, 1, 2, 3, ... lanes.
-  EXPECT_EQ(total.load(), 500 / 3 * 6 + 1 + 2);
-}
-
-TEST(WorkerPool, RunIsABarrierForLaneWrites) {
-  // Everything lanes wrote must be visible to the caller after run()
-  // returns (the happens-before edge the simulator's phase loop relies
-  // on to read island heaps without extra synchronization).
-  WorkerPool pool(4);
-  std::vector<int> slots(4, 0);
-  for (int round = 1; round <= 100; ++round) {
-    pool.run(4, [&, round](int lane) { slots[static_cast<std::size_t>(lane)] = round; });
-    for (const int v : slots) ASSERT_EQ(v, round);
-  }
-}
-
-TEST(WorkerPool, SingleLaneRunExecutesInline) {
-  WorkerPool pool(1);
-  EXPECT_EQ(pool.lanes(), 1);
-  std::thread::id seen;
-  pool.run(5, [&](int lane) {
-    EXPECT_EQ(lane, 0);
-    seen = std::this_thread::get_id();
-  });
-  EXPECT_EQ(seen, std::this_thread::get_id());
 }
 
 }  // namespace

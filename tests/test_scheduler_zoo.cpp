@@ -3,7 +3,8 @@
 // (b) surface through the campaign spec parser with registry-derived
 // error text and a stable fingerprint, (c) cold-boot a fig8-style
 // network to >=90% RPL join, and (d) honor the fast-path contract:
-// idle-slot skipping bit-identical to per-slot reference stepping.
+// idle-slot skipping bit-identical to per-slot reference stepping, on a
+// static network and under mobility and crash-loop churn.
 // A fifth scheduler registered tomorrow is swept by this file with zero
 // edits here.
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "mac/tsch_mac.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
+#include "scenario/trace.hpp"
 #include "sixp/sf_registry.hpp"
 
 namespace gttsch {
@@ -182,18 +184,28 @@ struct ZooModeResult {
 };
 
 /// test_fast_path.cpp's run_mode, reduced to the zoo's needs: one knob
-/// (per-slot reference vs skipping fast path), everything else from the
-/// scenario config.
+/// (per-slot reference vs skipping fast path), everything else — the
+/// trace included — from the scenario config.
 ZooModeResult zoo_run(const ScenarioConfig& sc, bool per_slot) {
   const TimeUs measure_end = sc.warmup + sc.measure;
   RunStats stats(sc.warmup, measure_end);
   auto nc = sc.make_node_config();
   nc.mac.per_slot_stepping = per_slot;
-  Network net(sc.seed, std::make_unique<UnitDiskModel>(40.0, 1.0, 1.6), sc.make_topology(),
-              nc, &stats);
+  const TopologySpec topology = sc.make_topology();
+  Trace trace;
+  std::string trace_error;
+  if (!sc.make_trace(topology, &trace, &trace_error)) {
+    ADD_FAILURE() << "trace: " << trace_error;
+    return {};
+  }
+  DynamicLinkModel* failures = nullptr;
+  Network net(sc.seed, scenario_link_model_factory(sc, trace, &failures), topology, nc,
+              &stats);
+  TracePlayer player(net, std::move(trace), failures);
   net.sim().at(sc.warmup, [&stats] { stats.begin_measurement(); });
   net.sim().at(measure_end, [&stats] { stats.end_measurement(); });
   net.start();
+  player.start();
   net.sim().run_until(measure_end + sc.drain);
   ZooModeResult out;
   for (const auto& [id, node] : net.nodes()) {
@@ -207,19 +219,14 @@ ZooModeResult zoo_run(const ScenarioConfig& sc, bool per_slot) {
   return out;
 }
 
-TEST_P(SchedulerZoo, FastPathBitIdenticalToPerSlotStepping) {
-  // The observable-purity contract every SF must satisfy, whatever its
-  // cell population looks like (negotiated, autonomous, or time-varying
-  // ALICE rehashes): identical RunStats doubles, medium draws, per-node
-  // ASN/radio/rx — on strictly fewer simulator events.
-  ScenarioConfig sc = fig8(GetParam());
-  sc.seed = 7103;
-  const ZooModeResult fast = zoo_run(sc, /*per_slot=*/false);
-  const ZooModeResult ref = zoo_run(sc, /*per_slot=*/true);
-
+/// The observable-purity contract every SF must satisfy, whatever its
+/// cell population looks like (negotiated, autonomous, or time-varying
+/// ALICE rehashes): identical RunStats doubles, medium draws, per-node
+/// ASN/radio/rx — on strictly fewer simulator events.
+void expect_zoo_identical(const ZooModeResult& fast, const ZooModeResult& ref) {
   ASSERT_EQ(fast.nodes.size(), ref.nodes.size());
   for (const auto& [id, f] : fast.nodes) {
-    SCOPED_TRACE(::testing::Message() << GetParam() << " node " << id);
+    SCOPED_TRACE(::testing::Message() << "node " << id);
     EXPECT_EQ(f.first, ref.nodes.at(id).first);    // ASN
     EXPECT_EQ(f.second, ref.nodes.at(id).second);  // radio on-time
     EXPECT_EQ(fast.rx_frames.at(id), ref.rx_frames.at(id));
@@ -233,7 +240,63 @@ TEST_P(SchedulerZoo, FastPathBitIdenticalToPerSlotStepping) {
   EXPECT_EQ(fast.metrics.duty_cycle_percent, ref.metrics.duty_cycle_percent);
   EXPECT_EQ(fast.metrics.generated, ref.metrics.generated);
   EXPECT_EQ(fast.metrics.delivered, ref.metrics.delivered);
+  EXPECT_EQ(fast.metrics.nodes_joined, ref.metrics.nodes_joined);
+  EXPECT_EQ(fast.metrics.node_failures, ref.metrics.node_failures);
+  EXPECT_EQ(fast.metrics.node_revivals, ref.metrics.node_revivals);
+  EXPECT_EQ(fast.metrics.node_rejoins, ref.metrics.node_rejoins);
+  EXPECT_EQ(fast.metrics.orphan_intervals, ref.metrics.orphan_intervals);
+  EXPECT_EQ(fast.metrics.recovery_rejoin_s, ref.metrics.recovery_rejoin_s);
+  EXPECT_EQ(fast.metrics.recovery_first_delivery_s,
+            ref.metrics.recovery_first_delivery_s);
+  EXPECT_EQ(fast.metrics.recovery_ttr_s, ref.metrics.recovery_ttr_s);
   EXPECT_LT(fast.events_processed, ref.events_processed);
+}
+
+TEST_P(SchedulerZoo, FastPathBitIdenticalToPerSlotStepping) {
+  ScenarioConfig sc = fig8(GetParam());
+  sc.seed = 7103;
+  SCOPED_TRACE(GetParam());
+  expect_zoo_identical(zoo_run(sc, /*per_slot=*/false), zoo_run(sc, /*per_slot=*/true));
+}
+
+TEST_P(SchedulerZoo, FastPathBitIdenticalUnderMobilityAndCrashloop) {
+  // The same contract on the two-DODAG network under churn. Random-walk
+  // movers dirty the medium's link cache and one node dies mid-measurement;
+  // crash-looping nodes fail, reboot into a fresh stack and rejoin, which
+  // drives the ScopedOwner entry points (Node::fail/reboot) and the
+  // recovery accounting.
+  ScenarioConfig walk = fig8(GetParam());
+  walk.seed = 4000;
+  walk.traffic_ppm = 120.0;
+  walk.trace_kind = TraceKind::kRandomWalk;
+  walk.trace_seed = 42;
+  walk.trace_movers = 4;
+  walk.trace_speed_mps = 3.0;
+  walk.trace_interval_s = 5.0;
+  walk.trace_fail_count = 1;
+  walk.trace_fail_at_s = 180.0;  // mid-measurement
+
+  ScenarioConfig crashloop = fig8(GetParam());
+  crashloop.seed = 5000;
+  crashloop.traffic_ppm = 120.0;
+  crashloop.measure = 180_s;
+  crashloop.trace_kind = TraceKind::kCrashloop;
+  crashloop.trace_seed = 7;
+  crashloop.trace_fail_count = 2;
+  crashloop.trace_down_s = 20.0;
+  crashloop.trace_cycle_s = 90.0;
+
+  for (const ScenarioConfig& sc : {walk, crashloop}) {
+    const bool crashes = sc.trace_kind == TraceKind::kCrashloop;
+    SCOPED_TRACE(::testing::Message() << GetParam() << (crashes ? " crashloop" : " walk"));
+    const ZooModeResult fast = zoo_run(sc, /*per_slot=*/false);
+    expect_zoo_identical(fast, zoo_run(sc, /*per_slot=*/true));
+    EXPECT_GT(fast.metrics.node_failures, 0u);
+    // Crash-looping nodes come back: the reboot path really ran.
+    if (crashes) {
+      EXPECT_GT(fast.metrics.node_revivals, 0u);
+    }
+  }
 }
 
 TEST_P(SchedulerZoo, OperationalImpliesDedicatedCapacityShape) {

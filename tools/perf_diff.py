@@ -78,22 +78,6 @@ def main():
             f" {fmt_delta(wall_b, wall_f)} {num(ev_f, 12, ',d')} {fmt_delta(ev_b, ev_f)}"
         )
 
-    # Island-parallel points: the wall-clock ratio against the sequential
-    # sibling (same scenario name minus "-parallel") is the speedup the
-    # parallel stepping delivers on this runner. <1.0x on single-core
-    # runners is expected — the coordination overhead with no cores to
-    # spread islands over — and still worth tracking.
-    speedups = []
-    for name in names:
-        if not name.endswith("-parallel"):
-            continue
-        sibling = name[: -len("-parallel")]
-        wall_par = metric(fresh.get(name), "wall_seconds")
-        wall_seq = metric(fresh.get(sibling), "wall_seconds")
-        if wall_par and wall_seq:
-            speedups.append(f"{sibling}: {wall_seq / wall_par:.2f}x")
-    if speedups:
-        print(f"\nparallel speedup vs sequential (fresh): {', '.join(speedups)}")
     print(
         "\n(deltas are fresh vs baseline; sim-s/wall-s up and wall-s/events"
         " down are improvements; shared-runner clocks are noisy — event"
