@@ -24,6 +24,7 @@
 //   --simcore-only         skip the microbenches (CI perf-smoke mode)
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -154,6 +155,59 @@ void BM_MediumSingleMoveRefresh(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MediumSingleMoveRefresh)->Arg(50)->Arg(200);
+
+/// BM_MediumSingleMoveRefresh/200 behind a DynamicLinkModel holding `k`
+/// kill/revive entries, registered up front as a trace player does, for
+/// the half of the field farthest from the mover. They activate at a
+/// far-future time, so the cached links never change: the time per
+/// iteration differs from k = 0 only by what the model's lookups cost.
+void BM_MediumChurnMoveRefresh(benchmark::State& state) {
+  constexpr int kNodes = 200;
+  const int entries = static_cast<int>(state.range(0));
+  Simulator sim(5);
+  auto dynamic = std::make_unique<DynamicLinkModel>(
+      sim, std::make_unique<UnitDiskModel>(40.0, 1.0, 1.6));
+  DynamicLinkModel& model = *dynamic;
+  Medium medium(sim, std::move(dynamic), Rng(5));
+  std::vector<std::unique_ptr<Radio>> radios;
+  Rng place(7);
+  const double side = 30.0 * std::sqrt(static_cast<double>(kNodes));
+  for (int i = 0; i < kNodes; ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        sim, medium, static_cast<NodeId>(i),
+        Position{place.uniform_double(0, side), place.uniform_double(0, side)}));
+    radios.back()->on_rx = [](FramePtr) {};
+  }
+  std::vector<NodeId> far;
+  for (int i = 1; i < kNodes; ++i) far.push_back(static_cast<NodeId>(i));
+  const Position mover{radios[0]->position().x, 5.0};  // where the loop moves it
+  std::sort(far.begin(), far.end(), [&](NodeId a, NodeId b) {
+    return distance(radios[a]->position(), mover) >
+           distance(radios[b]->position(), mover);
+  });
+  far.resize(far.size() / 2);
+  constexpr TimeUs kFarFuture = 1'000'000_s;
+  for (int i = 0; i < entries; ++i) {
+    const NodeId id = far[static_cast<std::size_t>(i) % far.size()];
+    const TimeUs at = kFarFuture + static_cast<TimeUs>(i) * 1_s;
+    if (i % 2 == 0) {
+      model.kill_node(at, id);
+    } else {
+      model.revive_node(at, id);
+    }
+  }
+  double dx = 1.0;
+  for (auto _ : state) {
+    radios[0]->set_position(Position{radios[0]->position().x + dx, 5.0});
+    dx = -dx;
+    radios[1]->listen(17);
+    radios[0]->transmit(make_data_frame(0, kBroadcastId, DataPayload{}), 17);
+    sim.run_until(sim.now() + 10_ms);
+    radios[1]->turn_off();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MediumChurnMoveRefresh)->ArgName("entries")->Arg(0)->Arg(200)->Arg(2000);
 
 /// Carrier sense as TSCH rx guards poll it: every eighth radio transmits on
 /// one of the 16 channels, and every other radio polls busy_until on each

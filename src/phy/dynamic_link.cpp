@@ -1,11 +1,42 @@
 #include "phy/dynamic_link.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 
 #include "util/check.hpp"
 
 namespace gttsch {
+
+namespace {
+
+std::uint32_t pair_key(NodeId tx, NodeId rx) {
+  return (static_cast<std::uint32_t>(tx) << 16) | rx;
+}
+
+/// First entry activating strictly after `t`.
+template <typename Entry>
+typename std::vector<Entry>::const_iterator first_after(const std::vector<Entry>& entries,
+                                                        TimeUs t) {
+  return std::upper_bound(entries.begin(), entries.end(), t,
+                          [](TimeUs time, const Entry& e) { return time < e.at; });
+}
+
+/// Inserts after every entry with at <= entry.at: the list stays sorted by
+/// time and equal times keep registration order.
+template <typename Entry>
+void insert_by_time(std::vector<Entry>& entries, const Entry& entry) {
+  entries.insert(first_after(entries, entry.at), entry);
+}
+
+/// The entry in force at `now`: the last one with at <= now, if any.
+template <typename Entry>
+const Entry* latest_at_or_before(const std::vector<Entry>& entries, TimeUs now) {
+  const auto it = first_after(entries, now);
+  return it == entries.begin() ? nullptr : &*std::prev(it);
+}
+
+}  // namespace
 
 DynamicLinkModel::DynamicLinkModel(const Simulator& sim, std::unique_ptr<LinkModel> base)
     : sim_(sim), base_(std::move(base)) {
@@ -15,74 +46,59 @@ DynamicLinkModel::DynamicLinkModel(const Simulator& sim, std::unique_ptr<LinkMod
 void DynamicLinkModel::override_prr(TimeUs at, NodeId tx, NodeId rx, double prr,
                                     bool symmetric) {
   GTTSCH_CHECK(prr >= 0.0 && prr <= 1.0);
-  overrides_.push_back(Override{at, tx, rx, prr, false});
-  if (symmetric) overrides_.push_back(Override{at, rx, tx, prr, false});
+  add_override(at, tx, rx, prr);
+  if (symmetric) add_override(at, rx, tx, prr);
   if (prr > 0.0) has_positive_override_ = true;
-  next_recount_at_ = std::min(next_recount_at_, at);
 }
 
 void DynamicLinkModel::clear_override(TimeUs at, NodeId tx, NodeId rx) {
   // prr < 0 is the "defer to base" sentinel; it supersedes earlier
   // overrides for the pair just like any later override would.
-  overrides_.push_back(Override{at, tx, rx, -1.0, false});
-  overrides_.push_back(Override{at, rx, tx, -1.0, false});
-  next_recount_at_ = std::min(next_recount_at_, at);
+  add_override(at, tx, rx, -1.0);
+  add_override(at, rx, tx, -1.0);
 }
 
 void DynamicLinkModel::kill_node(TimeUs at, NodeId id) {
-  life_.push_back(LifeEvent{at, id, /*dead=*/true, false});
-  next_recount_at_ = std::min(next_recount_at_, at);
+  add_life_event(at, id, /*dead=*/true);
 }
 
 void DynamicLinkModel::revive_node(TimeUs at, NodeId id) {
-  life_.push_back(LifeEvent{at, id, /*dead=*/false, false});
-  next_recount_at_ = std::min(next_recount_at_, at);
+  add_life_event(at, id, /*dead=*/false);
 }
 
-const DynamicLinkModel::Override* DynamicLinkModel::active_override(NodeId tx,
-                                                                    NodeId rx) const {
-  const TimeUs now = sim_.now();
-  const Override* best = nullptr;
-  for (const Override& o : overrides_) {
-    if (o.tx != tx || o.rx != rx || o.at > now) continue;
-    if (best == nullptr || o.at >= best->at) best = &o;
-  }
-  return best;
+void DynamicLinkModel::add_override(TimeUs at, NodeId tx, NodeId rx, double prr) {
+  insert_by_time(overrides_[pair_key(tx, rx)], OverrideEntry{at, prr});
+  pending_.push(Activation{at, tx, rx});
+}
+
+void DynamicLinkModel::add_life_event(TimeUs at, NodeId id, bool dead) {
+  if (id >= life_.size()) life_.resize(static_cast<std::size_t>(id) + 1);
+  insert_by_time(life_[id], LifeEntry{at, dead});
+  pending_.push(Activation{at, id, id});
+}
+
+const DynamicLinkModel::OverrideEntry* DynamicLinkModel::current_override(
+    NodeId tx, NodeId rx) const {
+  if (overrides_.empty()) return nullptr;
+  const auto it = overrides_.find(pair_key(tx, rx));
+  return it == overrides_.end() ? nullptr : latest_at_or_before(it->second, sim_.now());
+}
+
+bool DynamicLinkModel::node_dead(NodeId id) const {
+  if (id >= life_.size()) return false;
+  const LifeEntry* latest = latest_at_or_before(life_[id], sim_.now());
+  return latest != nullptr && latest->dead;
 }
 
 std::uint64_t DynamicLinkModel::version() const {
+  // Each activation moves from the heap to the log exactly once, keeping
+  // activation_log_.size() == the number of entries with at <= now.
   const TimeUs now = sim_.now();
-  if (now >= next_recount_at_) {
-    // Recount activations and remember when the next one lands, so the
-    // common call (nothing changed) is O(1). Newly observed activations
-    // land in the append-only log exactly once (`logged`), keeping
-    // activation_log_.size() == active_count_ for changed_nodes_since.
-    active_count_ = 0;
-    next_recount_at_ = kInfiniteTime;
-    for (Override& o : overrides_) {
-      if (o.at <= now) {
-        ++active_count_;
-        if (!o.logged) {
-          o.logged = true;
-          activation_log_.emplace_back(o.tx, o.rx);
-        }
-      } else {
-        next_recount_at_ = std::min(next_recount_at_, o.at);
-      }
-    }
-    for (LifeEvent& k : life_) {
-      if (k.at <= now) {
-        ++active_count_;
-        if (!k.logged) {
-          k.logged = true;
-          activation_log_.emplace_back(k.id, k.id);
-        }
-      } else {
-        next_recount_at_ = std::min(next_recount_at_, k.at);
-      }
-    }
+  while (!pending_.empty() && pending_.top().at <= now) {
+    activation_log_.emplace_back(pending_.top().a, pending_.top().b);
+    pending_.pop();
   }
-  return base_->version() + active_count_;
+  return base_->version() + activation_log_.size();
 }
 
 double DynamicLinkModel::max_interaction_range() const {
@@ -102,22 +118,10 @@ bool DynamicLinkModel::changed_nodes_since(std::uint64_t since,
   return true;
 }
 
-bool DynamicLinkModel::node_dead(NodeId id) const {
-  const TimeUs now = sim_.now();
-  // Latest active liveness event wins; at equal times the later-registered
-  // entry (>=) wins, so playback order matches trace order.
-  const LifeEvent* latest = nullptr;
-  for (const LifeEvent& k : life_) {
-    if (k.id != id || k.at > now) continue;
-    if (latest == nullptr || k.at >= latest->at) latest = &k;
-  }
-  return latest != nullptr && latest->dead;
-}
-
 double DynamicLinkModel::prr(NodeId tx, const Position& tx_pos, NodeId rx,
                              const Position& rx_pos) const {
   if (node_dead(tx) || node_dead(rx)) return 0.0;
-  if (const Override* o = active_override(tx, rx)) {
+  if (const OverrideEntry* o = current_override(tx, rx)) {
     if (o->prr >= 0.0) return o->prr;  // cleared entries defer to base
   }
   return base_->prr(tx, tx_pos, rx, rx_pos);
@@ -128,7 +132,7 @@ bool DynamicLinkModel::interferes(NodeId tx, const Position& tx_pos, NodeId rx,
   if (node_dead(tx)) return false;  // a dead radio emits nothing
   // PRR overrides model fading on the communication link; interference
   // reach follows the base geometry unless the link is fully dead.
-  if (const Override* o = active_override(tx, rx)) {
+  if (const OverrideEntry* o = current_override(tx, rx)) {
     if (o->prr == 0.0) return false;
   }
   return base_->interferes(tx, tx_pos, rx, rx_pos);

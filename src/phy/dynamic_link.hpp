@@ -5,7 +5,10 @@
 // models a link dying; kill/revive model a node crash-rebooting).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <queue>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -14,6 +17,14 @@
 
 namespace gttsch {
 
+/// Every entry is indexed when it is registered: kills and revivals per
+/// node id, overrides and clears per directed (tx, rx) pair, each list
+/// sorted by activation time. What holds for a node or pair at time T is
+/// its latest entry with at <= T; among entries with equal `at` the later
+/// registration wins (trace order). An entry registered after its
+/// activation time counts from then on. prr()/interferes() therefore cost
+/// O(1) for a node or pair without entries and O(log k) for one with k
+/// entries, whatever the total number registered.
 class DynamicLinkModel final : public LinkModel {
  public:
   DynamicLinkModel(const Simulator& sim, std::unique_ptr<LinkModel> base);
@@ -33,8 +44,7 @@ class DynamicLinkModel final : public LinkModel {
   void kill_node(TimeUs at, NodeId id);
 
   /// From `at` onward, node `id` participates again (undoes the latest
-  /// kill). At equal times the later-registered event wins, matching
-  /// trace order.
+  /// kill).
   void revive_node(TimeUs at, NodeId id);
 
   double prr(NodeId tx, const Position& tx_pos, NodeId rx,
@@ -46,10 +56,9 @@ class DynamicLinkModel final : public LinkModel {
   /// activation time has passed: activations never revert and inserting
   /// an already-active entry raises the count too, so this is monotone
   /// and changes exactly when the effective link table can change.
-  /// Amortized O(1): the active count is cached together with the next
-  /// pending activation time, and only recounted once sim time (or an
-  /// insertion) reaches it — version() sits on the medium's per-frame
-  /// cache-validity check.
+  /// O(1) while no activation is due and O(log n) per activation: pending
+  /// activations wait in a min-heap on their time — version() sits on the
+  /// medium's per-frame cache-validity check.
   std::uint64_t version() const override;
 
   /// Base bound while every registered override only removes links
@@ -69,37 +78,46 @@ class DynamicLinkModel final : public LinkModel {
   const LinkModel& base() const { return *base_; }
 
  private:
-  struct Override {
+  /// One override of a directed pair; prr < 0 = cleared: defer to the base.
+  struct OverrideEntry {
     TimeUs at;
-    NodeId tx;
-    NodeId rx;
-    double prr;           ///< < 0 = cleared: defer to the base model
-    bool logged = false;  ///< already appended to activation_log_
+    double prr;
   };
-  /// One kill or revival; liveness at time T is decided by the latest
-  /// entry with at <= T (ties: later registration wins — trace order).
-  struct LifeEvent {
+  /// One kill (dead) or revival (!dead) of a node.
+  struct LifeEntry {
     TimeUs at;
-    NodeId id;
     bool dead;
-    bool logged = false;
+  };
+  /// A registered entry not yet seen active by version(), and the node
+  /// pair it touches (kills and revivals touch (id, id)).
+  struct Activation {
+    TimeUs at;
+    NodeId a;
+    NodeId b;
+  };
+  struct LaterActivation {
+    bool operator()(const Activation& x, const Activation& y) const {
+      return x.at > y.at;
+    }
   };
 
-  /// Latest active override for (tx, rx), if any.
-  const Override* active_override(NodeId tx, NodeId rx) const;
+  void add_override(TimeUs at, NodeId tx, NodeId rx, double prr);
+  void add_life_event(TimeUs at, NodeId id, bool dead);
+  /// Latest override or clear of (tx, rx) active now, if any.
+  const OverrideEntry* current_override(NodeId tx, NodeId rx) const;
   bool node_dead(NodeId id) const;
 
   const Simulator& sim_;
   std::unique_ptr<LinkModel> base_;
-  // The entry vectors are mutable because the lazy recount in version()
-  // stamps `logged` as activations land in activation_log_.
-  mutable std::vector<Override> overrides_;  // kept in insertion order
-  mutable std::vector<LifeEvent> life_;      // kept in insertion order
+  /// Keyed by (tx << 16) | rx; each list sorted as the class comment says.
+  std::unordered_map<std::uint32_t, std::vector<OverrideEntry>> overrides_;
+  /// Indexed by node id; each list sorted as the class comment says.
+  std::vector<std::vector<LifeEntry>> life_;
   bool has_positive_override_ = false;  ///< any registered prr > 0 override
-  mutable std::uint64_t active_count_ = 0;   ///< entries with at <= now
-  mutable TimeUs next_recount_at_ = 0;       ///< recount when now reaches this
-  /// Append-only: the node pair behind each activation, in the order the
-  /// recounts observed them (activation_log_.size() == active_count_).
+  mutable std::priority_queue<Activation, std::vector<Activation>, LaterActivation>
+      pending_;
+  /// Append-only: the node pair behind each activation, in the order
+  /// version() observed them (activation_log_.size() == active count).
   /// With a static base this makes version v <-> log prefix of length v.
   mutable std::vector<std::pair<NodeId, NodeId>> activation_log_;
 };

@@ -3,10 +3,15 @@
 // child-timeout cell reclamation path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "phy/dynamic_link.hpp"
 #include "core/gt_tsch_sf.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
+#include "util/rng.hpp"
 
 namespace gttsch {
 namespace {
@@ -96,6 +101,227 @@ TEST(DynamicLink, BaseModelPassThrough) {
   EXPECT_DOUBLE_EQ(model.prr(1, {0, 0}, 2, {0, 39}), 0.8);
   EXPECT_DOUBLE_EQ(model.prr(1, {0, 0}, 2, {0, 41}), 0.0);
   EXPECT_TRUE(model.interferes(1, {0, 0}, 2, {0, 59}));
+}
+
+/// The rule DynamicLinkModel's per-key indices must reproduce, written as
+/// the plain scan over every registration: the latest entry with at <= now
+/// decides, a tie going to the later registration; version() counts the
+/// entries seen active, and each check reports the nodes of the entries
+/// that became active since the previous one.
+class LinearScanOracle {
+ public:
+  LinearScanOracle(const Simulator& sim, const LinkModel& base)
+      : sim_(sim), base_(base) {}
+
+  void override_prr(TimeUs at, NodeId tx, NodeId rx, double prr, bool symmetric) {
+    entries_.push_back({at, tx, rx, Kind::kOverride, prr});
+    if (symmetric) entries_.push_back({at, rx, tx, Kind::kOverride, prr});
+  }
+  void clear_override(TimeUs at, NodeId tx, NodeId rx) {
+    entries_.push_back({at, tx, rx, Kind::kOverride, -1.0});
+    entries_.push_back({at, rx, tx, Kind::kOverride, -1.0});
+  }
+  void kill_node(TimeUs at, NodeId id) {
+    entries_.push_back({at, id, id, Kind::kKill, 0.0});
+  }
+  void revive_node(TimeUs at, NodeId id) {
+    entries_.push_back({at, id, id, Kind::kRevive, 0.0});
+  }
+
+  double prr(NodeId tx, const Position& tx_pos, NodeId rx, const Position& rx_pos) const {
+    if (dead(tx) || dead(rx)) return 0.0;
+    const Entry* o = latest_override(tx, rx);
+    if (o != nullptr && o->prr >= 0.0) return o->prr;
+    return base_.prr(tx, tx_pos, rx, rx_pos);
+  }
+  bool interferes(NodeId tx, const Position& tx_pos, NodeId rx,
+                  const Position& rx_pos) const {
+    if (dead(tx)) return false;
+    const Entry* o = latest_override(tx, rx);
+    if (o != nullptr && o->prr == 0.0) return false;
+    return base_.interferes(tx, tx_pos, rx, rx_pos);
+  }
+
+  /// Marks the entries active by now as seen; returns the nodes of those
+  /// seen for the first time.
+  std::set<NodeId> newly_active() {
+    std::set<NodeId> nodes;
+    for (Entry& e : entries_) {
+      if (e.seen || e.at > sim_.now()) continue;
+      e.seen = true;
+      nodes.insert(e.a);
+      nodes.insert(e.b);
+    }
+    return nodes;
+  }
+  std::uint64_t seen_count() const {
+    return static_cast<std::uint64_t>(std::count_if(
+        entries_.begin(), entries_.end(), [](const Entry& e) { return e.seen; }));
+  }
+
+ private:
+  enum class Kind { kOverride, kKill, kRevive };
+  struct Entry {
+    TimeUs at;
+    NodeId a;
+    NodeId b;
+    Kind kind;
+    double prr;
+    bool seen = false;
+  };
+
+  template <typename Match>
+  const Entry* latest(Match match) const {
+    const Entry* best = nullptr;
+    for (const Entry& e : entries_) {
+      if (!match(e) || e.at > sim_.now()) continue;
+      if (best == nullptr || e.at >= best->at) best = &e;
+    }
+    return best;
+  }
+  bool dead(NodeId id) const {
+    const Entry* e =
+        latest([id](const Entry& x) { return x.kind != Kind::kOverride && x.a == id; });
+    return e != nullptr && e->kind == Kind::kKill;
+  }
+  const Entry* latest_override(NodeId tx, NodeId rx) const {
+    return latest([tx, rx](const Entry& x) {
+      return x.kind == Kind::kOverride && x.a == tx && x.b == rx;
+    });
+  }
+
+  const Simulator& sim_;
+  const LinkModel& base_;
+  std::vector<Entry> entries_;
+};
+
+/// Registers the same entries with the model and the oracle.
+struct Registrar {
+  DynamicLinkModel& model;
+  LinearScanOracle& oracle;
+
+  void override_prr(TimeUs at, NodeId tx, NodeId rx, double prr, bool symmetric) {
+    model.override_prr(at, tx, rx, prr, symmetric);
+    oracle.override_prr(at, tx, rx, prr, symmetric);
+  }
+  void clear_override(TimeUs at, NodeId tx, NodeId rx) {
+    model.clear_override(at, tx, rx);
+    oracle.clear_override(at, tx, rx);
+  }
+  void kill_node(TimeUs at, NodeId id) {
+    model.kill_node(at, id);
+    oracle.kill_node(at, id);
+  }
+  void revive_node(TimeUs at, NodeId id) {
+    model.revive_node(at, id);
+    oracle.revive_node(at, id);
+  }
+};
+
+TEST(DynamicLink, IndexedLookupsMatchLinearScan) {
+  constexpr NodeId kRegistered = 20;  // entries name ids 0..19
+  constexpr NodeId kQueried = 23;     // queries also cover 20..22
+  constexpr TimeUs kStep = 100_ms;    // activation grid: 40 instants, many ties
+  constexpr int kGrid = 40;
+  constexpr int kBatches = 4;
+  constexpr int kPerBatch = 60;
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Simulator sim(seed);
+    Rng rng(seed);
+    DynamicLinkModel model(sim, std::make_unique<UnitDiskModel>(40.0, 0.9, 1.6));
+    const UnitDiskModel oracle_base(40.0, 0.9, 1.6);
+    LinearScanOracle oracle(sim, oracle_base);
+    Registrar reg{model, oracle};
+    std::vector<Position> pos;
+    for (NodeId id = 0; id < kQueried; ++id) {
+      pos.push_back(Position{rng.uniform_double(0, 80), rng.uniform_double(0, 80)});
+    }
+    auto node = [&] { return static_cast<NodeId>(rng.uniform(kRegistered)); };
+    auto grid_time = [&] { return kStep * static_cast<TimeUs>(rng.uniform(kGrid)); };
+
+    // Just before, at and just after every instant an entry can activate.
+    std::set<TimeUs> check_times;
+    for (int g = 0; g < kGrid; ++g) {
+      for (const TimeUs dt : {TimeUs{-1}, TimeUs{0}, TimeUs{1}}) {
+        if (kStep * g + dt >= 0) check_times.insert(kStep * g + dt);
+      }
+    }
+    std::uint64_t last_version = model.version();
+    auto check = [&] {
+      SCOPED_TRACE(sim.now());
+      int mismatches = 0;
+      for (NodeId tx = 0; tx < kQueried; ++tx) {
+        for (NodeId rx = 0; rx < kQueried; ++rx) {
+          const Position& a = pos[tx];
+          const Position& b = pos[rx];
+          if (model.prr(tx, a, rx, b) != oracle.prr(tx, a, rx, b) ||
+              model.interferes(tx, a, rx, b) != oracle.interferes(tx, a, rx, b)) {
+            ++mismatches;
+          }
+        }
+      }
+      EXPECT_EQ(mismatches, 0);
+      const std::set<NodeId> expected_changed = oracle.newly_active();
+      const std::uint64_t version = model.version();
+      EXPECT_EQ(version, oracle.seen_count());
+      EXPECT_GE(version, last_version);
+      std::vector<NodeId> changed;
+      EXPECT_TRUE(model.changed_nodes_since(last_version, changed));
+      EXPECT_EQ(std::set<NodeId>(changed.begin(), changed.end()), expected_changed);
+      last_version = version;
+    };
+
+    for (int batch = 0; batch < kBatches; ++batch) {
+      // Fixed cases at one random instant: kill and revive of a node at
+      // the same time (both orders), a clear after an override, and a
+      // symmetric pause against an asymmetric prr on the reverse link.
+      const TimeUs t = grid_time();
+      reg.kill_node(t, 1);
+      reg.revive_node(t, 1);
+      reg.revive_node(t, 2);
+      reg.kill_node(t, 2);
+      reg.override_prr(t, 3, 4, 0.4, /*symmetric=*/true);
+      reg.clear_override(t, 3, 4);
+      reg.override_prr(t, 5, 6, 0.0, /*symmetric=*/true);
+      reg.override_prr(t, 6, 5, 0.7, /*symmetric=*/false);
+      // Random entries anywhere on the grid, so later batches register
+      // many whose activation time has already passed.
+      for (int i = 0; i < kPerBatch; ++i) {
+        const TimeUs at = grid_time();
+        const NodeId a = node();
+        const NodeId b = node();
+        switch (rng.uniform(6)) {
+          case 0:
+            reg.kill_node(at, a);
+            break;
+          case 1:
+            reg.revive_node(at, a);
+            break;
+          case 2:
+            reg.override_prr(at, a, b, rng.uniform_double(), /*symmetric=*/true);
+            break;
+          case 3:
+            reg.override_prr(at, a, b, rng.bernoulli(0.5) ? 0.0 : 0.6,
+                             /*symmetric=*/false);
+            break;
+          case 4:
+            reg.override_prr(at, a, b, 0.0, /*symmetric=*/true);  // a pause
+            break;
+          default:
+            reg.clear_override(at, a, b);
+            break;
+        }
+      }
+      check();  // entries registered at or before now apply immediately
+      const TimeUs horizon = kStep * kGrid * (batch + 1) / kBatches;
+      for (auto it = check_times.upper_bound(sim.now());
+           it != check_times.end() && *it <= horizon; ++it) {
+        sim.run_until(*it);
+        check();
+      }
+    }
+  }
 }
 
 TEST(Failure, EtxReactsToLinkDegradation) {

@@ -20,6 +20,11 @@ said "behaviour changed" and the failed operations, per side.
 Exits 1 when a run did not produce a result line, or when any run of the
 working tree said "behaviour changed": a pure performance change must
 never move a digest. The timing numbers themselves never fail it.
+
+Exits 2 before the first pair when this checkout's `.bench_build/` was
+configured for another tree (it was copied or moved along with the
+checkout): perfbench/run.py reuses an existing CMake cache, so the
+working-tree side would build and time that other tree's sources.
 """
 
 import json
@@ -32,6 +37,25 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PAIRS = 10
+
+
+def stale_build_home():
+    """The source tree this checkout's harness build was configured for,
+    when that is not this checkout's perfbench/; None otherwise."""
+    cache = os.path.join(ROOT, ".bench_build", "perfbench", "CMakeCache.txt")
+    try:
+        with open(cache) as f:
+            for line in f:
+                if line.startswith("CMAKE_HOME_DIRECTORY:"):
+                    home = line.split("=", 1)[1].strip()
+                    break
+            else:
+                return None
+    except OSError:
+        return None
+    if os.path.realpath(home) == os.path.realpath(os.path.join(ROOT, "perfbench")):
+        return None
+    return home
 
 
 def run_side(checkout, command, workload, seed, seconds):
@@ -59,6 +83,13 @@ def main(argv):
     command = bench["command"]
     seconds = bench["run_seconds"]
     metrics = bench["end_to_end"]
+    stale_home = stale_build_home()
+    if stale_home is not None:
+        sys.stderr.write("%s was configured for %s, so the working tree would build and time "
+                         "that tree's sources; delete %s and run again\n" % (
+                             os.path.join(ROOT, ".bench_build", "perfbench"), stale_home,
+                             os.path.join(ROOT, ".bench_build")))
+        return 2
 
     worktree = tempfile.mkdtemp(prefix="perfbench-ab-")
     subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", worktree, parent_rev],
