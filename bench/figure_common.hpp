@@ -15,7 +15,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -143,65 +142,6 @@ inline void print_panels(const char* figure, const char* x_name,
   t.print();
 }
 
-/// Core of the `--set "field=v;field2=v"` passthrough (the gt_campaign
-/// base-config grammar): parse + one-value/duplicate-key checks, then hand
-/// each (field, value) pair to `apply`, which writes it into every config
-/// the harness owns. The overloads below cover the two bench grid shapes
-/// so the flag's behavior cannot drift between harnesses.
-template <typename ApplyFn>
-inline bool apply_set_overrides_impl(const std::string& spec, const ApplyFn& apply,
-                                     std::string* error) {
-  std::vector<campaign::Axis> overrides;
-  if (!campaign::parse_grid(spec, &overrides, error)) return false;
-  std::set<std::string> seen;
-  for (const campaign::Axis& o : overrides) {
-    if (o.values.size() != 1) {
-      *error = o.field + ": exactly one value expected";
-      return false;
-    }
-    if (!seen.insert(o.field).second) {
-      *error = o.field + ": key appears twice";
-      return false;
-    }
-    if (!apply(o.field, o.values.front(), error)) return false;
-  }
-  return true;
-}
-
-/// Figure-bench shape: every sweep point's GT and Orchestra configs — the
-/// hook that lets the fig benches take the trace/topology fields without
-/// bespoke flags.
-inline bool apply_set_overrides(const std::string& spec,
-                                std::vector<SweepPoint>* points, std::string* error) {
-  return apply_set_overrides_impl(
-      spec,
-      [points](const std::string& field, const std::string& value, std::string* e) {
-        for (SweepPoint& point : *points) {
-          if (!campaign::apply_field(point.gt, field, value, e) ||
-              !campaign::apply_field(point.orchestra, field, value, e)) {
-            return false;
-          }
-        }
-        return true;
-      },
-      error);
-}
-
-/// Hand-built campaign-grid shape (formation_time).
-inline bool apply_set_overrides(const std::string& spec,
-                                std::vector<campaign::GridPoint>* grid,
-                                std::string* error) {
-  return apply_set_overrides_impl(
-      spec,
-      [grid](const std::string& field, const std::string& value, std::string* e) {
-        for (campaign::GridPoint& point : *grid) {
-          if (!campaign::apply_field(point.config, field, value, e)) return false;
-        }
-        return true;
-      },
-      error);
-}
-
 /// Entry point shared by the figure harnesses. Flags:
 ///   --jobs N, --seeds LIST, --out PREFIX        (as before)
 ///   --set SPEC                                  base-config overrides applied
@@ -217,10 +157,17 @@ inline int run_figure(int argc, char** argv, const char* figure,
   Flags flags(argc, argv);
   std::string error;
 
+  // --set applies to every sweep point's GT and Orchestra configs: the
+  // hook that lets the fig benches take the trace/topology fields without
+  // bespoke flags.
   std::vector<SweepPoint> points = points_in;
-  if (!apply_set_overrides(flags.get("set", ""), &points, &error)) {
-    std::fprintf(stderr, "%s: --set: %s\n", figure, error.c_str());
-    return 2;
+  const std::string overrides = flags.get("set", "");
+  for (SweepPoint& point : points) {
+    if (!campaign::apply_overrides(point.gt, overrides, &error) ||
+        !campaign::apply_overrides(point.orchestra, overrides, &error)) {
+      std::fprintf(stderr, "%s: --set: %s\n", figure, error.c_str());
+      return 2;
+    }
   }
 
   campaign::CampaignOptions options;

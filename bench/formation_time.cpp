@@ -168,13 +168,16 @@ int main(int argc, char** argv) {
     return 2;
   }
   std::vector<campaign::GridPoint> grid = formation_grid();
-  // Base-config overrides (shared --set grammar, figure_common.hpp) —
-  // e.g. trace_kind=random-walk to measure formation under mobility, or
+  // Base-config overrides (the gt_campaign --set grammar) — e.g.
+  // trace_kind=random-walk to measure formation under mobility, or
   // radio_range/hop_distance to stress the geometry. Read before the
   // unknown-flag check so --set registers as a known flag.
-  if (!bench::apply_set_overrides(flags.get("set", ""), &grid, &error)) {
-    std::fprintf(stderr, "formation_time: --set: %s\n", error.c_str());
-    return 2;
+  const std::string overrides = flags.get("set", "");
+  for (campaign::GridPoint& point : grid) {
+    if (!campaign::apply_overrides(point.config, overrides, &error)) {
+      std::fprintf(stderr, "formation_time: --set: %s\n", error.c_str());
+      return 2;
+    }
   }
 
   const std::string out_prefix = flags.get("out", "");

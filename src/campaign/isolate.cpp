@@ -10,6 +10,7 @@
 
 #include "campaign/journal.hpp"
 #include "campaign/jsonio.hpp"
+#include "campaign/spec.hpp"
 
 #if !defined(_WIN32)
 #include <fcntl.h>
@@ -24,212 +25,11 @@ namespace {
 
 using jsonio::Cursor;
 using jsonio::escape;
-using jsonio::fmt_double;
 using jsonio::parse_object;
 
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
-}
-
-// ------------------------------------------ config field tables --------
-// Every ScenarioConfig field, serialized *exactly*: times stay in µs and
-// seeds in full 64-bit, unlike apply_field's user-facing seconds grammar
-// (which also lacks non-sweepable fields like `drain`). The writer and
-// parser share these tables so they cannot drift; the static_assert below
-// fires when ScenarioConfig changes shape.
-
-struct CfgString {
-  const char* name;
-  std::string ScenarioConfig::*member;
-};
-struct CfgDouble {
-  const char* name;
-  double ScenarioConfig::*member;
-};
-struct CfgU64 {
-  const char* name;
-  std::uint64_t ScenarioConfig::*member;
-};
-struct CfgTime {
-  const char* name;
-  TimeUs ScenarioConfig::*member;
-};
-struct CfgInt {
-  const char* name;
-  int ScenarioConfig::*member;
-};
-struct CfgU16 {
-  const char* name;
-  std::uint16_t ScenarioConfig::*member;
-};
-struct CfgBool {
-  const char* name;
-  bool ScenarioConfig::*member;
-};
-
-constexpr CfgString kStrings[] = {
-    {"scheduler", &ScenarioConfig::scheduler},
-    {"trace", &ScenarioConfig::trace},
-};
-constexpr CfgDouble kDoubles[] = {
-    {"hop_distance", &ScenarioConfig::hop_distance},
-    {"disk_radius", &ScenarioConfig::disk_radius},
-    {"radio_range", &ScenarioConfig::radio_range},
-    {"interference_factor", &ScenarioConfig::interference_factor},
-    {"link_prr", &ScenarioConfig::link_prr},
-    {"traffic_ppm", &ScenarioConfig::traffic_ppm},
-    {"alpha", &ScenarioConfig::alpha},
-    {"beta", &ScenarioConfig::beta},
-    {"gamma", &ScenarioConfig::gamma},
-    {"trace_speed_mps", &ScenarioConfig::trace_speed_mps},
-    {"trace_interval_s", &ScenarioConfig::trace_interval_s},
-    {"trace_fail_at_s", &ScenarioConfig::trace_fail_at_s},
-    {"trace_down_s", &ScenarioConfig::trace_down_s},
-    {"trace_cycle_s", &ScenarioConfig::trace_cycle_s},
-};
-constexpr CfgU64 kU64s[] = {
-    {"topology_seed", &ScenarioConfig::topology_seed},
-    {"trace_seed", &ScenarioConfig::trace_seed},
-    {"seed", &ScenarioConfig::seed},
-};
-constexpr CfgTime kTimes[] = {
-    {"warmup_us", &ScenarioConfig::warmup},
-    {"measure_us", &ScenarioConfig::measure},
-    {"drain_us", &ScenarioConfig::drain},
-};
-constexpr CfgInt kInts[] = {
-    {"dodag_count", &ScenarioConfig::dodag_count},
-    {"nodes_per_dodag", &ScenarioConfig::nodes_per_dodag},
-    {"topology_nodes", &ScenarioConfig::topology_nodes},
-    {"trace_movers", &ScenarioConfig::trace_movers},
-    {"trace_fail_count", &ScenarioConfig::trace_fail_count},
-};
-constexpr CfgU16 kU16s[] = {
-    {"gt_slotframe_length", &ScenarioConfig::gt_slotframe_length},
-    {"orchestra_unicast_length", &ScenarioConfig::orchestra_unicast_length},
-    {"alice_unicast_length", &ScenarioConfig::alice_unicast_length},
-    {"emsf_slotframe_length", &ScenarioConfig::emsf_slotframe_length},
-};
-constexpr CfgBool kBools[] = {
-    {"orchestra_channel_hash", &ScenarioConfig::orchestra_channel_hash},
-    {"enforce_tx_margin", &ScenarioConfig::enforce_tx_margin},
-    {"enforce_interleave", &ScenarioConfig::enforce_interleave},
-};
-// Plus, handled individually below: topology / trace_kind (enums as
-// ordinals) and queue_capacity (size_t).
-#if (defined(__x86_64__) || defined(__aarch64__)) && defined(_GLIBCXX_RELEASE)
-static_assert(sizeof(ScenarioConfig) == 296,
-              "ScenarioConfig changed: add the new field to the envelope "
-              "tables above, then update this size");
-#endif
-
-void render_config(const ScenarioConfig& c, std::string* out) {
-  *out += '{';
-  bool first = true;
-  const auto key = [&](const char* name) {
-    if (!first) *out += ", ";
-    first = false;
-    *out += '"';
-    *out += name;
-    *out += "\": ";
-  };
-  for (const CfgString& f : kStrings) {
-    key(f.name);
-    *out += '"' + escape(c.*f.member) + '"';
-  }
-  key("topology");
-  *out += std::to_string(static_cast<std::uint64_t>(c.topology));
-  key("trace_kind");
-  *out += std::to_string(static_cast<std::uint64_t>(c.trace_kind));
-  key("queue_capacity");
-  *out += std::to_string(static_cast<std::uint64_t>(c.queue_capacity));
-  for (const CfgDouble& f : kDoubles) {
-    key(f.name);
-    *out += fmt_double(c.*f.member);
-  }
-  for (const CfgU64& f : kU64s) {
-    key(f.name);
-    *out += std::to_string(c.*f.member);
-  }
-  for (const CfgTime& f : kTimes) {
-    key(f.name);
-    *out += std::to_string(c.*f.member);
-  }
-  for (const CfgInt& f : kInts) {
-    key(f.name);
-    *out += std::to_string(c.*f.member);
-  }
-  for (const CfgU16& f : kU16s) {
-    key(f.name);
-    *out += std::to_string(c.*f.member);
-  }
-  for (const CfgBool& f : kBools) {
-    key(f.name);
-    *out += (c.*f.member) ? "true" : "false";
-  }
-  *out += '}';
-}
-
-bool parse_config(Cursor& cur, ScenarioConfig* c) {
-  return parse_object(cur, [&](const std::string& name) {
-    for (const CfgString& f : kStrings) {
-      if (name == f.name) return cur.parse_string(&(c->*f.member));
-    }
-    if (name == "topology") {
-      std::uint64_t v = 0;
-      if (!cur.parse_u64(&v) ||
-          v > static_cast<std::uint64_t>(TopologyKind::kRandomDisk)) {
-        return false;
-      }
-      c->topology = static_cast<TopologyKind>(v);
-      return true;
-    }
-    if (name == "trace_kind") {
-      std::uint64_t v = 0;
-      if (!cur.parse_u64(&v) ||
-          v > static_cast<std::uint64_t>(TraceKind::kCrashloop)) {
-        return false;
-      }
-      c->trace_kind = static_cast<TraceKind>(v);
-      return true;
-    }
-    if (name == "queue_capacity") {
-      std::uint64_t v = 0;
-      if (!cur.parse_u64(&v)) return false;
-      c->queue_capacity = static_cast<std::size_t>(v);
-      return true;
-    }
-    for (const CfgDouble& f : kDoubles) {
-      if (name == f.name) return cur.parse_double(&(c->*f.member));
-    }
-    for (const CfgU64& f : kU64s) {
-      if (name == f.name) return cur.parse_u64(&(c->*f.member));
-    }
-    for (const CfgTime& f : kTimes) {
-      if (name == f.name) return cur.parse_i64(&(c->*f.member));
-    }
-    for (const CfgInt& f : kInts) {
-      if (name == f.name) {
-        std::int64_t v = 0;
-        if (!cur.parse_i64(&v)) return false;
-        c->*f.member = static_cast<int>(v);
-        return true;
-      }
-    }
-    for (const CfgU16& f : kU16s) {
-      if (name == f.name) {
-        std::uint64_t v = 0;
-        if (!cur.parse_u64(&v) || v > 0xFFFF) return false;
-        c->*f.member = static_cast<std::uint16_t>(v);
-        return true;
-      }
-    }
-    for (const CfgBool& f : kBools) {
-      if (name == f.name) return cur.parse_bool(&(c->*f.member));
-    }
-    return cur.skip_value();  // unknown keys: forward compat
-  });
 }
 
 JobOutcome failed_outcome(const std::string& detail) {
@@ -262,7 +62,7 @@ std::string render_job_envelope(const JobEnvelope& e) {
   std::string out = "{\"point_index\": " + std::to_string(e.point_index) +
                     ", \"seed_index\": " + std::to_string(e.seed_index) +
                     ", \"label\": \"" + escape(e.label) + "\", \"config\": ";
-  render_config(e.config, &out);
+  render_config_exact(e.config, &out);
   out += '}';
   return out;
 }
@@ -285,7 +85,7 @@ bool parse_job_envelope(const std::string& line, JobEnvelope* out,
       return true;
     }
     if (key == "label") return cur.parse_string(&out->label);
-    if (key == "config") return parse_config(cur, &out->config);
+    if (key == "config") return parse_config_exact(cur, &out->config);
     return cur.skip_value();
   });
   if (!ok || !cur.at_end()) {

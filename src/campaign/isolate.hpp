@@ -5,7 +5,8 @@
 //
 // Protocol (all single JSON lines over the child's stdin/stdout):
 //   parent -> child : JobEnvelope (point/seed identity + the exact
-//                     ScenarioConfig, doubles at %.17g, times in µs)
+//                     ScenarioConfig as render_config_exact writes it:
+//                     doubles at %.17g, times in µs)
 //   child  -> parent: one journal-record line (render_journal_line) whose
 //                     metrics are bit-identical to an in-process
 //                     run_scenario of the same config.
@@ -32,10 +33,9 @@ struct JobEnvelope {
   ScenarioConfig config;
 };
 
-/// Renders the envelope as a single JSON line (no trailing newline).
-/// Every ScenarioConfig field is serialized exactly: u64 for times (µs)
-/// and seeds, %.17g for doubles — unlike apply_field, which parses
-/// user-facing seconds and covers only the sweepable fields.
+/// Renders the envelope as a single JSON line (no trailing newline). The
+/// config goes through render_config_exact (campaign/spec.hpp), which
+/// serializes every ScenarioConfig member exactly.
 std::string render_job_envelope(const JobEnvelope& envelope);
 
 /// Inverse of render_job_envelope. Returns false (with `error` set when

@@ -7,7 +7,11 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
+#include "campaign/jsonio.hpp"
 #include "sixp/sf_registry.hpp"
 
 namespace gttsch::campaign {
@@ -39,258 +43,284 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// One settable ScenarioConfig field: parse + range-check + assign.
-struct FieldDef {
-  const char* name;
-  bool (*apply)(ScenarioConfig&, const std::string&, std::string*);
-};
-
 std::string format_number(double v) {
   char buf[32];
   std::snprintf(buf, sizeof buf, "%g", v);
   return buf;
 }
 
+// ------------------------------------------------------- field table ------
+// Every ScenarioConfig member is one row of kFields. The row's kind (the
+// variant alternative, which also holds the member pointer) selects the
+// per-kind code below for --set / --grid, the campaign fingerprint and the
+// --isolate envelope, so those three cannot drift apart.
+
+namespace kind {
+/// SfRegistry key; --set canonicalizes aliases ("gt" -> "gt-tsch"). The
+/// fingerprint hashes the name, not a registry ordinal, so new schedulers
+/// can slot in without invalidating existing journals.
+struct Scheduler {
+  std::string ScenarioConfig::*member;
+};
+struct Topology {
+  TopologyKind ScenarioConfig::*member;
+};
+/// trace_kind: none, file, or one of the generators.
+struct TraceMode {
+  TraceKind ScenarioConfig::*member;
+};
+/// Trace file: syntax-checked on --set; its content is fingerprinted.
+struct TracePath {
+  std::string ScenarioConfig::*member;
+};
+/// Range-checked against the row's bounds on --set.
 template <typename T>
-bool set_number(ScenarioConfig& c, const std::string& value, std::string* error,
-                const char* name, T ScenarioConfig::*member, double lo, double hi) {
-  double v = 0;
-  if (!parse_double(value, &v)) {
-    return fail(error, std::string(name) + ": unparseable value '" + value + "'");
+struct Number {
+  T ScenarioConfig::*member;
+};
+/// Exact 64-bit digits: doubles lose integers beyond 2^53.
+struct Seed {
+  std::uint64_t ScenarioConfig::*member;
+};
+/// Set in seconds, stored (and sent to --isolate children) in whole µs.
+struct Seconds {
+  TimeUs ScenarioConfig::*member;
+};
+struct Bool {
+  bool ScenarioConfig::*member;
+};
+}  // namespace kind
+
+using Int = kind::Number<int>;
+using U16 = kind::Number<std::uint16_t>;
+using Size = kind::Number<std::size_t>;
+using Real = kind::Number<double>;
+using Kind = std::variant<kind::Scheduler, kind::Topology, kind::TraceMode,
+                          kind::TracePath, Int, U16, Size, Real, kind::Seed,
+                          kind::Seconds, kind::Bool>;
+using C = ScenarioConfig;
+
+/// One ScenarioConfig member: its --set name, kind and --set bounds.
+struct Field {
+  const char* name;
+  Kind kind;
+  double lo = 0;  ///< --set bounds (Number and Seconds kinds)
+  double hi = 0;
+  bool settable = true;       ///< accepted by --set / --grid
+  bool fingerprinted = true;  ///< mixed into campaign_fingerprint
+};
+
+// Declaration order: the fingerprint mixes the rows in this order.
+constexpr Field kFields[] = {
+    {"scheduler", kind::Scheduler{&C::scheduler}},
+    {"topology", kind::Topology{&C::topology}},
+    {"dodag_count", Int{&C::dodag_count}, 1, 64},
+    {"nodes_per_dodag", Int{&C::nodes_per_dodag}, 2, 256},
+    {"hop_distance", Real{&C::hop_distance}, 1, 1000},
+    {"topology_nodes", Int{&C::topology_nodes}, 1, 4096},
+    {"disk_radius", Real{&C::disk_radius}, 1, 1e5},
+    {"topology_seed", kind::Seed{&C::topology_seed}},
+    {"radio_range", Real{&C::radio_range}, 1, 1000},
+    {"interference_factor", Real{&C::interference_factor}, 1, 10},
+    {"link_prr", Real{&C::link_prr}, 0, 1},
+    {"traffic_ppm", Real{&C::traffic_ppm}, 0, 1e6},
+    {"gt_slotframe_length", U16{&C::gt_slotframe_length}, 4, 65535},
+    {"orchestra_unicast_length", U16{&C::orchestra_unicast_length}, 1, 65535},
+    {"orchestra_channel_hash", kind::Bool{&C::orchestra_channel_hash}},
+    {"alice_unicast_length", U16{&C::alice_unicast_length}, 1, 65535},
+    {"emsf_slotframe_length", U16{&C::emsf_slotframe_length}, 2, 65535},
+    {"queue_capacity", Size{&C::queue_capacity}, 1, 4096},
+    {"alpha", Real{&C::alpha}, 0, 1e6},
+    {"beta", Real{&C::beta}, 0, 1e6},
+    {"gamma", Real{&C::gamma}, 0, 1e6},
+    {"enforce_tx_margin", kind::Bool{&C::enforce_tx_margin}},
+    {"enforce_interleave", kind::Bool{&C::enforce_interleave}},
+    {"warmup_s", kind::Seconds{&C::warmup}, 0, 1e9},
+    // 1 µs, the stored resolution: a shorter window would truncate to 0.
+    {"measure_s", kind::Seconds{&C::measure}, 1e-6, 1e9},
+    {.name = "drain", .kind = kind::Seconds{&C::drain}, .settable = false},
+    {"trace_kind", kind::TraceMode{&C::trace_kind}},
+    {"trace_seed", kind::Seed{&C::trace_seed}},
+    {"trace_movers", Int{&C::trace_movers}, 0, 4096},
+    {"trace_fail_count", Int{&C::trace_fail_count}, 0, 4096},
+    {"trace_speed_mps", Real{&C::trace_speed_mps}, 0, 1000},
+    {"trace_interval_s", Real{&C::trace_interval_s}, 1e-3, 1e5},
+    {"trace_fail_at_s", Real{&C::trace_fail_at_s}, 0, 1e9},
+    {"trace_down_s", Real{&C::trace_down_s}, 1e-3, 1e9},
+    {"trace_cycle_s", Real{&C::trace_cycle_s}, 1e-3, 1e9},
+    {"trace", kind::TracePath{&C::trace}},
+    // Per job, from the seed list; journaled separately.
+    {.name = "seed",
+     .kind = kind::Seed{&C::seed},
+     .settable = false,
+     .fingerprinted = false},
+};
+// The only check that catches a member added to ScenarioConfig but not to
+// kFields, which would reach --isolate children at its default. The
+// std::string members make sizeof stdlib-dependent (32 bytes each under
+// libstdc++, 24 under libc++), so it is gated on libstdc++, the library
+// every CI leg builds against.
+#if (defined(__x86_64__) || defined(__aarch64__)) && defined(_GLIBCXX_RELEASE)
+static_assert(sizeof(ScenarioConfig) == 296,
+              "ScenarioConfig changed: add the member to kFields, then update "
+              "this size");
+#endif
+
+const Field* find_settable(const std::string& name) {
+  for (const Field& f : kFields) {
+    if (f.settable && name == f.name) return &f;
   }
-  // Written so NaN fails too (NaN would otherwise pass a < lo || > hi
-  // check and invoke UB when cast to an integral field).
-  if (!(v >= lo && v <= hi)) {
-    return fail(error, std::string(name) + ": value " + value + " out of range [" +
-                           format_number(lo) + ", " + format_number(hi) + "]");
+  return nullptr;
+}
+
+// --set / --grid: parse, range-check and assign one user-facing value.
+
+/// Parses a number within the row's bounds. Written so NaN fails too: it
+/// would pass a `< lo || > hi` check and make the cast to an integral
+/// field undefined.
+bool parse_bounded(const Field& f, const std::string& value, double* out,
+                   std::string* error) {
+  if (!parse_double(value, out)) {
+    return fail(error, std::string(f.name) + ": unparseable value '" + value + "'");
   }
-  c.*member = static_cast<T>(v);
+  if (!(*out >= f.lo && *out <= f.hi)) {
+    return fail(error, std::string(f.name) + ": value " + value + " out of range [" +
+                           format_number(f.lo) + ", " + format_number(f.hi) + "]");
+  }
   return true;
 }
 
-bool apply_scheduler(ScenarioConfig& c, const std::string& value, std::string* error) {
+bool set(const Field& f, kind::Scheduler k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
   const SfRegistry::Entry* entry = SfRegistry::instance().find(value);
   if (entry == nullptr) {
-    return fail(error, "scheduler: unknown value '" + value + "' (expected " +
-                           SfRegistry::instance().names_joined(", ") + ")");
+    return fail(error, std::string(f.name) + ": unknown value '" + value +
+                           "' (expected " + SfRegistry::instance().names_joined(", ") +
+                           ")");
   }
-  // Canonicalize aliases ("gt" -> "gt-tsch") so fingerprints, journals and
-  // CSV labels never depend on which spelling the user typed.
-  c.scheduler = entry->key;
+  c.*k.member = entry->key;
   return true;
 }
 
-bool apply_topology(ScenarioConfig& c, const std::string& value, std::string* error) {
-  for (const TopologyKind kind :
+bool set(const Field& f, kind::Topology k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
+  for (const TopologyKind topology :
        {TopologyKind::kMultiDodag, TopologyKind::kGrid, TopologyKind::kLine,
         TopologyKind::kRandomDisk}) {
-    if (value == topology_name(kind)) {
-      c.topology = kind;
+    if (value == topology_name(topology)) {
+      c.*k.member = topology;
       return true;
     }
   }
-  return fail(error, "topology: unknown value '" + value +
+  return fail(error, std::string(f.name) + ": unknown value '" + value +
                          "' (expected multi-dodag, grid, line or random-disk)");
 }
 
-bool apply_warmup(ScenarioConfig& c, const std::string& value, std::string* error) {
-  double v = 0;
-  if (!parse_double(value, &v) || v < 0) {
-    return fail(error, "warmup_s: expected a non-negative number of seconds");
-  }
-  c.warmup = static_cast<TimeUs>(v * 1e6);
-  return true;
-}
-
-bool apply_measure(ScenarioConfig& c, const std::string& value, std::string* error) {
-  double v = 0;
-  if (!parse_double(value, &v) || v <= 0) {
-    return fail(error, "measure_s: expected a positive number of seconds");
-  }
-  c.measure = static_cast<TimeUs>(v * 1e6);
-  return true;
-}
-
-bool apply_trace_kind(ScenarioConfig& c, const std::string& value, std::string* error) {
-  if (parse_trace_kind(value, &c.trace_kind)) return true;
-  return fail(error, "trace_kind: unknown value '" + value +
+bool set(const Field& f, kind::TraceMode k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
+  if (parse_trace_kind(value, &(c.*k.member))) return true;
+  return fail(error, std::string(f.name) + ": unknown value '" + value +
                          "' (expected none, file, random-walk, random-waypoint or "
                          "crashloop)");
 }
 
-bool apply_trace_path(ScenarioConfig& c, const std::string& value, std::string* error) {
+bool set(const Field& f, kind::TracePath k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
   // Eager syntax check: a bad trace file fails the spec here, naming the
   // offending line, before any simulation runs. Node ids depend on the
-  // topology axes and are checked per grid point in expand_grid.
+  // topology axes and are checked per grid point in validate_points_trace.
   Trace probe;
   std::string trace_error;
   if (!load_trace(value, &probe, &trace_error)) {
-    return fail(error, "trace: " + trace_error);
+    return fail(error, std::string(f.name) + ": " + trace_error);
   }
-  c.trace = value;
+  c.*k.member = value;
   return true;
 }
 
-bool apply_tx_margin(ScenarioConfig& c, const std::string& value, std::string* error) {
-  if (parse_bool(value, &c.enforce_tx_margin)) return true;
-  return fail(error, "enforce_tx_margin: expected a boolean, got '" + value + "'");
+template <typename T>
+bool set(const Field& f, kind::Number<T> k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
+  double v = 0;
+  if (!parse_bounded(f, value, &v, error)) return false;
+  c.*k.member = static_cast<T>(v);
+  return true;
 }
 
-bool apply_interleave(ScenarioConfig& c, const std::string& value, std::string* error) {
-  if (parse_bool(value, &c.enforce_interleave)) return true;
-  return fail(error, "enforce_interleave: expected a boolean, got '" + value + "'");
+bool set(const Field& f, kind::Seed k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
+  if (parse_bounded_u64(value, std::numeric_limits<std::uint64_t>::max(),
+                        &(c.*k.member))) {
+    return true;
+  }
+  return fail(error, std::string(f.name) + ": expected a non-negative integer, got '" +
+                         value + "'");
 }
 
-const FieldDef kFields[] = {
-    {"scheduler", apply_scheduler},
-    {"topology", apply_topology},
-    {"topology_nodes",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "topology_nodes", &ScenarioConfig::topology_nodes, 1,
-                         4096);
-     }},
-    {"disk_radius",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "disk_radius", &ScenarioConfig::disk_radius, 1, 1e5);
-     }},
-    {"topology_seed",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       // Parsed through the count grammar, not strtod: a seed must
-       // round-trip exactly (doubles lose integers beyond 2^53).
-       std::uint64_t seed = 0;
-       if (!parse_bounded_u64(v, std::numeric_limits<std::uint64_t>::max(), &seed)) {
-         return fail(e, "topology_seed: expected a non-negative integer, got '" + v +
-                            "'");
-       }
-       c.topology_seed = seed;
-       return true;
-     }},
-    {"dodag_count",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "dodag_count", &ScenarioConfig::dodag_count, 1, 64);
-     }},
-    {"nodes_per_dodag",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "nodes_per_dodag", &ScenarioConfig::nodes_per_dodag,
-                         2, 256);
-     }},
-    {"hop_distance",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "hop_distance", &ScenarioConfig::hop_distance, 1,
-                         1000);
-     }},
-    {"radio_range",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "radio_range", &ScenarioConfig::radio_range, 1, 1000);
-     }},
-    {"interference_factor",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "interference_factor",
-                         &ScenarioConfig::interference_factor, 1, 10);
-     }},
-    {"link_prr",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "link_prr", &ScenarioConfig::link_prr, 0, 1);
-     }},
-    {"traffic_ppm",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "traffic_ppm", &ScenarioConfig::traffic_ppm, 0, 1e6);
-     }},
-    {"gt_slotframe_length",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "gt_slotframe_length",
-                         &ScenarioConfig::gt_slotframe_length, 4, 65535);
-     }},
-    {"orchestra_unicast_length",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "orchestra_unicast_length",
-                         &ScenarioConfig::orchestra_unicast_length, 1, 65535);
-     }},
-    {"alice_unicast_length",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "alice_unicast_length",
-                         &ScenarioConfig::alice_unicast_length, 1, 65535);
-     }},
-    {"emsf_slotframe_length",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "emsf_slotframe_length",
-                         &ScenarioConfig::emsf_slotframe_length, 2, 65535);
-     }},
-    {"queue_capacity",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "queue_capacity", &ScenarioConfig::queue_capacity, 1,
-                         4096);
-     }},
-    {"alpha",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "alpha", &ScenarioConfig::alpha, 0, 1e6);
-     }},
-    {"beta",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "beta", &ScenarioConfig::beta, 0, 1e6);
-     }},
-    {"gamma",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "gamma", &ScenarioConfig::gamma, 0, 1e6);
-     }},
-    {"orchestra_channel_hash",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       if (parse_bool(v, &c.orchestra_channel_hash)) return true;
-       return fail(e, "orchestra_channel_hash: expected a boolean, got '" + v + "'");
-     }},
-    {"enforce_tx_margin", apply_tx_margin},
-    {"enforce_interleave", apply_interleave},
-    {"warmup_s", apply_warmup},
-    {"measure_s", apply_measure},
-    {"trace_kind", apply_trace_kind},
-    {"trace", apply_trace_path},
-    {"trace_seed",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       // Exact-u64 grammar, like topology_seed: a seed must round-trip
-       // exactly (doubles lose integers beyond 2^53).
-       std::uint64_t seed = 0;
-       if (!parse_bounded_u64(v, std::numeric_limits<std::uint64_t>::max(), &seed)) {
-         return fail(e, "trace_seed: expected a non-negative integer, got '" + v + "'");
-       }
-       c.trace_seed = seed;
-       return true;
-     }},
-    {"trace_movers",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_movers", &ScenarioConfig::trace_movers, 0,
-                         4096);
-     }},
-    {"trace_speed_mps",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_speed_mps", &ScenarioConfig::trace_speed_mps,
-                         0, 1000);
-     }},
-    {"trace_interval_s",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_interval_s", &ScenarioConfig::trace_interval_s,
-                         1e-3, 1e5);
-     }},
-    {"trace_fail_count",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_fail_count", &ScenarioConfig::trace_fail_count,
-                         0, 4096);
-     }},
-    {"trace_fail_at_s",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_fail_at_s", &ScenarioConfig::trace_fail_at_s,
-                         0, 1e9);
-     }},
-    {"trace_down_s",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_down_s", &ScenarioConfig::trace_down_s, 1e-3,
-                         1e9);
-     }},
-    {"trace_cycle_s",
-     [](ScenarioConfig& c, const std::string& v, std::string* e) {
-       return set_number(c, v, e, "trace_cycle_s", &ScenarioConfig::trace_cycle_s,
-                         1e-3, 1e9);
-     }},
-};
+bool set(const Field& f, kind::Seconds k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
+  double seconds = 0;
+  if (!parse_bounded(f, value, &seconds, error)) return false;
+  c.*k.member = static_cast<TimeUs>(seconds * 1e6);
+  return true;
+}
+
+bool set(const Field& f, kind::Bool k, ScenarioConfig& c, const std::string& value,
+         std::string* error) {
+  if (parse_bool(value, &(c.*k.member))) return true;
+  return fail(error, std::string(f.name) + ": expected a boolean, got '" + value + "'");
+}
+
+// Envelope: every member exactly, by its stored type, with type checks but
+// without the --set bounds (hand-built configs must reach children as is).
+
+constexpr std::uint64_t max_ordinal(TopologyKind) {
+  return static_cast<std::uint64_t>(TopologyKind::kRandomDisk);
+}
+constexpr std::uint64_t max_ordinal(TraceKind) {
+  return static_cast<std::uint64_t>(TraceKind::kCrashloop);
+}
+
+template <typename T>
+void render_value(const T& v, std::string* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *out += '"' + jsonio::escape(v) + '"';
+  } else if constexpr (std::is_same_v<T, double>) {
+    *out += jsonio::fmt_double(v);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    *out += v ? "true" : "false";
+  } else if constexpr (std::is_enum_v<T>) {
+    *out += std::to_string(static_cast<std::uint64_t>(v));
+  } else {
+    *out += std::to_string(v);
+  }
+}
+
+template <typename T>
+bool parse_value(jsonio::Cursor& cur, T* out) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    return cur.parse_string(out);
+  } else if constexpr (std::is_same_v<T, double>) {
+    return cur.parse_double(out);
+  } else if constexpr (std::is_same_v<T, bool>) {
+    return cur.parse_bool(out);
+  } else if constexpr (std::is_enum_v<T>) {
+    std::uint64_t v = 0;
+    if (!cur.parse_u64(&v) || v > max_ordinal(T{})) return false;
+    *out = static_cast<T>(v);
+    return true;
+  } else if constexpr (std::is_signed_v<T>) {
+    std::int64_t v = 0;
+    if (!cur.parse_i64(&v) || !std::in_range<T>(v)) return false;
+    *out = static_cast<T>(v);
+    return true;
+  } else {
+    std::uint64_t v = 0;
+    if (!cur.parse_u64(&v) || !std::in_range<T>(v)) return false;
+    *out = static_cast<T>(v);
+    return true;
+  }
+}
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
@@ -312,7 +342,9 @@ std::vector<std::string> split(const std::string& text, char sep) {
 const std::vector<std::string>& known_fields() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> v;
-    for (const FieldDef& f : kFields) v.push_back(f.name);
+    for (const Field& f : kFields) {
+      if (f.settable) v.push_back(f.name);
+    }
     return v;
   }();
   return names;
@@ -320,10 +352,52 @@ const std::vector<std::string>& known_fields() {
 
 bool apply_field(ScenarioConfig& config, const std::string& field,
                  const std::string& value, std::string* error) {
-  for (const FieldDef& f : kFields) {
-    if (field == f.name) return f.apply(config, value, error);
+  const Field* f = find_settable(field);
+  if (f == nullptr) return fail(error, "unknown field '" + field + "'");
+  return std::visit([&](const auto& k) { return set(*f, k, config, value, error); },
+                    f->kind);
+}
+
+bool apply_overrides(ScenarioConfig& config, const std::string& overrides,
+                     std::string* error) {
+  // The axis grammar with single values; a repeated key would silently
+  // shadow an earlier override, so it is rejected.
+  std::vector<Axis> axes;
+  if (!parse_grid(overrides, &axes, error)) return false;
+  std::set<std::string> seen;
+  for (const Axis& o : axes) {
+    if (o.values.size() != 1) {
+      return fail(error, o.field + ": exactly one value expected");
+    }
+    if (!seen.insert(o.field).second) {
+      return fail(error, o.field + ": key appears twice");
+    }
+    if (!apply_field(config, o.field, o.values.front(), error)) return false;
   }
-  return fail(error, "unknown field '" + field + "'");
+  return true;
+}
+
+void render_config_exact(const ScenarioConfig& config, std::string* out) {
+  *out += '{';
+  for (const Field& f : kFields) {
+    if (&f != kFields) *out += ", ";
+    *out += '"';
+    *out += f.name;
+    *out += "\": ";
+    std::visit([&](const auto& k) { render_value(config.*k.member, out); }, f.kind);
+  }
+  *out += '}';
+}
+
+bool parse_config_exact(jsonio::Cursor& cur, ScenarioConfig* config) {
+  return jsonio::parse_object(cur, [&](const std::string& name) {
+    for (const Field& f : kFields) {
+      if (name != f.name) continue;
+      return std::visit(
+          [&](const auto& k) { return parse_value(cur, &(config->*k.member)); }, f.kind);
+    }
+    return cur.skip_value();  // unknown keys: forward compat
+  });
 }
 
 bool validate(const CampaignSpec& spec, std::string* error) {
@@ -368,7 +442,9 @@ std::vector<GridPoint> expand_grid(const CampaignSpec& spec, std::string* error)
         // canonical key, so journals and CSV rows cannot fork on which
         // spelling the user typed.
         const std::string& shown =
-            axis.field == "scheduler" ? q.config.scheduler : value;
+            std::holds_alternative<kind::Scheduler>(find_settable(axis.field)->kind)
+                ? q.config.scheduler
+                : value;
         q.coords.emplace_back(axis.field, shown);
         if (!q.label.empty()) q.label += ' ';
         q.label += axis.field + '=' + shown;
@@ -567,67 +643,32 @@ const std::string& canonical_trace_content(const std::string& path,
   return it->second;
 }
 
-/// Every ScenarioConfig field except `seed` (per-job, journaled
-/// separately), in declaration order. The static_assert below fires when
-/// a field is added or resized: extend this list before adjusting it.
-void mix_config(Fingerprint& fp, const ScenarioConfig& c, TraceContentCache& cache) {
-  // The scheduler is hashed as its canonical name string, not an enum
-  // ordinal: registry order can change (new schedulers slot in) without
-  // invalidating every existing campaign journal.
-  fp.mix(c.scheduler);
-  fp.mix(static_cast<std::uint64_t>(c.topology));
-  fp.mix(static_cast<std::uint64_t>(c.dodag_count));
-  fp.mix(static_cast<std::uint64_t>(c.nodes_per_dodag));
-  fp.mix(c.hop_distance);
-  fp.mix(static_cast<std::uint64_t>(c.topology_nodes));
-  fp.mix(c.disk_radius);
-  fp.mix(c.topology_seed);
-  fp.mix(c.radio_range);
-  fp.mix(c.interference_factor);
-  fp.mix(c.link_prr);
-  fp.mix(c.traffic_ppm);
-  fp.mix(static_cast<std::uint64_t>(c.gt_slotframe_length));
-  fp.mix(static_cast<std::uint64_t>(c.orchestra_unicast_length));
-  fp.mix(static_cast<std::uint64_t>(c.orchestra_channel_hash));
-  fp.mix(static_cast<std::uint64_t>(c.alice_unicast_length));
-  fp.mix(static_cast<std::uint64_t>(c.emsf_slotframe_length));
-  fp.mix(static_cast<std::uint64_t>(c.queue_capacity));
-  fp.mix(c.alpha);
-  fp.mix(c.beta);
-  fp.mix(c.gamma);
-  fp.mix(static_cast<std::uint64_t>(c.enforce_tx_margin));
-  fp.mix(static_cast<std::uint64_t>(c.enforce_interleave));
-  fp.mix(static_cast<std::uint64_t>(c.warmup));
-  fp.mix(static_cast<std::uint64_t>(c.measure));
-  fp.mix(static_cast<std::uint64_t>(c.drain));
-  fp.mix(static_cast<std::uint64_t>(c.trace_kind));
-  fp.mix(c.trace_seed);
-  fp.mix(static_cast<std::uint64_t>(c.trace_movers));
-  fp.mix(static_cast<std::uint64_t>(c.trace_fail_count));
-  fp.mix(c.trace_speed_mps);
-  fp.mix(c.trace_interval_s);
-  fp.mix(c.trace_fail_at_s);
-  fp.mix(c.trace_down_s);
-  fp.mix(c.trace_cycle_s);
-  fp.mix(c.trace);
-  if (c.trace_kind == TraceKind::kFile && !c.trace.empty()) {
-    // Fingerprint the trace *content* too, not just the path: editing the
-    // file between runs must invalidate resume/merge exactly like any
-    // other config change. format_trace canonicalizes, so a cosmetic
-    // rewrite (comments, whitespace) does not break resumability. An
-    // unreadable file gets a sentinel; validation fails the campaign
-    // before any job runs anyway.
-    fp.mix(canonical_trace_content(c.trace, cache));
-  }
+// Fingerprint: integral, bool and enum members as u64, doubles as %.17g,
+// strings as themselves; a file trace also mixes its canonical content.
+void mix_field(Fingerprint& fp, const Field& f, const ScenarioConfig& c,
+               TraceContentCache& cache) {
+  std::visit(
+      [&](const auto& k) {
+        const auto& v = c.*k.member;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, double>) {
+          fp.mix(v);
+        } else {
+          fp.mix(static_cast<std::uint64_t>(v));
+        }
+        if constexpr (std::is_same_v<std::decay_t<decltype(k)>, kind::TracePath>) {
+          // Editing the file between runs must invalidate resume/merge like
+          // any other config change. format_trace canonicalizes, so a
+          // cosmetic rewrite (comments, whitespace) keeps resumability. An
+          // unreadable file gets a sentinel; validation fails the campaign
+          // before any job runs anyway.
+          if (c.trace_kind == TraceKind::kFile && !v.empty()) {
+            fp.mix(canonical_trace_content(v, cache));
+          }
+        }
+      },
+      f.kind);
 }
-// The std::string `trace` member makes sizeof stdlib-dependent (32 bytes
-// under libstdc++, 24 under libc++), so the tripwire is gated on libstdc++
-// — the library every CI leg builds against.
-#if (defined(__x86_64__) || defined(__aarch64__)) && defined(_GLIBCXX_RELEASE)
-static_assert(sizeof(ScenarioConfig) == 296,
-              "ScenarioConfig changed: add the new field to mix_config, then "
-              "update this size");
-#endif
 
 }  // namespace
 
@@ -641,7 +682,9 @@ std::uint64_t campaign_fingerprint(const std::vector<GridPoint>& points,
       fp.mix(key);
       fp.mix(value);
     }
-    mix_config(fp, point.config, trace_cache);
+    for (const Field& f : kFields) {
+      if (f.fingerprinted) mix_field(fp, f, point.config, trace_cache);
+    }
   }
   for (const std::uint64_t seed : seeds) fp.mix(seed);
   return fp.value();

@@ -5,6 +5,10 @@
 // Every swept value is carried as a string (so one grammar covers numeric,
 // boolean and scheduler axes); `apply_field` owns parsing and range
 // validation, which makes bad specs fail loudly before any simulation runs.
+//
+// One table in spec.cpp lists every ScenarioConfig member with its name
+// and kind. It drives `apply_field` / `known_fields`, the campaign
+// fingerprint and the exact config rendering the --isolate envelope uses.
 #pragma once
 
 #include <cstdint>
@@ -15,6 +19,10 @@
 #include "scenario/experiment.hpp"
 
 namespace gttsch::campaign {
+
+namespace jsonio {
+class Cursor;
+}
 
 /// One swept parameter: a ScenarioConfig field name and the values it takes.
 struct Axis {
@@ -53,6 +61,24 @@ const std::vector<std::string>& known_fields();
 /// (unknown field, unparseable value, or out-of-range value).
 bool apply_field(ScenarioConfig& config, const std::string& field,
                  const std::string& value, std::string* error);
+
+/// Applies a base-config override string ("alpha=2;warmup_s=60", the
+/// --set grammar) to `config`: each key takes exactly one value and
+/// appears at most once. On failure returns false with `error` set.
+bool apply_overrides(ScenarioConfig& config, const std::string& overrides,
+                     std::string* error);
+
+/// Appends `config` to `out` as one flat JSON object with every member,
+/// exactly: doubles at %.17g, seeds as full u64, seconds fields in whole
+/// µs, enums as ordinals, keyed by the `apply_field` names (plus `drain`
+/// and `seed`).
+void render_config_exact(const ScenarioConfig& config, std::string* out);
+
+/// Inverse of render_config_exact. Checks types (enum ordinal in range,
+/// integers fit their member) but not the --set bounds, so hand-built
+/// configs round-trip as they are. Unknown keys are skipped; missing keys
+/// leave `config` untouched.
+bool parse_config_exact(jsonio::Cursor& cur, ScenarioConfig* config);
 
 /// Checks axes (known fields, non-empty values, no duplicate field, every
 /// value applies cleanly) and the seed list (non-empty, no duplicates).

@@ -91,6 +91,8 @@ struct ScenarioConfig {
 
   std::uint64_t seed = 1;
 
+  bool operator==(const ScenarioConfig&) const = default;
+
   /// Derived: Table-II-style MAC settings for this scenario.
   NodeStackConfig make_node_config() const;
   TopologySpec make_topology() const;

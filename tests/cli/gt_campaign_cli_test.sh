@@ -45,6 +45,8 @@ expect_exit 2 "unparseable --set value" --set traffic_ppm=fast
 expect_stderr "traffic_ppm" "unparseable --set value"
 expect_exit 2 "out-of-range --grid value" --grid link_prr=0.5,1.5
 expect_stderr "link_prr" "out-of-range --grid value"
+expect_exit 2 "NaN seconds value" validate --set warmup_s=nan
+expect_stderr "warmup_s" "NaN seconds value"
 expect_exit 2 "malformed --grid" --grid "=30"
 expect_exit 2 "duplicate seeds" --seeds 1,2,1
 expect_exit 2 "bad shard" --shard 3/2

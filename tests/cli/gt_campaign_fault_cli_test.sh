@@ -46,9 +46,20 @@ expect_exit 2 "--isolate with --telemetry-dir" \
     $COMMON "$SET" --isolate --telemetry-dir "$TMP/tele"
 
 # ---- isolate byte-identity ------------------------------------------------
-expect_exit 0 "plain run" $COMMON "$SET" --jobs 1 \
+# Every field kind crosses the exec boundary off its default: the grid
+# sweeps two scheduler aliases (the GT-TSCH point reads the bool, the
+# e-MSF point moves the scheduler off its default), and --set moves the
+# topology enum, an int, a double, a u16, a size, a bool, seconds, an
+# exact-u64 seed and a generator trace kind. The load overflows the small
+# queue, so dropping any of them from the envelope changes the results.
+ISO="--grid scheduler=gt,e-msf --seeds 1,2 --quiet --jobs 1 --set"
+ISO_SET="topology=line;topology_nodes=5;hop_distance=35;gt_slotframe_length=16"
+ISO_SET="$ISO_SET;emsf_slotframe_length=16;queue_capacity=2;enforce_tx_margin=off"
+ISO_SET="$ISO_SET;traffic_ppm=120;warmup_s=60.5;measure_s=30;trace_kind=random-walk"
+ISO_SET="$ISO_SET;trace_seed=7;trace_movers=2;trace_speed_mps=3;trace_interval_s=5"
+expect_exit 0 "plain run" $ISO "$ISO_SET" \
     --journal "$TMP/plain.jsonl" --out "$TMP/plain"
-expect_exit 0 "isolated run" $COMMON "$SET" --jobs 1 --isolate \
+expect_exit 0 "isolated run" $ISO "$ISO_SET" --isolate \
     --journal "$TMP/iso.jsonl" --out "$TMP/iso"
 cmp -s "$TMP/plain.csv" "$TMP/iso.csv" || fail "isolated CSV differs from plain CSV"
 cmp -s "$TMP/plain.jsonl" "$TMP/iso.jsonl" || fail "isolated journal differs from plain journal"

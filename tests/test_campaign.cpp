@@ -151,6 +151,8 @@ TEST(CampaignSpec, ApplyFieldParsesAndRangeChecks) {
   EXPECT_TRUE(c.orchestra_channel_hash);
   EXPECT_TRUE(campaign::apply_field(c, "warmup_s", "90", &error));
   EXPECT_EQ(c.warmup, 90_s);
+  EXPECT_TRUE(campaign::apply_field(c, "measure_s", "1e-6", &error)) << error;
+  EXPECT_EQ(c.measure, 1);
 
   EXPECT_FALSE(campaign::apply_field(c, "scheduler", "tasa", &error));
   EXPECT_FALSE(campaign::apply_field(c, "traffic_ppm", "fast", &error));
@@ -159,7 +161,38 @@ TEST(CampaignSpec, ApplyFieldParsesAndRangeChecks) {
   // NaN must fail the range check (it would be UB cast to an int field).
   EXPECT_FALSE(campaign::apply_field(c, "dodag_count", "nan", &error));
   EXPECT_FALSE(campaign::apply_field(c, "traffic_ppm", "nan", &error));
+  // Seconds fields too: NaN, infinities and values past 1e9 s would make
+  // the µs conversion undefined, and a measure window that truncates to
+  // 0 µs is as empty as measure_s=0.
+  for (const char* bad : {"nan", "inf", "-inf", "1e300", "-1"}) {
+    EXPECT_FALSE(campaign::apply_field(c, "warmup_s", bad, &error)) << bad;
+  }
+  for (const char* bad : {"nan", "inf", "1e300", "0", "1e-9"}) {
+    EXPECT_FALSE(campaign::apply_field(c, "measure_s", bad, &error)) << bad;
+  }
+  EXPECT_EQ(c.warmup, 90_s);
+  EXPECT_EQ(c.measure, 1);
+  // drain and the per-job seed are envelope-only members.
+  EXPECT_FALSE(campaign::apply_field(c, "drain", "1", &error));
+  EXPECT_FALSE(campaign::apply_field(c, "seed", "1", &error));
   EXPECT_FALSE(campaign::known_fields().empty());
+}
+
+TEST(CampaignSpec, ApplyOverridesTakesOneValuePerKeyOnce) {
+  ScenarioConfig c;
+  std::string error;
+  ASSERT_TRUE(campaign::apply_overrides(c, "alpha=2;warmup_s=60", &error)) << error;
+  EXPECT_EQ(c.alpha, 2.0);
+  EXPECT_EQ(c.warmup, 60_s);
+  EXPECT_TRUE(campaign::apply_overrides(c, "", &error)) << error;
+
+  EXPECT_FALSE(campaign::apply_overrides(c, "alpha=1;alpha=2", &error));
+  EXPECT_EQ(error, "alpha: key appears twice");
+  EXPECT_FALSE(campaign::apply_overrides(c, "alpha=1,2", &error));
+  EXPECT_EQ(error, "alpha: exactly one value expected");
+  EXPECT_FALSE(campaign::apply_overrides(c, "alpha", &error));
+  EXPECT_FALSE(campaign::apply_overrides(c, "warp_factor=9", &error));
+  EXPECT_EQ(error, "unknown field 'warp_factor'");
 }
 
 TEST(CampaignSpec, TopologyAxesSweepBuilderKinds) {
@@ -242,31 +275,68 @@ TEST(CampaignSpec, FingerprintSeesBaseConfigAndSeedChanges) {
   EXPECT_NE(campaign::campaign_fingerprint(points, {9, 8, 7}), fp);
 }
 
-TEST(CampaignSpec, FingerprintCoversEveryTraceField) {
-  // Two trace campaigns differing in ANY trace field must not share a
-  // fingerprint — this is what keeps journals from, say, different
-  // trace_seeds (identical labels, coords and seeds) from being merged or
-  // resumed together.
+TEST(CampaignSpec, FingerprintCoversEveryField) {
+  // Two campaigns differing in ANY config field but the per-job seed must
+  // not share a fingerprint — this is what keeps journals from, say,
+  // different trace_seeds (identical labels, coords and seeds) from being
+  // merged or resumed together. The list is written out by hand so it
+  // checks the field table rather than repeating it.
   const CampaignSpec spec = tiny_spec();
   std::string error;
   const auto points = campaign::expand_grid(spec, &error);
   ASSERT_FALSE(points.empty()) << error;
   const std::uint64_t fp = campaign::campaign_fingerprint(points, spec.seeds);
 
-  const std::vector<std::function<void(ScenarioConfig&)>> mutations = {
-      [](ScenarioConfig& c) { c.trace_kind = TraceKind::kRandomWalk; },
-      [](ScenarioConfig& c) { c.trace_seed = 99; },
-      [](ScenarioConfig& c) { c.trace_movers += 1; },
-      [](ScenarioConfig& c) { c.trace_fail_count += 1; },
-      [](ScenarioConfig& c) { c.trace_speed_mps += 0.5; },
-      [](ScenarioConfig& c) { c.trace_interval_s += 0.5; },
-      [](ScenarioConfig& c) { c.trace_fail_at_s += 1.0; },
-      [](ScenarioConfig& c) { c.trace = "some/file.trace"; },
+  using Mutation = std::pair<const char*, std::function<void(ScenarioConfig&)>>;
+  const std::vector<Mutation> mutations = {
+      {"scheduler", [](ScenarioConfig& c) { c.scheduler = "alice"; }},
+      {"topology", [](ScenarioConfig& c) { c.topology = TopologyKind::kLine; }},
+      {"dodag_count", [](ScenarioConfig& c) { c.dodag_count += 1; }},
+      {"nodes_per_dodag", [](ScenarioConfig& c) { c.nodes_per_dodag += 1; }},
+      {"hop_distance", [](ScenarioConfig& c) { c.hop_distance += 0.5; }},
+      {"topology_nodes", [](ScenarioConfig& c) { c.topology_nodes += 1; }},
+      {"disk_radius", [](ScenarioConfig& c) { c.disk_radius += 0.5; }},
+      {"topology_seed", [](ScenarioConfig& c) { c.topology_seed += 1; }},
+      {"radio_range", [](ScenarioConfig& c) { c.radio_range += 0.5; }},
+      {"interference_factor", [](ScenarioConfig& c) { c.interference_factor += 0.1; }},
+      {"link_prr", [](ScenarioConfig& c) { c.link_prr = 0.9; }},
+      {"traffic_ppm", [](ScenarioConfig& c) { c.traffic_ppm += 1.0; }},
+      {"gt_slotframe_length", [](ScenarioConfig& c) { c.gt_slotframe_length += 1; }},
+      {"orchestra_unicast_length",
+       [](ScenarioConfig& c) { c.orchestra_unicast_length += 1; }},
+      {"orchestra_channel_hash",
+       [](ScenarioConfig& c) { c.orchestra_channel_hash = !c.orchestra_channel_hash; }},
+      {"alice_unicast_length", [](ScenarioConfig& c) { c.alice_unicast_length += 1; }},
+      {"emsf_slotframe_length", [](ScenarioConfig& c) { c.emsf_slotframe_length += 1; }},
+      {"queue_capacity", [](ScenarioConfig& c) { c.queue_capacity += 1; }},
+      {"alpha", [](ScenarioConfig& c) { c.alpha += 0.5; }},
+      {"beta", [](ScenarioConfig& c) { c.beta += 0.5; }},
+      {"gamma", [](ScenarioConfig& c) { c.gamma += 0.5; }},
+      {"enforce_tx_margin",
+       [](ScenarioConfig& c) { c.enforce_tx_margin = !c.enforce_tx_margin; }},
+      {"enforce_interleave",
+       [](ScenarioConfig& c) { c.enforce_interleave = !c.enforce_interleave; }},
+      {"warmup_s", [](ScenarioConfig& c) { c.warmup += 1; }},
+      {"measure_s", [](ScenarioConfig& c) { c.measure += 1; }},
+      {"drain", [](ScenarioConfig& c) { c.drain += 1; }},
+      {"trace_kind", [](ScenarioConfig& c) { c.trace_kind = TraceKind::kRandomWalk; }},
+      {"trace_seed", [](ScenarioConfig& c) { c.trace_seed = 99; }},
+      {"trace_movers", [](ScenarioConfig& c) { c.trace_movers += 1; }},
+      {"trace_fail_count", [](ScenarioConfig& c) { c.trace_fail_count += 1; }},
+      {"trace_speed_mps", [](ScenarioConfig& c) { c.trace_speed_mps += 0.5; }},
+      {"trace_interval_s", [](ScenarioConfig& c) { c.trace_interval_s += 0.5; }},
+      {"trace_fail_at_s", [](ScenarioConfig& c) { c.trace_fail_at_s += 1.0; }},
+      {"trace_down_s", [](ScenarioConfig& c) { c.trace_down_s += 1.0; }},
+      {"trace_cycle_s", [](ScenarioConfig& c) { c.trace_cycle_s += 1.0; }},
+      {"trace", [](ScenarioConfig& c) { c.trace = "some/file.trace"; }},
   };
-  for (std::size_t i = 0; i < mutations.size(); ++i) {
-    SCOPED_TRACE(::testing::Message() << "trace mutation " << i);
+  // Every --set field plus drain, which only the envelope carries.
+  EXPECT_EQ(mutations.size(), campaign::known_fields().size() + 1);
+  for (const auto& [field, mutate] : mutations) {
+    SCOPED_TRACE(field);
     std::vector<campaign::GridPoint> mutated = points;
-    for (campaign::GridPoint& p : mutated) mutations[i](p.config);
+    for (campaign::GridPoint& p : mutated) mutate(p.config);
+    EXPECT_FALSE(mutated[0].config == points[0].config);
     EXPECT_EQ(mutated[0].label, points[0].label);  // axes can't see it
     EXPECT_NE(campaign::campaign_fingerprint(mutated, spec.seeds), fp);
   }

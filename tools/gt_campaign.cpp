@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <set>
 
 #if !defined(_WIN32)
 #include <unistd.h>
@@ -261,23 +260,8 @@ int run_merge(const Flags& flags, const std::vector<std::string>& journals) {
 int parse_spec_flags(const Flags& flags, campaign::CampaignSpec* spec) {
   std::string error;
 
-  // Base-config overrides reuse the axis grammar with single values; a
-  // repeated key would silently shadow an earlier override, so reject it.
-  std::vector<campaign::Axis> overrides;
-  if (!campaign::parse_grid(flags.get("set", ""), &overrides, &error)) {
+  if (!campaign::apply_overrides(spec->base, flags.get("set", ""), &error)) {
     return fail_usage("--set", error);
-  }
-  std::set<std::string> override_keys;
-  for (const campaign::Axis& o : overrides) {
-    if (o.values.size() != 1) {
-      return fail_usage("--set", o.field + ": exactly one value expected");
-    }
-    if (!override_keys.insert(o.field).second) {
-      return fail_usage("--set", o.field + ": key appears twice");
-    }
-    if (!campaign::apply_field(spec->base, o.field, o.values.front(), &error)) {
-      return fail_usage("--set", error);
-    }
   }
 
   if (!campaign::parse_grid(flags.get("grid", ""), &spec->axes, &error)) {
