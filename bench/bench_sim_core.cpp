@@ -6,8 +6,8 @@
 // Beyond the Google-Benchmark microbenches, this harness owns the repo's
 // perf-trajectory baseline: a *multi-point* sweep over scenario classes —
 //   sparse-7    7 nodes, slotframe 397 at 6TiSCH-minimal occupancy
-//               (idle-slot-dominated; also run in GTTSCH_FORCE_PER_SLOT-
-//               equivalent reference mode for the speedup ratio)
+//               (idle-slot-dominated; also run in per-slot reference
+//               mode for the speedup ratio)
 //   dense-50    50-node grid, denser schedule, heavier traffic
 //   mobile-100  100-node random-disk mesh with a population of random-
 //               walk movers (exercises the incremental medium cache)

@@ -72,22 +72,12 @@ int main(int argc, char** argv) {
   RunMetrics sum;
   for (int i = 0; i < n_seeds; ++i) {
     c.seed = seed0 + 17ull * static_cast<std::uint64_t>(i);
-    // Drift needs the node-config hook, so build it explicitly.
-    const TimeUs measure_end = c.warmup + c.measure;
-    RunStats stats(c.warmup, measure_end);
-    auto nc = c.make_node_config();
-    nc.max_drift_ppm = drift;
-    Network net(c.seed,
-                std::make_unique<UnitDiskModel>(c.radio_range, c.link_prr,
-                                                c.interference_factor),
-                c.make_topology(), nc, &stats);
-    net.sim().at(c.warmup, [&] { stats.begin_measurement(); });
-    net.sim().at(measure_end, [&] { stats.end_measurement(); });
-    net.start();
-    net.sim().run_until(measure_end + c.drain);
-    for (const auto& [id, node] : net.nodes())
-      stats.set_joined(id, node->is_root() || node->rpl().joined());
-    const RunMetrics m = stats.finalize();
+    ScenarioRunOptions options;
+    options.edit_node_config = [drift](NodeStackConfig& nc) { nc.max_drift_ppm = drift; };
+    ScenarioRun run(c, options);
+    run.start();
+    const ExperimentResult r = run.finish();
+    const RunMetrics& m = r.metrics;
     sum.pdr_percent += m.pdr_percent;
     sum.avg_delay_ms += m.avg_delay_ms;
     sum.loss_per_minute += m.loss_per_minute;
@@ -100,7 +90,7 @@ int main(int argc, char** argv) {
                TablePrinter::num(m.duty_cycle_percent, 2),
                TablePrinter::num(m.queue_loss_per_node, 1),
                TablePrinter::num(m.throughput_per_minute, 0),
-               net.fully_formed() ? "yes" : "NO"});
+               r.fully_formed ? "yes" : "NO"});
   }
   t.print();
   std::printf("\nmean: PDR %.1f%% | delay %.0f ms | duty %.2f%% | throughput %.0f/min\n",

@@ -4,6 +4,7 @@
 //   ./scheduler_comparison [--ppm=120] [--seeds=2]
 #include <cstdio>
 
+#include "campaign/runner.hpp"
 #include "scenario/experiment.hpp"
 #include "util/flags.hpp"
 #include "util/table.hpp"
@@ -32,8 +33,8 @@ int main(int argc, char** argv) {
 
   std::printf("Scheduler comparison: 14 nodes (2 DODAGs), %.0f ppm/node, %d seed(s)\n\n",
               ppm, n_seeds);
-  const auto gt = run_averaged(configure("gt-tsch"), seeds);
-  const auto orch = run_averaged(configure("orchestra"), seeds);
+  const auto gt = campaign::run_point(configure("gt-tsch"), seeds);
+  const auto orch = campaign::run_point(configure("orchestra"), seeds);
 
   TablePrinter t({"metric", "GT-TSCH", "Orchestra"});
   auto row = [&](const char* name, double a, double b, int prec) {

@@ -75,7 +75,7 @@ struct PointAggregate {
   SampleStats recovery_first_delivery_s;
   SampleStats recovery_ttr_s;
 
-  RunMetrics mean;        ///< means (and summed counters), as run_averaged
+  RunMetrics mean;        ///< means over runs; counters are summed
   MediumStats medium_sum; ///< summed medium counters over seeds
   int runs = 0;
   int fully_formed_runs = 0;

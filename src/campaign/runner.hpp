@@ -207,8 +207,8 @@ bool run_campaign(const CampaignSpec& spec, const RunnerOptions& options,
 bool parse_campaign_flags(const Flags& flags, CampaignOptions* options,
                           std::string* error);
 
-/// Drop-in parallel replacement for run_averaged: one scenario, all seeds
-/// on the pool, spread statistics included.
+/// One scenario over all `seeds` on the pool: means, summed counters and
+/// spread statistics, as a campaign point reports them.
 PointAggregate run_point(const ScenarioConfig& config,
                          const std::vector<std::uint64_t>& seeds,
                          const RunnerOptions& options = {});

@@ -1,9 +1,6 @@
 #include "mac/tsch_mac.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 #include "sim/log.hpp"
 #include "util/check.hpp"
@@ -12,22 +9,6 @@ namespace gttsch {
 
 namespace {
 constexpr std::size_t kDedupWindow = 16;
-
-/// GTTSCH_FORCE_PER_SLOT=1 forces every MAC into per-slot reference
-/// stepping — the baseline the fast-path equivalence tests and benches
-/// compare against. The common falsey spellings ("", "0", "false", "no",
-/// "off") leave the fast path on; anything else enables the override.
-bool force_per_slot_env() {
-  static const bool forced = [] {
-    const char* v = std::getenv("GTTSCH_FORCE_PER_SLOT");
-    if (v == nullptr) return false;
-    std::string value(v);
-    for (char& c : value) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    return !(value.empty() || value == "0" || value == "false" || value == "no" ||
-             value == "off");
-  }();
-  return forced;
-}
 
 /// One slot of drifted-boundary arithmetic: the oscillator error adds
 /// `step` (fractional) microseconds per slot; whole microseconds extend
@@ -68,7 +49,6 @@ TschMac::TschMac(Simulator& sim, Medium& medium, Radio& radio, MacConfig config,
       ack_tx_timer_(sim),
       radio_off_timer_(sim),
       scan_timer_(sim) {
-  per_slot_ = config_.per_slot_stepping || force_per_slot_env();
   radio_.on_rx = [this](FramePtr f) { on_radio_rx(std::move(f)); };
   radio_.on_tx_done = [this] { on_radio_tx_done(); };
   schedule_.set_change_listener([this] { on_schedule_changed(); });
@@ -203,7 +183,7 @@ void TschMac::arm_wake_at(Asn target) {
 }
 
 void TschMac::schedule_next_slot() {
-  if (per_slot_ || anchor_slot_active_) {
+  if (config_.per_slot_stepping || anchor_slot_active_) {
     // Per-slot reference mode, or the slot after an active one: the next
     // boundary runs to perform the end-of-slot defensive clears — e.g.
     // cutting off a carrier-sense listen that the rx guard extended
@@ -252,7 +232,7 @@ void TschMac::advance_anchor_to_now() {
 }
 
 void TschMac::on_schedule_changed() {
-  if (per_slot_ || state_ != State::kAssociated) return;
+  if (config_.per_slot_stepping || state_ != State::kAssociated) return;
   // A wake armed for this exact instant fires right after the current
   // event (slot events precede same-time protocol events) and will read
   // the updated schedule itself.
@@ -268,7 +248,8 @@ void TschMac::on_schedule_changed() {
 }
 
 void TschMac::maybe_skip_cutoff_slot() {
-  if (per_slot_ || state_ != State::kAssociated || !anchor_slot_active_) return;
+  if (config_.per_slot_stepping || state_ != State::kAssociated || !anchor_slot_active_)
+    return;
   // Quiescence: nothing the cutoff boundary's defensive clears would
   // touch. Every in-slot continuation lives in these timers / flags, so
   // when all are idle and the radio is dark the slot is provably over.

@@ -11,9 +11,9 @@
 // next_active_asn), so idle slots — the overwhelming majority under sparse
 // schedules — cost no simulator event at all. Idle slots touch no RNG and
 // no externally visible state, so skipping them is observably identical to
-// per-slot stepping; the GTTSCH_FORCE_PER_SLOT environment variable (or
-// MacConfig::per_slot_stepping) restores the reference per-slot behaviour,
-// which the fast-path equivalence tests compare bit-for-bit.
+// per-slot stepping; MacConfig::per_slot_stepping restores the reference
+// per-slot behaviour, which the fast-path equivalence tests compare
+// bit-for-bit.
 //
 // Each slot start costs constant work: the compiled timetable answers both
 // the cell lookup and next_active_asn with one indexed read per slotframe,
@@ -62,8 +62,7 @@ struct MacConfig {
   std::size_t data_queue_capacity = 16;    ///< Q_max of the paper
   std::size_t control_queue_capacity = 8;  ///< per-neighbor control cap
   /// Reference mode: wake on every slot boundary instead of jumping to the
-  /// next active slot. Only useful for equivalence testing and debugging;
-  /// the GTTSCH_FORCE_PER_SLOT environment variable forces it globally.
+  /// next active slot. Only useful for equivalence testing and debugging.
   bool per_slot_stepping = false;
 };
 
@@ -147,7 +146,7 @@ class TschMac {
   NodeId id() const { return radio_.id(); }
 
   /// True when this MAC steps every slot (reference mode).
-  bool per_slot_stepping() const { return per_slot_; }
+  bool per_slot_stepping() const { return config_.per_slot_stepping; }
 
   /// Duration of one slotframe of `length` slots.
   TimeUs slotframe_duration(std::uint16_t length) const {
@@ -220,7 +219,6 @@ class TschMac {
   std::function<std::optional<EbPayload>()> eb_provider_;
 
   State state_ = State::kOff;
-  bool per_slot_ = false;  ///< config.per_slot_stepping or env override
 
   // --- slot anchor: state of the most recently started slot -------------
   Asn asn_ = 0;

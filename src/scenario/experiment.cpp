@@ -187,19 +187,10 @@ Network::LinkModelFactory scenario_link_model_factory(const ScenarioConfig& conf
   };
 }
 
-ExperimentResult run_scenario(const ScenarioConfig& config) {
-  return run_scenario(config, nullptr);
-}
-
-namespace {
-
-/// Shared body of run_scenario and run_scenario_guarded. `guard` == null
-/// runs unguarded (always returns true); with a guard, a watchdog trip
-/// returns false before any finalization so a partial run can never be
-/// mistaken for a result.
-bool run_scenario_impl(const ScenarioConfig& config, Telemetry* telemetry,
-                       const RunGuard* guard, ExperimentResult* out,
-                       std::string* error) {
+ScenarioRun::ScenarioRun(const ScenarioConfig& config, const ScenarioRunOptions& options)
+    : config_(config),
+      telemetry_(options.telemetry),
+      stats_(config.warmup, config.warmup + config.measure) {
   GTTSCH_CHECK(config.measure > 0);
   const TimeUs measure_end = config.warmup + config.measure;
   const TopologySpec topology = config.make_topology();
@@ -211,7 +202,6 @@ bool run_scenario_impl(const ScenarioConfig& config, Telemetry* telemetry,
     GTTSCH_CHECK(false && "invalid trace configuration");
   }
 
-  RunStats stats(config.warmup, measure_end);
   if (trace.needs_dynamic_model()) {
     // Churn-phase split at the first churn event and the last churn event
     // of ANY kind (fail/revive/prr/pause/resume) + settle: a revival or a
@@ -225,149 +215,102 @@ bool run_scenario_impl(const ScenarioConfig& config, Telemetry* telemetry,
       if (!seen || e.at > last_churn) last_churn = e.at;
       seen = true;
     }
-    stats.set_churn_phases(first_churn, last_churn + kChurnSettle);
+    stats_.set_churn_phases(first_churn, last_churn + kChurnSettle);
   }
+  NodeStackConfig node_config = config.make_node_config();
+  if (options.edit_node_config) options.edit_node_config(node_config);
   DynamicLinkModel* failures = nullptr;
-  Network net(config.seed, scenario_link_model_factory(config, trace, &failures),
-              topology, config.make_node_config(), &stats);
-  TracePlayer player(net, std::move(trace), failures);
+  net_ = std::make_unique<Network>(config.seed,
+                                   scenario_link_model_factory(config, trace, &failures),
+                                   topology, node_config, &stats_);
+  player_ = std::make_unique<TracePlayer>(*net_, std::move(trace), failures);
 
-  net.sim().at(config.warmup, [&stats] { stats.begin_measurement(); });
-  net.sim().at(measure_end, [&stats] { stats.end_measurement(); });
+  net_->sim().at(config.warmup, [this] { stats_.begin_measurement(); });
+  net_->sim().at(measure_end, [this] { stats_.end_measurement(); });
 
-  if (telemetry != nullptr) {
-    telemetry->default_probe_window(config.warmup, measure_end);
-    telemetry->attach(net, &stats);
+  if (telemetry_ != nullptr) {
+    telemetry_->default_probe_window(config.warmup, measure_end);
+    telemetry_->attach(*net_, &stats_);
   }
 
-  if (guard != nullptr) {
+  if (options.guard != nullptr) {
     Watchdog watchdog;
-    watchdog.max_wall_s = guard->max_wall_s;
-    watchdog.livelock_events = guard->livelock_events;
-    net.sim().arm_watchdog(watchdog);
+    watchdog.max_wall_s = options.guard->max_wall_s;
+    watchdog.livelock_events = options.guard->livelock_events;
+    net_->sim().arm_watchdog(watchdog);
   }
-
-  auto tripped = [&] {
-    if (!net.sim().watchdog_tripped()) return false;
-    if (error != nullptr) {
-      *error = "run aborted by watchdog: " + net.sim().watchdog_reason();
-    }
-    return true;
-  };
-
-  net.start();
-  player.start();
-  net.medium().reset_stats();  // formation noise excluded below via snapshot
-  net.sim().run_until(config.warmup);
-  if (tripped()) return false;
-  const MediumStats at_warmup = net.medium().stats();
-  net.sim().run_until(measure_end + config.drain);
-  if (tripped()) return false;
-
-  // Mark join state for the report.
-  for (const auto& [id, node] : net.nodes())
-    stats.set_joined(id, node->is_root() || node->rpl().joined());
-
-  out->metrics = stats.finalize();
-  if (telemetry != nullptr) telemetry->fill_probe_metrics(&out->metrics);
-  MediumStats window = net.medium().stats();
-  window.transmissions -= at_warmup.transmissions;
-  window.deliveries -= at_warmup.deliveries;
-  window.collision_losses -= at_warmup.collision_losses;
-  window.prr_losses -= at_warmup.prr_losses;
-  out->medium = window;
-  out->fully_formed = net.fully_formed();
-  return true;
 }
 
-}  // namespace
+void ScenarioRun::start() {
+  net_->start();
+  player_->start();
+  net_->medium().reset_stats();  // formation noise excluded via the warmup snapshot
+}
+
+bool ScenarioRun::step_until(TimeUs t) {
+  Simulator& sim = net_->sim();
+  if (!warmup_snapshot_taken_ && t >= config_.warmup) {
+    sim.run_until(config_.warmup);
+    if (sim.watchdog_tripped()) return false;
+    at_warmup_ = net_->medium().stats();
+    warmup_snapshot_taken_ = true;
+  }
+  sim.run_until(t);
+  return !sim.watchdog_tripped();
+}
+
+TimeUs ScenarioRun::end() const {
+  return config_.warmup + config_.measure + config_.drain;
+}
+
+const std::string& ScenarioRun::trip_reason() const {
+  return net_->sim().watchdog_reason();
+}
+
+ExperimentResult ScenarioRun::finish() {
+  const bool completed = step_until(end());
+  GTTSCH_CHECK(completed);
+
+  for (const auto& [id, node] : net_->nodes())
+    stats_.set_joined(id, node->is_root() || node->rpl().joined());
+
+  ExperimentResult out;
+  out.metrics = stats_.finalize();
+  if (telemetry_ != nullptr) telemetry_->fill_probe_metrics(&out.metrics);
+  MediumStats window = net_->medium().stats();
+  window.transmissions -= at_warmup_.transmissions;
+  window.deliveries -= at_warmup_.deliveries;
+  window.collision_losses -= at_warmup_.collision_losses;
+  window.prr_losses -= at_warmup_.prr_losses;
+  out.medium = window;
+  out.fully_formed = net_->fully_formed();
+  return out;
+}
+
+ExperimentResult run_scenario(const ScenarioConfig& config) {
+  return run_scenario(config, nullptr);
+}
 
 ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry) {
-  ExperimentResult result;
-  const bool ok =
-      run_scenario_impl(config, telemetry, /*guard=*/nullptr, &result, nullptr);
-  GTTSCH_CHECK(ok);  // unguarded runs cannot trip
-  return result;
+  ScenarioRunOptions options;
+  options.telemetry = telemetry;
+  ScenarioRun run(config, options);
+  run.start();
+  return run.finish();
 }
 
 bool run_scenario_guarded(const ScenarioConfig& config, const RunGuard& guard,
                           ExperimentResult* out, std::string* error) {
-  return run_scenario_impl(config, /*telemetry=*/nullptr, &guard, out, error);
-}
-
-AveragedMetrics run_averaged(ScenarioConfig config,
-                             const std::vector<std::uint64_t>& seeds) {
-  GTTSCH_CHECK(!seeds.empty());
-  AveragedMetrics out;
-  RunMetrics sum;
-  for (const std::uint64_t seed : seeds) {
-    config.seed = seed;
-    const ExperimentResult r = run_scenario(config);
-    sum.pdr_percent += r.metrics.pdr_percent;
-    sum.avg_delay_ms += r.metrics.avg_delay_ms;
-    sum.p95_delay_ms += r.metrics.p95_delay_ms;
-    sum.loss_per_minute += r.metrics.loss_per_minute;
-    sum.duty_cycle_percent += r.metrics.duty_cycle_percent;
-    sum.queue_loss_per_node += r.metrics.queue_loss_per_node;
-    sum.throughput_per_minute += r.metrics.throughput_per_minute;
-    sum.generated += r.metrics.generated;
-    sum.delivered += r.metrics.delivered;
-    sum.queue_drops += r.metrics.queue_drops;
-    sum.mac_drops += r.metrics.mac_drops;
-    sum.no_route_drops += r.metrics.no_route_drops;
-    sum.mean_hops += r.metrics.mean_hops;
-    sum.measure_minutes += r.metrics.measure_minutes;
-    sum.nodes_joined += r.metrics.nodes_joined;
-    sum.node_count = r.metrics.node_count;
-    sum.churn_phases |= r.metrics.churn_phases;
-    sum.pre_generated += r.metrics.pre_generated;
-    sum.churn_generated += r.metrics.churn_generated;
-    sum.post_generated += r.metrics.post_generated;
-    sum.pre_delivered += r.metrics.pre_delivered;
-    sum.churn_delivered += r.metrics.churn_delivered;
-    sum.post_delivered += r.metrics.post_delivered;
-    sum.pre_pdr_percent += r.metrics.pre_pdr_percent;
-    sum.churn_pdr_percent += r.metrics.churn_pdr_percent;
-    sum.post_pdr_percent += r.metrics.post_pdr_percent;
-    sum.pre_avg_delay_ms += r.metrics.pre_avg_delay_ms;
-    sum.churn_avg_delay_ms += r.metrics.churn_avg_delay_ms;
-    sum.post_avg_delay_ms += r.metrics.post_avg_delay_ms;
-    sum.node_failures += r.metrics.node_failures;
-    sum.node_revivals += r.metrics.node_revivals;
-    sum.node_rejoins += r.metrics.node_rejoins;
-    sum.orphan_intervals += r.metrics.orphan_intervals;
-    sum.recovery_ttr_censored += r.metrics.recovery_ttr_censored;
-    sum.recovery_rejoin_s += r.metrics.recovery_rejoin_s;
-    sum.recovery_first_delivery_s += r.metrics.recovery_first_delivery_s;
-    sum.recovery_ttr_s += r.metrics.recovery_ttr_s;
-    out.medium_sum.transmissions += r.medium.transmissions;
-    out.medium_sum.deliveries += r.medium.deliveries;
-    out.medium_sum.collision_losses += r.medium.collision_losses;
-    out.medium_sum.prr_losses += r.medium.prr_losses;
-    if (r.fully_formed) ++out.fully_formed_runs;
-    ++out.runs;
+  ScenarioRunOptions options;
+  options.guard = &guard;
+  ScenarioRun run(config, options);
+  run.start();
+  if (!run.step_until(run.end())) {
+    if (error != nullptr) *error = "run aborted by watchdog: " + run.trip_reason();
+    return false;
   }
-  const double n = static_cast<double>(out.runs);
-  out.mean = sum;
-  out.mean.pdr_percent /= n;
-  out.mean.avg_delay_ms /= n;
-  out.mean.p95_delay_ms /= n;
-  out.mean.loss_per_minute /= n;
-  out.mean.duty_cycle_percent /= n;
-  out.mean.queue_loss_per_node /= n;
-  out.mean.throughput_per_minute /= n;
-  out.mean.mean_hops /= n;
-  out.mean.measure_minutes /= n;
-  out.mean.pre_pdr_percent /= n;
-  out.mean.churn_pdr_percent /= n;
-  out.mean.post_pdr_percent /= n;
-  out.mean.pre_avg_delay_ms /= n;
-  out.mean.churn_avg_delay_ms /= n;
-  out.mean.post_avg_delay_ms /= n;
-  out.mean.recovery_rejoin_s /= n;
-  out.mean.recovery_first_delivery_s /= n;
-  out.mean.recovery_ttr_s /= n;
-  return out;
+  *out = run.finish();
+  return true;
 }
 
 std::vector<std::uint64_t> default_seeds() {

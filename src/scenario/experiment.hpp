@@ -1,9 +1,12 @@
 // Experiment runner: turns a declarative ScenarioConfig (Table II settings,
-// topology, traffic, scheduler) into seed-averaged RunMetrics — the engine
-// behind every figure-reproduction bench.
+// topology, traffic, scheduler) into one run's RunMetrics — the engine
+// behind every figure-reproduction bench (the campaign layer averages
+// over seeds).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -120,14 +123,13 @@ Network::LinkModelFactory scenario_link_model_factory(const ScenarioConfig& conf
                                                       const Trace& trace,
                                                       DynamicLinkModel** failures);
 
-/// One run (single seed). Exposes the end-state network for inspection.
+/// One run (single seed): the panel metrics, the measurement window's
+/// medium counters and whether the network finished fully formed.
 struct ExperimentResult {
   RunMetrics metrics;
   MediumStats medium;
   bool fully_formed = false;
 };
-
-ExperimentResult run_scenario(const ScenarioConfig& config);
 
 /// Runaway-run guard for fault-tolerant campaigns (--job-timeout without
 /// --isolate): limits on the wall clock and on same-virtual-time event
@@ -141,6 +143,76 @@ struct RunGuard {
   std::uint64_t livelock_events = 10'000'000;
 };
 
+class Telemetry;
+
+/// What a run needs beyond its ScenarioConfig. None of it is part of a
+/// scenario's identity, so campaign fingerprints never see it.
+struct ScenarioRunOptions {
+  /// Recorder to attach (gauges, probes, event trace); written out by the
+  /// caller. With probes disabled the result is bit-identical to a bare run.
+  Telemetry* telemetry = nullptr;
+  /// Watchdog limits; null runs unguarded.
+  const RunGuard* guard = nullptr;
+  /// Edits the derived node config before the network is built: per-slot
+  /// reference stepping, clock drift, broadcast slots.
+  std::function<void(NodeStackConfig&)> edit_node_config;
+};
+
+/// The one assembly of a scenario run — topology, trace, RunStats (with
+/// the churn-phase split), Network, TracePlayer and the measurement-window
+/// events — and the warmup / measurement / drain protocol behind every
+/// figure. run_scenario, campaign jobs, examples and the equivalence tests
+/// all drive this class. An invalid trace configuration aborts.
+class ScenarioRun {
+ public:
+  explicit ScenarioRun(const ScenarioConfig& config,
+                       const ScenarioRunOptions& options = {});
+  ScenarioRun(const ScenarioRun&) = delete;
+  ScenarioRun& operator=(const ScenarioRun&) = delete;
+
+  /// Boots the network and the trace player and zeroes the medium stats.
+  /// Call once, before stepping; events scheduled on network() in between
+  /// run as part of the scenario.
+  void start();
+
+  /// Runs the simulation through virtual time `t`, in any slicing: the
+  /// medium snapshot that opens the measurement window is taken at
+  /// config.warmup whatever the slice bounds. Returns false when the
+  /// guard's watchdog aborted the run (see trip_reason()).
+  bool step_until(TimeUs t);
+
+  /// End of the run: warmup + measure + drain.
+  TimeUs end() const;
+
+  /// Why the watchdog aborted the run (empty while it has not).
+  const std::string& trip_reason() const;
+
+  /// Steps to end() if needed, then reports the run. Call once; the run
+  /// must not trip on the way (step_until(end()) first when guarded).
+  ExperimentResult finish();
+
+  /// The live network, for per-node inspection before or after finish().
+  Network& network() { return *net_; }
+
+ private:
+  // Destroyed bottom-up: the player and the network go before the stats
+  // they report to.
+  ScenarioConfig config_;
+  Telemetry* telemetry_;
+  RunStats stats_;
+  std::unique_ptr<Network> net_;
+  std::unique_ptr<TracePlayer> player_;
+  MediumStats at_warmup_;
+  bool warmup_snapshot_taken_ = false;
+};
+
+/// ScenarioRun to the end, unguarded, no telemetry.
+ExperimentResult run_scenario(const ScenarioConfig& config);
+
+/// Same run with a telemetry recorder attached; its probe summary is
+/// copied into the returned metrics.
+ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry);
+
 /// run_scenario with the guard armed: returns true with `*out` filled —
 /// bit-identical to run_scenario(config) — when the run finishes within
 /// budget, false with `*error` describing the trip (and `*out`
@@ -148,26 +220,6 @@ struct RunGuard {
 /// guard trip; config errors still abort exactly like run_scenario.
 bool run_scenario_guarded(const ScenarioConfig& config, const RunGuard& guard,
                           ExperimentResult* out, std::string* error);
-
-/// Same run with a telemetry recorder attached: gauge samples, probe
-/// frames and the structured event trace accumulate in `telemetry`
-/// (constructed by the caller, written out by the caller), and its probe
-/// summary is copied into the returned metrics. Telemetry lives outside
-/// ScenarioConfig on purpose: it is not part of a scenario's identity
-/// (campaign fingerprints are unchanged), and with probes disabled the
-/// result is bit-identical to run_scenario(config).
-class Telemetry;
-ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry);
-
-/// Averages the panel metrics over `seeds` runs of the same scenario.
-struct AveragedMetrics {
-  RunMetrics mean;          ///< each field averaged over seeds
-  MediumStats medium_sum;   ///< summed medium counters
-  int runs = 0;
-  int fully_formed_runs = 0;
-};
-
-AveragedMetrics run_averaged(ScenarioConfig config, const std::vector<std::uint64_t>& seeds);
 
 /// Default seed list used by the figure benches (override length with the
 /// GTTSCH_SEEDS environment variable).

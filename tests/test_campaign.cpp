@@ -470,23 +470,37 @@ TEST(CampaignAggregate, MergeIsOrderIndependent) {
   }
 }
 
-TEST(CampaignAggregate, PackedMeansMatchLegacyRunAveraged) {
-  // The accumulator must agree bit-for-bit with the serial run_averaged
-  // path it replaces in the benches.
+TEST(CampaignAggregate, PackedMeansMatchSerialPerSeedFold) {
+  // The accumulator must agree bit-for-bit with the plain serial fold of
+  // per-seed runs: fields summed in seed order, means divided once.
   ScenarioConfig c = tiny();
   c.traffic_ppm = 60.0;
   const std::vector<std::uint64_t> seeds = {1, 2};
 
-  const AveragedMetrics legacy = run_averaged(c, seeds);
+  RunMetrics sum;
+  MediumStats medium_sum;
+  for (const std::uint64_t seed : seeds) {
+    ScenarioConfig run = c;
+    run.seed = seed;
+    const ExperimentResult r = run_scenario(run);
+    sum.pdr_percent += r.metrics.pdr_percent;
+    sum.avg_delay_ms += r.metrics.avg_delay_ms;
+    sum.throughput_per_minute += r.metrics.throughput_per_minute;
+    sum.generated += r.metrics.generated;
+    sum.delivered += r.metrics.delivered;
+    medium_sum.transmissions += r.medium.transmissions;
+  }
+  const double n = static_cast<double>(seeds.size());
   const PointAggregate agg = campaign::run_point(c, seeds);
 
-  EXPECT_EQ(agg.runs, legacy.runs);
-  EXPECT_EQ(agg.mean.pdr_percent, legacy.mean.pdr_percent);
-  EXPECT_EQ(agg.mean.avg_delay_ms, legacy.mean.avg_delay_ms);
-  EXPECT_EQ(agg.mean.throughput_per_minute, legacy.mean.throughput_per_minute);
-  EXPECT_EQ(agg.mean.generated, legacy.mean.generated);
-  EXPECT_EQ(agg.mean.delivered, legacy.mean.delivered);
-  EXPECT_EQ(agg.medium_sum.transmissions, legacy.medium_sum.transmissions);
+  EXPECT_EQ(agg.runs, 2);
+  EXPECT_EQ(agg.mean.pdr_percent, sum.pdr_percent / n);
+  EXPECT_EQ(agg.mean.avg_delay_ms, sum.avg_delay_ms / n);
+  EXPECT_EQ(agg.mean.throughput_per_minute, sum.throughput_per_minute / n);
+  EXPECT_EQ(agg.mean.generated, sum.generated);  // counters are summed
+  EXPECT_EQ(agg.mean.delivered, sum.delivered);
+  EXPECT_EQ(agg.medium_sum.transmissions, medium_sum.transmissions);
+  EXPECT_GT(agg.medium_sum.transmissions, 0u);
 }
 
 // ---------------------------------------------------------------- runner --

@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <string>
 
+#include "mac/tsch_mac.hpp"
 #include "scenario/experiment.hpp"
 #include "stats/run_stats.hpp"
 
@@ -17,13 +17,6 @@ namespace gttsch {
 namespace {
 
 using namespace literals;
-
-/// Forces the per-slot reference stepping for the enclosing scope via the
-/// same env knob the fast-path tests and CI use.
-struct PerSlotGuard {
-  PerSlotGuard() { ::setenv("GTTSCH_FORCE_PER_SLOT", "1", 1); }
-  ~PerSlotGuard() { ::unsetenv("GTTSCH_FORCE_PER_SLOT"); }
-};
 
 /// 7 nodes, one killed mid-measurement: the kill at 180 s lands inside the
 /// [120 s, 240 s) measurement window, so all three phases are non-trivial
@@ -99,10 +92,14 @@ TEST(ChurnPhases, FastPathAndPerSlotAgreeExactly) {
   ScenarioConfig sc = killed_config("gt-tsch", 150.0);
   sc.seed = 4000;
   const ExperimentResult fast = run_scenario(sc);
-  ExperimentResult ref;
-  {
-    PerSlotGuard per_slot;
-    ref = run_scenario(sc);
+  ScenarioRunOptions options;
+  options.edit_node_config = [](NodeStackConfig& nc) { nc.mac.per_slot_stepping = true; };
+  ScenarioRun per_slot(sc, options);
+  per_slot.start();
+  const ExperimentResult ref = per_slot.finish();
+  // The reference really stepped slot by slot, rebooted stacks included.
+  for (const auto& [id, node] : per_slot.network().nodes()) {
+    EXPECT_TRUE(node->mac().per_slot_stepping()) << "node " << id;
   }
   expect_phases_partition(fast.metrics);
   expect_phases_partition(ref.metrics);
@@ -118,6 +115,10 @@ TEST(ChurnPhases, FastPathAndPerSlotAgreeExactly) {
   EXPECT_EQ(fast.metrics.pre_avg_delay_ms, ref.metrics.pre_avg_delay_ms);
   EXPECT_EQ(fast.metrics.churn_avg_delay_ms, ref.metrics.churn_avg_delay_ms);
   EXPECT_EQ(fast.metrics.post_avg_delay_ms, ref.metrics.post_avg_delay_ms);
+  EXPECT_EQ(fast.medium.transmissions, ref.medium.transmissions);
+  EXPECT_EQ(fast.medium.deliveries, ref.medium.deliveries);
+  EXPECT_EQ(fast.medium.collision_losses, ref.medium.collision_losses);
+  EXPECT_EQ(fast.medium.prr_losses, ref.medium.prr_losses);
 }
 
 TEST(ChurnPhases, LateKillLeavesPostEmpty) {

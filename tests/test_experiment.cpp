@@ -1,8 +1,9 @@
-// Experiment-runner tests: config derivation, metric sanity, seed
-// averaging, and the paper's headline comparison (GT-TSCH >= Orchestra
-// under heavy load) on a reduced-size run.
+// Experiment-runner tests: config derivation, metric sanity, sliced
+// ScenarioRun stepping, and the paper's headline comparison (GT-TSCH >=
+// Orchestra under heavy load) on a reduced-size run.
 #include <gtest/gtest.h>
 
+#include "campaign/journal.hpp"
 #include "scenario/experiment.hpp"
 
 namespace gttsch {
@@ -95,13 +96,38 @@ TEST(Experiment, HeadlineComparisonUnderHeavyLoad) {
   EXPECT_GT(gt.metrics.throughput_per_minute, orch.metrics.throughput_per_minute);
 }
 
-TEST(Experiment, AveragingAccumulates) {
-  auto c = small("gt-tsch", 30.0);
-  c.measure = 60_s;
-  const auto avg = run_averaged(c, {1, 2});
-  EXPECT_EQ(avg.runs, 2);
-  EXPECT_GT(avg.mean.pdr_percent, 0.0);
-  EXPECT_GT(avg.medium_sum.transmissions, 0u);
+/// Every field of a result — all RunMetrics, the medium window and
+/// fully_formed — in the journal's exact rendering.
+std::string rendered(const ExperimentResult& result) {
+  campaign::JournalRecord record;
+  record.result = result;
+  return campaign::render_journal_line(record);
+}
+
+TEST(ScenarioRun, SlicedSteppingMatchesRunScenario) {
+  // A crashloop churn trace, so the churn-phase split and the recovery
+  // accounting are in play; slices straddle the warmup (120 s) and the
+  // end of the measurement window (300 s).
+  ScenarioConfig c = small("gt-tsch", 120.0);
+  c.warmup = 120_s;
+  c.measure = 180_s;
+  c.drain = 10_s;
+  c.trace_kind = TraceKind::kCrashloop;
+  c.trace_seed = 7;
+  c.trace_fail_count = 2;
+  c.trace_down_s = 20.0;
+  c.trace_cycle_s = 90.0;
+  const ExperimentResult whole = run_scenario(c);
+  EXPECT_EQ(whole.metrics.churn_phases, 1u);
+  EXPECT_GT(whole.metrics.node_revivals, 0u);
+
+  ScenarioRun run(c);
+  run.start();
+  for (const TimeUs t : {37_s + 11, 120_s - 1, 181_s + 7, 295_s, 305_s + 3}) {
+    ASSERT_TRUE(run.step_until(t));
+  }
+  const ExperimentResult sliced = run.finish();
+  EXPECT_EQ(rendered(sliced), rendered(whole));
 }
 
 TEST(Experiment, DefaultSeedsNonEmpty) {

@@ -1,8 +1,8 @@
 // Fast-path equivalence: idle-slot skipping must be *observably pure* —
 // bit-identical MAC counters, Medium stats, RunStats, radio duty times and
 // RNG consumption versus per-slot reference stepping
-// (MacConfig::per_slot_stepping / GTTSCH_FORCE_PER_SLOT) — while
-// processing strictly fewer simulator events.
+// (MacConfig::per_slot_stepping) — while processing strictly fewer
+// simulator events.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,7 +11,6 @@
 #include <string>
 
 #include "mac/tsch_mac.hpp"
-#include "phy/dynamic_link.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
 #include "scenario/trace.hpp"
@@ -41,42 +40,28 @@ struct ModeResult {
   bool fully_formed = false;
 };
 
-/// Mirrors run_scenario(), but with direct control of per_slot_stepping.
-/// `setup` (optional) runs after start() — e.g. to schedule mid-run moves;
-/// it must be deterministic so both stepping modes see identical inputs.
-/// ScenarioConfig trace fields are honored the same way run_scenario
-/// honors them (generator or file, failures via DynamicLinkModel).
-ModeResult run_mode(const ScenarioConfig& sc, std::uint64_t seed, bool per_slot,
+/// One ScenarioRun with direct control of the node config: per-slot
+/// reference stepping, clock drift and GT-TSCH broadcast slots. `setup`
+/// (optional) runs after start() — e.g. to schedule mid-run moves; it must
+/// be deterministic so both stepping modes see identical inputs.
+ModeResult run_mode(ScenarioConfig sc, std::uint64_t seed, bool per_slot,
                     double max_drift_ppm = 0.0, std::uint16_t broadcast_slots = 0,
                     const std::function<void(Network&)>& setup = nullptr) {
-  const TimeUs measure_end = sc.warmup + sc.measure;
-  RunStats stats(sc.warmup, measure_end);
-  auto nc = sc.make_node_config();
-  nc.mac.per_slot_stepping = per_slot;
-  nc.max_drift_ppm = max_drift_ppm;
-  if (broadcast_slots > 0) nc.sf.gt.layout.broadcast_slots = broadcast_slots;
-  const TopologySpec topology = sc.make_topology();
-  Trace trace;
-  std::string trace_error;
-  if (!sc.make_trace(topology, &trace, &trace_error)) {
-    ADD_FAILURE() << "trace: " << trace_error;
-    return {};
-  }
-  DynamicLinkModel* failures = nullptr;
-  Network net(seed, scenario_link_model_factory(sc, trace, &failures), topology, nc,
-              &stats);
-  TracePlayer player(net, std::move(trace), failures);
-  net.sim().at(sc.warmup, [&stats] { stats.begin_measurement(); });
-  net.sim().at(measure_end, [&stats] { stats.end_measurement(); });
-  net.start();
-  player.start();
-  if (setup) setup(net);
-  net.medium().reset_stats();
-  net.sim().run_until(measure_end + sc.drain);
+  sc.seed = seed;
+  ScenarioRunOptions options;
+  options.edit_node_config = [&](NodeStackConfig& nc) {
+    nc.mac.per_slot_stepping = per_slot;
+    nc.max_drift_ppm = max_drift_ppm;
+    if (broadcast_slots > 0) nc.sf.gt.layout.broadcast_slots = broadcast_slots;
+  };
+  ScenarioRun run(sc, options);
+  run.start();
+  if (setup) setup(run.network());
+  const ExperimentResult result = run.finish();
 
+  Network& net = run.network();
   ModeResult out;
   for (const auto& [id, node] : net.nodes()) {
-    stats.set_joined(id, node->is_root() || node->rpl().joined());
     NodeSnapshot snap;
     snap.mac = node->mac().counters();
     snap.radio_on = node->radio().on_time();
@@ -88,10 +73,10 @@ ModeResult run_mode(const ScenarioConfig& sc, std::uint64_t seed, bool per_slot,
     snap.joined = node->is_root() || node->rpl().joined();
     out.nodes.emplace(id, snap);
   }
-  out.metrics = stats.finalize();
+  out.metrics = result.metrics;
   out.medium = net.medium().stats();
   out.events_processed = net.sim().events_processed();
-  out.fully_formed = net.fully_formed();
+  out.fully_formed = result.fully_formed;
   return out;
 }
 

@@ -187,33 +187,20 @@ struct ZooModeResult {
 /// (per-slot reference vs skipping fast path), everything else — the
 /// trace included — from the scenario config.
 ZooModeResult zoo_run(const ScenarioConfig& sc, bool per_slot) {
-  const TimeUs measure_end = sc.warmup + sc.measure;
-  RunStats stats(sc.warmup, measure_end);
-  auto nc = sc.make_node_config();
-  nc.mac.per_slot_stepping = per_slot;
-  const TopologySpec topology = sc.make_topology();
-  Trace trace;
-  std::string trace_error;
-  if (!sc.make_trace(topology, &trace, &trace_error)) {
-    ADD_FAILURE() << "trace: " << trace_error;
-    return {};
-  }
-  DynamicLinkModel* failures = nullptr;
-  Network net(sc.seed, scenario_link_model_factory(sc, trace, &failures), topology, nc,
-              &stats);
-  TracePlayer player(net, std::move(trace), failures);
-  net.sim().at(sc.warmup, [&stats] { stats.begin_measurement(); });
-  net.sim().at(measure_end, [&stats] { stats.end_measurement(); });
-  net.start();
-  player.start();
-  net.sim().run_until(measure_end + sc.drain);
+  ScenarioRunOptions options;
+  options.edit_node_config = [per_slot](NodeStackConfig& nc) {
+    nc.mac.per_slot_stepping = per_slot;
+  };
+  ScenarioRun run(sc, options);
+  run.start();
+  const ExperimentResult result = run.finish();
+  Network& net = run.network();
   ZooModeResult out;
   for (const auto& [id, node] : net.nodes()) {
-    stats.set_joined(id, node->is_root() || node->rpl().joined());
     out.nodes.emplace(id, std::make_pair(node->mac().asn(), node->radio().on_time()));
     out.rx_frames.emplace(id, node->mac().counters().rx_frames);
   }
-  out.metrics = stats.finalize();
+  out.metrics = result.metrics;
   out.medium = net.medium().stats();
   out.events_processed = net.sim().events_processed();
   return out;
@@ -241,6 +228,16 @@ void expect_zoo_identical(const ZooModeResult& fast, const ZooModeResult& ref) {
   EXPECT_EQ(fast.metrics.generated, ref.metrics.generated);
   EXPECT_EQ(fast.metrics.delivered, ref.metrics.delivered);
   EXPECT_EQ(fast.metrics.nodes_joined, ref.metrics.nodes_joined);
+  EXPECT_EQ(fast.metrics.churn_phases, ref.metrics.churn_phases);
+  EXPECT_EQ(fast.metrics.pre_generated, ref.metrics.pre_generated);
+  EXPECT_EQ(fast.metrics.churn_generated, ref.metrics.churn_generated);
+  EXPECT_EQ(fast.metrics.post_generated, ref.metrics.post_generated);
+  EXPECT_EQ(fast.metrics.pre_delivered, ref.metrics.pre_delivered);
+  EXPECT_EQ(fast.metrics.churn_delivered, ref.metrics.churn_delivered);
+  EXPECT_EQ(fast.metrics.post_delivered, ref.metrics.post_delivered);
+  EXPECT_EQ(fast.metrics.pre_pdr_percent, ref.metrics.pre_pdr_percent);
+  EXPECT_EQ(fast.metrics.churn_pdr_percent, ref.metrics.churn_pdr_percent);
+  EXPECT_EQ(fast.metrics.post_pdr_percent, ref.metrics.post_pdr_percent);
   EXPECT_EQ(fast.metrics.node_failures, ref.metrics.node_failures);
   EXPECT_EQ(fast.metrics.node_revivals, ref.metrics.node_revivals);
   EXPECT_EQ(fast.metrics.node_rejoins, ref.metrics.node_rejoins);
@@ -291,6 +288,8 @@ TEST_P(SchedulerZoo, FastPathBitIdenticalUnderMobilityAndCrashloop) {
     SCOPED_TRACE(::testing::Message() << GetParam() << (crashes ? " crashloop" : " walk"));
     const ZooModeResult fast = zoo_run(sc, /*per_slot=*/false);
     expect_zoo_identical(fast, zoo_run(sc, /*per_slot=*/true));
+    // Failures split the window into churn phases, as in run_scenario.
+    EXPECT_EQ(fast.metrics.churn_phases, 1u);
     EXPECT_GT(fast.metrics.node_failures, 0u);
     // Crash-looping nodes come back: the reboot path really ran.
     if (crashes) {

@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "mac/tsch_mac.hpp"
-#include "phy/dynamic_link.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
 #include "scenario/trace.hpp"
@@ -50,40 +49,24 @@ struct ModeResult {
   bool fully_formed = false;
 };
 
-/// Mirrors run_scenario(config, telemetry) — same construction and attach
-/// order — but keeps the network alive long enough to snapshot per-node
-/// MAC counters, radio times and the final ASN.
-ModeResult run_mode(const ScenarioConfig& sc, std::uint64_t seed, bool per_slot,
+/// run_scenario(config, telemetry) through ScenarioRun, keeping the
+/// network alive long enough to snapshot per-node MAC counters, radio
+/// times and the final ASN.
+ModeResult run_mode(ScenarioConfig sc, std::uint64_t seed, bool per_slot,
                     Telemetry* telemetry) {
-  const TimeUs measure_end = sc.warmup + sc.measure;
-  RunStats stats(sc.warmup, measure_end);
-  auto nc = sc.make_node_config();
-  nc.mac.per_slot_stepping = per_slot;
-  const TopologySpec topology = sc.make_topology();
-  Trace trace;
-  std::string trace_error;
-  if (!sc.make_trace(topology, &trace, &trace_error)) {
-    ADD_FAILURE() << "trace: " << trace_error;
-    return {};
-  }
-  DynamicLinkModel* failures = nullptr;
-  Network net(seed, scenario_link_model_factory(sc, trace, &failures), topology, nc,
-              &stats);
-  TracePlayer player(net, std::move(trace), failures);
-  net.sim().at(sc.warmup, [&stats] { stats.begin_measurement(); });
-  net.sim().at(measure_end, [&stats] { stats.end_measurement(); });
-  if (telemetry != nullptr) {
-    telemetry->default_probe_window(sc.warmup, measure_end);
-    telemetry->attach(net, &stats);
-  }
-  net.start();
-  player.start();
-  net.medium().reset_stats();
-  net.sim().run_until(measure_end + sc.drain);
+  sc.seed = seed;
+  ScenarioRunOptions options;
+  options.telemetry = telemetry;
+  options.edit_node_config = [per_slot](NodeStackConfig& nc) {
+    nc.mac.per_slot_stepping = per_slot;
+  };
+  ScenarioRun run(sc, options);
+  run.start();
+  const ExperimentResult result = run.finish();
 
+  Network& net = run.network();
   ModeResult out;
   for (const auto& [id, node] : net.nodes()) {
-    stats.set_joined(id, node->is_root() || node->rpl().joined());
     NodeSnapshot snap;
     snap.mac = node->mac().counters();
     snap.radio_on = node->radio().on_time();
@@ -94,10 +77,9 @@ ModeResult run_mode(const ScenarioConfig& sc, std::uint64_t seed, bool per_slot,
     snap.joined = node->is_root() || node->rpl().joined();
     out.nodes.emplace(id, snap);
   }
-  out.metrics = stats.finalize();
-  if (telemetry != nullptr) telemetry->fill_probe_metrics(&out.metrics);
+  out.metrics = result.metrics;
   out.medium = net.medium().stats();
-  out.fully_formed = net.fully_formed();
+  out.fully_formed = result.fully_formed;
   return out;
 }
 
