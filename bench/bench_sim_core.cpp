@@ -49,7 +49,7 @@ namespace {
 using namespace gttsch;
 using namespace gttsch::literals;
 
-void BM_EventQueueScheduleRun(benchmark::State& state) {
+void BM_SimulatorScheduleRun(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Simulator sim(1);
@@ -59,7 +59,7 @@ void BM_EventQueueScheduleRun(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_EventQueueScheduleRun)->Range(1 << 8, 1 << 14);
+BENCHMARK(BM_SimulatorScheduleRun)->Range(1 << 8, 1 << 14);
 
 /// OneShotTimer churn over a steady population of `pending` timers, one
 /// per node and keyed by node id like the MAC slot timer. Each timer
@@ -124,7 +124,7 @@ void BM_MediumBroadcastResolution(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * receivers);
 }
-BENCHMARK(BM_MediumBroadcastResolution)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_MediumBroadcastResolution)->Arg(4)->Arg(16)->Arg(64)->Arg(200);
 
 void BM_MediumSingleMoveRefresh(benchmark::State& state) {
   // Cost of one Radio::set_position + cache refresh in a spread-out

@@ -99,16 +99,12 @@ void Medium::set_link_cache_enabled(bool enabled) {
   cache_ids_.clear();
   cache_index_of_.clear();
   cache_radios_.clear();
+  cache_rngs_.clear();
   cache_pairs_.clear();
   cache_receivers_.clear();
   moved_.clear();
   grid_.clear();
   node_grid_key_.clear();
-  hot_state_.clear();
-  hot_channel_.clear();
-  hot_listen_since_.clear();
-  hot_rng_.clear();
-  for (auto& [id, radio] : radios_) radio->set_medium_slot(Radio::kNoMediumSlot);
 }
 
 void Medium::reset_stats() { stats_ = MediumStats{}; }
@@ -172,11 +168,14 @@ void Medium::rebuild_cache() const {
   const std::size_t n = radios_.size();
   cache_ids_.clear();
   cache_radios_.clear();
+  cache_rngs_.clear();
   cache_ids_.reserve(n);
   cache_radios_.reserve(n);
+  cache_rngs_.reserve(n);
   for (const auto& [id, radio] : radios_) {
     cache_ids_.push_back(id);
     cache_radios_.push_back(radio);
+    cache_rngs_.push_back(&rx_rng(id));
   }
   cache_index_of_.assign(n == 0 ? 0 : std::size_t{cache_ids_.back()} + 1, kNpos32);
   for (std::uint32_t i = 0; i < n; ++i) cache_index_of_[cache_ids_[i]] = i;
@@ -211,20 +210,6 @@ void Medium::rebuild_cache() const {
           model_->interferes(cache_ids_[t], tx_pos, cache_ids_[r], rx_pos);
       if (link.prr > 0.0) cache_receivers_[t].push_back(r);
     }
-  }
-  // Snapshot the SoA hot mirror and hand each radio its slot so later
-  // state transitions update the arrays in O(1).
-  hot_state_.assign(n, static_cast<std::uint8_t>(RadioState::kOff));
-  hot_channel_.assign(n, 0);
-  hot_listen_since_.assign(n, 0);
-  hot_rng_.assign(n, nullptr);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    Radio* r = cache_radios_[i];
-    hot_state_[i] = static_cast<std::uint8_t>(r->state());
-    hot_channel_[i] = r->channel();
-    hot_listen_since_[i] = r->listening_since();
-    hot_rng_[i] = &rx_rng(cache_ids_[i]);
-    r->set_medium_slot(i);
   }
   ++cache_builds_;
   cached_structure_version_ = structure_version_;
@@ -355,7 +340,7 @@ void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel chann
 }
 
 bool Medium::suffers_collision(const Transmission& tx, NodeId rid, std::size_t rx_idx,
-                               const Radio* rx) const {
+                               const Radio& rx) const {
   const std::size_t n = cache_ids_.size();
   for (const auto& other : channels_[tx.channel].in_flight) {
     if (other.id == tx.id) continue;
@@ -372,9 +357,7 @@ bool Medium::suffers_collision(const Transmission& tx, NodeId rid, std::size_t r
     // reference mode): ask the model directly.
     const auto it = radios_.find(other.sender);
     if (it == radios_.end()) continue;
-    const Radio* receiver = rx != nullptr ? rx : cache_radios_[rx_idx];
-    if (model_->interferes(other.sender, it->second->position(), rid,
-                           receiver->position()))
+    if (model_->interferes(other.sender, it->second->position(), rid, rx.position()))
       return true;
   }
   return false;
@@ -440,22 +423,22 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
   return latest;
 }
 
-void Medium::resolve_receiver_fast(const Transmission& tx, NodeId rid,
-                                   std::uint32_t r_idx, double prr) {
+void Medium::resolve_receiver(const Transmission& tx, NodeId rid, Radio& radio,
+                              std::size_t r_idx, double prr) {
   // Receiver must have been listening on the right channel for the whole
-  // frame (preamble included) — filters read the contiguous SoA mirror;
-  // the Radio object is only touched for an actual delivery.
-  if (hot_state_[r_idx] != static_cast<std::uint8_t>(RadioState::kListening)) return;
-  if (hot_channel_[r_idx] != tx.channel) return;
-  if (hot_listen_since_[r_idx] > tx.start) return;
+  // frame (preamble included).
+  if (radio.state() != RadioState::kListening) return;
+  if (radio.channel() != tx.channel) return;
+  if (radio.listening_since() > tx.start) return;
   if (prr <= 0.0) return;  // out of communication range entirely
-  if (suffers_collision(tx, rid, r_idx, nullptr)) {
+  if (suffers_collision(tx, rid, r_idx, radio)) {
     ++stats_.collision_losses;
     GTTSCH_LOG_DEBUG("medium", "collision at node %u (frame %s from %u)", rid,
                      frame_type_name(tx.frame->type), tx.sender);
     return;
   }
-  if (!hot_rng_[r_idx]->bernoulli(prr)) {
+  Rng& rng = r_idx != kNpos ? *cache_rngs_[r_idx] : rx_rng(rid);
+  if (!rng.bernoulli(prr)) {
     ++stats_.prr_losses;
     return;
   }
@@ -465,28 +448,6 @@ void Medium::resolve_receiver_fast(const Transmission& tx, NodeId rid,
   // this re-homing, a node bootstrapped by another node's frame would
   // inherit the sender's owner, and with it the sender's place in every
   // same-instant tie, for its whole lifetime.
-  Simulator::ScopedOwner own(sim_, rid);
-  cache_radios_[r_idx]->medium_deliver(tx.frame);
-}
-
-void Medium::resolve_receiver_slow(const Transmission& tx, NodeId rid, Radio& radio,
-                                   double prr) {
-  if (radio.state() != RadioState::kListening) return;
-  if (radio.channel() != tx.channel) return;
-  if (radio.listening_since() > tx.start) return;
-  if (prr <= 0.0) return;
-  if (suffers_collision(tx, rid, kNpos, &radio)) {
-    ++stats_.collision_losses;
-    GTTSCH_LOG_DEBUG("medium", "collision at node %u (frame %s from %u)", rid,
-                     frame_type_name(tx.frame->type), tx.sender);
-    return;
-  }
-  if (!rx_rng(rid).bernoulli(prr)) {
-    ++stats_.prr_losses;
-    return;
-  }
-  ++stats_.deliveries;
-  // Same receiver re-homing as the fast path (see above).
   Simulator::ScopedOwner own(sim_, rid);
   radio.medium_deliver(tx.frame);
 }
@@ -532,20 +493,20 @@ void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
                                           cache_pairs_[s_idx * n + r_idx].prr});
     }
     // While no callback attaches/detaches a radio or rebuilds the cache,
-    // the snapshotted indices stay valid and candidates resolve straight
-    // off the SoA mirror — one integer compare per candidate instead of
-    // the old per-candidate map lookup. On the (rare) mutation, fall
-    // back to revalidating each remaining candidate through the id map.
+    // the snapshotted indices stay valid and candidates resolve through
+    // the cache's radio and RNG tables, with no per-candidate map lookup.
+    // On the (rare) mutation, fall back to revalidating each remaining
+    // candidate through the id map.
     const std::uint64_t snap_structure = structure_version_;
     const std::uint64_t snap_builds = cache_builds_;
     for (const DeliveryCandidate& cand : scratch) {
       if (structure_version_ == snap_structure && cache_builds_ == snap_builds) {
-        resolve_receiver_fast(tx, cand.id, cand.r_idx, cand.prr);
+        resolve_receiver(tx, cand.id, *cache_radios_[cand.r_idx], cand.r_idx, cand.prr);
         continue;
       }
       const auto rit = radios_.find(cand.id);
       if (rit == radios_.end()) continue;
-      resolve_receiver_slow(tx, cand.id, *rit->second, cand.prr);
+      resolve_receiver(tx, cand.id, *rit->second, kNpos, cand.prr);
     }
   } else {
     // Sender unknown to the cache (detached mid-flight, or reference
@@ -566,7 +527,7 @@ void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
     for (const DeliveryCandidate& cand : scratch) {
       const auto rit = radios_.find(cand.id);
       if (rit == radios_.end() || rit->second != cand.radio) continue;
-      resolve_receiver_slow(tx, cand.id, *cand.radio, cand.prr);
+      resolve_receiver(tx, cand.id, *cand.radio, kNpos, cand.prr);
     }
   }
 

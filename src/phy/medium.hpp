@@ -88,17 +88,6 @@ class Medium {
   void set_link_cache_enabled(bool enabled);
   bool link_cache_enabled() const { return link_cache_enabled_; }
 
-  /// Radio hot-state mirror (SoA): radios push their state transitions
-  /// here so the delivery loop filters against three contiguous arrays
-  /// instead of pointer-chasing into each Radio object.
-  void radio_hot_changed(std::uint32_t slot, RadioState state,
-                         PhysChannel channel, TimeUs listen_since) {
-    if (slot >= hot_state_.size()) return;
-    hot_state_[slot] = static_cast<std::uint8_t>(state);
-    hot_channel_[slot] = channel;
-    hot_listen_since_[slot] = listen_since;
-  }
-
  private:
   struct Transmission {
     std::uint64_t id;
@@ -153,17 +142,15 @@ class Medium {
   void drain_channel(PhysChannel channel, TimeUs end);
   void finish_transmission(PhysChannel channel, std::uint64_t tx_id);
   /// Resolve one candidate receiver of a finished transmission: listening
-  /// filters, collision check, PRR draw, stats, delivery. `fast` reads
-  /// the SoA mirror by cache index; `slow` reads the Radio (reference
-  /// mode / structure changed mid-batch). Both share the filter order and
-  /// RNG-draw discipline (part of the fast-path bit-equivalence
-  /// contract). `prr` <= 0 draws nothing.
-  void resolve_receiver_fast(const Transmission& tx, NodeId rid, std::uint32_t r_idx,
-                             double prr);
-  void resolve_receiver_slow(const Transmission& tx, NodeId rid, Radio& radio,
-                             double prr);
+  /// filters, collision check, PRR draw, stats, delivery. `r_idx` is the
+  /// receiver's cache index, or npos in reference mode and after a
+  /// delivery callback changed the structure mid-batch; then collisions
+  /// ask the model and the RNG comes from the id map. `prr` <= 0 draws
+  /// nothing.
+  void resolve_receiver(const Transmission& tx, NodeId rid, Radio& radio,
+                        std::size_t r_idx, double prr);
   bool suffers_collision(const Transmission& tx, NodeId rid, std::size_t rx_idx,
-                         const Radio* rx) const;
+                         const Radio& rx) const;
   Rng& rx_rng(NodeId id) const;
   void ensure_cache() const;
   void rebuild_cache() const;
@@ -214,20 +201,13 @@ class Medium {
   /// like cache_ids_.
   mutable std::vector<std::uint32_t> cache_index_of_;
   mutable std::vector<Radio*> cache_radios_;  ///< parallel to cache_ids_
+  mutable std::vector<Rng*> cache_rngs_;      ///< &rx_rngs_[cache_ids_[i]]
   mutable std::vector<PairLink> cache_pairs_;
   /// Per sender index: receiver indices with prr > 0, ascending by NodeId
   /// (the delivery-loop order, so RNG draws match the uncached iteration).
   mutable std::vector<std::vector<std::uint32_t>> cache_receivers_;
   /// Radios whose position changed since the cache last refreshed.
   mutable std::vector<NodeId> moved_;
-
-  /// SoA hot mirror of radio state, parallel to cache_ids_ — the delivery
-  /// filters scan these contiguous arrays; the Radio object is only
-  /// dereferenced for an actual delivery.
-  mutable std::vector<std::uint8_t> hot_state_;
-  mutable std::vector<std::uint8_t> hot_channel_;
-  mutable std::vector<TimeUs> hot_listen_since_;
-  mutable std::vector<Rng*> hot_rng_;  ///< &rx_rngs_[cache_ids_[i]]
 
   // --- uniform-grid spatial index over radio positions ------------------
   /// Cell size == the model's max_interaction_range at the last full

@@ -18,10 +18,6 @@ void Radio::set_position(Position pos) {
   medium_.position_changed(id_);
 }
 
-void Radio::push_hot_state() {
-  medium_.radio_hot_changed(medium_slot_, state_, channel_, listen_since_);
-}
-
 void Radio::accumulate() const {
   const TimeUs now = sim_.now();
   const TimeUs span = now - last_change_;
@@ -38,14 +34,12 @@ void Radio::listen(PhysChannel channel) {
   state_ = RadioState::kListening;
   channel_ = channel;
   listen_since_ = sim_.now();
-  push_hot_state();
 }
 
 void Radio::turn_off() {
   if (state_ == RadioState::kTransmitting) return;  // tx completes regardless
   accumulate();
   state_ = RadioState::kOff;
-  push_hot_state();
 }
 
 void Radio::transmit(FramePtr frame, PhysChannel channel) {
@@ -54,7 +48,6 @@ void Radio::transmit(FramePtr frame, PhysChannel channel) {
   accumulate();
   state_ = RadioState::kTransmitting;
   channel_ = channel;
-  push_hot_state();
   medium_.start_transmission(*this, std::move(frame), channel);
 }
 
@@ -62,7 +55,6 @@ void Radio::medium_tx_finished() {
   GTTSCH_CHECK(state_ == RadioState::kTransmitting);
   accumulate();
   state_ = RadioState::kOff;
-  push_hot_state();
   if (on_tx_done) on_tx_done();
 }
 

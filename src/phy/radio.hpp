@@ -59,17 +59,7 @@ class Radio {
   void medium_tx_finished();
   void medium_deliver(FramePtr frame);
 
-  /// No slot in the medium's SoA hot mirror (cache invalid / reference
-  /// mode): state transitions then skip the mirror push.
-  static constexpr std::uint32_t kNoMediumSlot = 0xFFFFFFFFu;
-  /// Internal: the medium hands the radio its hot-mirror slot at each
-  /// cache rebuild so transitions update the mirror in O(1).
-  void set_medium_slot(std::uint32_t slot) { medium_slot_ = slot; }
-  std::uint32_t medium_slot() const { return medium_slot_; }
-
  private:
-  void push_hot_state();
-
   void accumulate() const;
 
   Simulator& sim_;
@@ -80,7 +70,6 @@ class Radio {
   RadioState state_ = RadioState::kOff;
   PhysChannel channel_ = 0;
   TimeUs listen_since_ = 0;
-  std::uint32_t medium_slot_ = kNoMediumSlot;
 
   mutable TimeUs last_change_ = 0;
   mutable TimeUs listening_total_ = 0;

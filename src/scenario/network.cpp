@@ -19,15 +19,11 @@ Network::Network(std::uint64_t seed, const LinkModelFactory& factory,
                  RunStats* stats)
     : sim_(seed),
       medium_(sim_, factory(sim_), Rng(seed).fork(0x3ED1)),
-      // One block spanning the whole topology: node stacks land
-      // contiguously in construction (= id) order.
-      stack_arena_(Node::stack_slot_size(), Node::stack_slot_align(),
-                   topology.nodes.empty() ? 1 : topology.nodes.size()),
       stats_(stats) {
   Rng root_rng(seed);
   for (const NodeSpec& spec : topology.nodes) {
     auto node = std::make_unique<Node>(sim_, medium_, spec, node_config, stats,
-                                       root_rng.fork(spec.id), &stack_arena_);
+                                       root_rng.fork(spec.id));
     if (stats_ != nullptr) stats_->register_node(spec.id, spec.is_root, &node->radio());
     nodes_.emplace(spec.id, std::move(node));
   }

@@ -7,7 +7,6 @@
 
 #include "phy/medium.hpp"
 #include "scenario/node.hpp"
-#include "util/arena.hpp"
 #include "scenario/topology.hpp"
 #include "sim/simulator.hpp"
 #include "stats/run_stats.hpp"
@@ -58,10 +57,6 @@ class Network {
  private:
   Simulator sim_;
   Medium medium_;
-  /// Slab behind every node's protocol stack: one block holds the whole
-  /// network, reboots reuse their own slot. Declared before nodes_ so the
-  /// arena outlives the stacks it backs.
-  Arena stack_arena_;
   std::map<NodeId, std::unique_ptr<Node>> nodes_;
   RunStats* stats_;
   Telemetry* telemetry_ = nullptr;

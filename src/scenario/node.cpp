@@ -1,10 +1,7 @@
 #include "scenario/node.hpp"
 
-#include <new>
-
 #include "sim/log.hpp"
 #include "stats/telemetry.hpp"
-#include "util/arena.hpp"
 #include "util/check.hpp"
 
 namespace gttsch {
@@ -43,8 +40,7 @@ Node::Stack::Stack(Node& node, const MacConfig& mac_config, const Rng& rng)
 }
 
 Node::Node(Simulator& sim, Medium& medium, const NodeSpec& spec,
-           const NodeStackConfig& config, RunStats* stats, Rng rng,
-           Arena* stack_arena)
+           const NodeStackConfig& config, RunStats* stats, Rng rng)
     : sim_(sim),
       medium_(medium),
       id_(spec.id),
@@ -54,33 +50,12 @@ Node::Node(Simulator& sim, Medium& medium, const NodeSpec& spec,
       boot_rng_(rng),
       config_(config),
       mac_config_(node_mac_config(config, rng)),
-      stack_arena_(stack_arena),
       radio_(sim, medium, spec.id, spec.pos),
-      stack_(make_stack(rng)),
+      stack_(std::make_unique<Stack>(*this, mac_config_, rng)),
       app_start_(config.app_start),
       max_scan_start_delay_(config.max_scan_start_delay) {}
 
 Node::~Node() = default;
-
-std::size_t Node::stack_slot_size() { return sizeof(Stack); }
-std::size_t Node::stack_slot_align() { return alignof(Stack); }
-
-void Node::StackDeleter::operator()(Stack* stack) const noexcept {
-  if (arena == nullptr) {
-    delete stack;
-    return;
-  }
-  stack->~Stack();
-  arena->deallocate(stack);
-}
-
-auto Node::make_stack(const Rng& rng) -> std::unique_ptr<Stack, StackDeleter> {
-  if (stack_arena_ == nullptr) {
-    return {new Stack(*this, mac_config_, rng), StackDeleter{nullptr}};
-  }
-  void* slot = stack_arena_->allocate();
-  return {new (slot) Stack(*this, mac_config_, rng), StackDeleter{stack_arena_}};
-}
 
 void Node::boot_stack() {
   // Provider wiring lives here, not in each SF: every scheduler answers
@@ -133,11 +108,9 @@ void Node::reboot() {
   // Destroying the stack cancels every pending timer/callback of the old
   // life (RAII), so nothing from before the crash can fire afterwards.
   // The MAC destructor severs the radio hooks; the new MAC re-wires them.
-  // With an arena the LIFO freelist hands the new stack the very slot the
-  // old one vacated — the rebooted node stays where its neighbors expect
-  // it in the slab, and churn never touches the global allocator.
   stack_.reset();
-  stack_ = make_stack(
+  stack_ = std::make_unique<Stack>(
+      *this, mac_config_,
       boot_rng_.fork(kRebootForkBase + static_cast<std::uint64_t>(reboots_)));
   failed_ = false;
   set_telemetry(telemetry_);  // re-aim the 6P observer at the new agent

@@ -44,15 +44,10 @@ struct NodeStackConfig {
   double max_drift_ppm = 0.0;
 };
 
-class Arena;
-
 class Node final : public MacUpcalls, public RplCallbacks {
  public:
-  /// `stack_arena` (optional) slab-allocates the protocol stack: pass the
-  /// network-wide arena so all stacks share contiguous blocks and a
-  /// reboot rebuilds into the slot it just vacated. Must outlive the node.
   Node(Simulator& sim, Medium& medium, const NodeSpec& spec, const NodeStackConfig& config,
-       RunStats* stats, Rng rng, Arena* stack_arena = nullptr);
+       RunStats* stats, Rng rng);
   ~Node() override;
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -85,10 +80,6 @@ class Node final : public MacUpcalls, public RplCallbacks {
 
   NodeId id() const { return id_; }
   bool is_root() const { return is_root_; }
-
-  /// Slot geometry of the private Stack slab, for sizing a shared Arena.
-  static std::size_t stack_slot_size();
-  static std::size_t stack_slot_align();
 
   Radio& radio() { return radio_; }
   TschMac& mac() { return stack_->mac; }
@@ -134,15 +125,6 @@ class Node final : public MacUpcalls, public RplCallbacks {
     PeriodicSource app;
   };
 
-  /// Destroys a Stack through its arena (or the heap when arena-less).
-  struct StackDeleter {
-    Arena* arena = nullptr;
-    void operator()(Stack* stack) const noexcept;
-  };
-
-  /// Builds a Stack in the arena slot (or on the heap) for (re)boot.
-  std::unique_ptr<Stack, StackDeleter> make_stack(const Rng& rng);
-
   /// Shared boot path: provider wiring + SF/RPL/MAC start + app start.
   void boot_stack();
   void generate_packet();
@@ -166,9 +148,8 @@ class Node final : public MacUpcalls, public RplCallbacks {
   const NodeStackConfig config_;
   const MacConfig mac_config_;  ///< resolved once (drift = the oscillator)
 
-  Arena* stack_arena_;
   Radio radio_;
-  std::unique_ptr<Stack, StackDeleter> stack_;
+  std::unique_ptr<Stack> stack_;
   TimeUs app_start_;
   TimeUs max_scan_start_delay_;
 

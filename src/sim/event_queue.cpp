@@ -96,7 +96,7 @@ void InstantQueue::push(const EventEntry& entry) {
     insert_active(entry);
     return;
   }
-  if (entry.at < active_at_) close_active();
+  GTTSCH_CHECK(entry.at >= active_at_);
   CacheLine& line = cache_[cache_index(entry.at)];
   if (line.at == entry.at) {
     // The instant already has a heap element: append to the line's list,
@@ -193,57 +193,6 @@ void InstantQueue::insert_active(const EventEntry& entry) {
       std::upper_bound(active_.begin() + static_cast<std::ptrdiff_t>(active_pos_),
                        active_.end(), entry, SameInstantBefore{});
   active_.insert(pos, entry);
-}
-
-void InstantQueue::close_active() {
-  if (active_pos_ < active_.size()) {
-    // Link the remainder back to front, so its list keeps batch order.
-    std::uint32_t more = kNil;
-    for (std::size_t i = active_.size() - 1; i > active_pos_; --i) {
-      more = link_node(active_[i], more);
-    }
-    push_instant(active_[active_pos_], more);
-  }
-  active_.clear();
-  active_pos_ = 0;
-  active_at_ = kNoInstant;
-}
-
-EventId EventQueue::schedule_keyed(TimeUs at, std::uint32_t key, SmallFn&& fn) {
-  const std::uint32_t slot = pool_.alloc(free_slots_);
-  EventRecord& rec = pool_.record(slot);
-  rec.fn = std::move(fn);
-  rec.armed = true;
-  rec.cancelled = false;
-  queue_.push(EventEntry{at, next_seq_++, key, kGlobalOwner, slot});
-  ++live_;
-  return make_event_id(rec.generation, slot);
-}
-
-void EventQueue::cancel(EventId id) {
-  EventRecord* rec = pool_.record_for(id);
-  if (rec == nullptr || !rec->armed || rec->cancelled) return;
-  rec->cancelled = true;
-  rec->fn.reset();  // release captures now; the queue entry leaves later
-  GTTSCH_CHECK(live_ > 0);
-  --live_;
-}
-
-TimeUs EventQueue::next_time() {
-  const EventEntry* top = queue_.next_live(kInfiniteTime, pool_, free_slots_);
-  return top == nullptr ? kInfiniteTime : top->at;
-}
-
-bool EventQueue::run_next(TimeUs& out_time) {
-  const EventEntry* top = queue_.next_live(kInfiniteTime, pool_, free_slots_);
-  if (top == nullptr) return false;
-  out_time = top->at;
-  const std::uint32_t slot = top->slot;
-  queue_.pop_front();
-  GTTSCH_CHECK(live_ > 0);
-  --live_;
-  pool_.run(slot, free_slots_);
-  return true;
 }
 
 }  // namespace gttsch

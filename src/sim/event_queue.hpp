@@ -1,6 +1,6 @@
 // Timed events, run in the total order (at, key, owner, seq).
 //
-// The event machinery has three pieces:
+// The Simulator drives two pieces:
 //   * EventPool — chunked, address-stable slot storage for callbacks. An
 //     EventId is a slot plus a generation, so a stale id (fired or
 //     cancelled long ago) never aliases a live event, and a callback keeps
@@ -15,8 +15,6 @@
 //     insertion order, cancelled ones are dropped and their slots
 //     released, and the rest is put in (key, owner, seq) order by merging
 //     its ascending runs, if it is not in order already.
-//   * EventQueue — a single-threaded facade of one pool and one queue,
-//     used by unit tests and simple consumers.
 #pragma once
 
 #include <array>
@@ -105,8 +103,8 @@ struct EventRecord {
 /// Chunked slot store. Chunks are allocated once and never move, so
 /// `record()` references stay valid across growth: a running callback
 /// (EventPool::run) keeps its record while the events it schedules carve
-/// fresh chunks. The freelist belongs to the caller (the Simulator or
-/// EventQueue that owns the pool).
+/// fresh chunks. The freelist belongs to the caller (the Simulator that
+/// owns the pool).
 class EventPool {
  public:
   static constexpr std::uint32_t kChunkShift = 12;  // 4096 records per chunk
@@ -189,10 +187,11 @@ class EventPool {
 ///     instant, so a miss costs a heap element and never correctness.
 ///     Drifted clocks, where nearly every instant is distinct, thus pay
 ///     neither a hash-map insert and erase nor a node per instant.
-///   * Scheduling *before* the active instant (a caller filling in events
-///     behind a batch that was reached but not run) returns the active
-///     batch's remainder to the heap first. next_live(until) avoids the
-///     usual cause by not activating instants beyond its bound.
+///   * Scheduling *before* the active instant is a checked error. The
+///     caller schedules at or after its clock, and next_live(until) never
+///     activates an instant beyond `until` and closes a spent batch when
+///     it finds nothing due, so the active instant never runs ahead of
+///     the clock.
 ///
 /// Storage stays bounded by the peak number of pending entries: the node
 /// pool only grows when its freelist is empty, and the active vector drops
@@ -206,9 +205,10 @@ class InstantQueue {
   /// Entries of cancelled events met on the way leave the queue, and their
   /// slots go back to `pool` through `free_slots`. The pointer stays valid
   /// until the next push or pop_front. An instant later than `until`
-  /// is never activated, so a caller that stops at `until` and then
-  /// schedules earlier events (run_until in slices) does not force that
-  /// batch back into the heap.
+  /// is never activated, and a spent batch is closed when nothing is due,
+  /// so a caller that stops at `until` may then schedule at any time from
+  /// its clock on (run_until in slices; a run_all that ended on an instant
+  /// of cancelled entries).
   const EventEntry* next_live(TimeUs until, EventPool& pool,
                               std::vector<std::uint32_t>& free_slots) {
     for (;;) {
@@ -221,6 +221,7 @@ class InstantQueue {
         pool.release(top.slot, free_slots);
         ++active_pos_;
       } else if (instants_.empty() || instants_.front().at > until) {
+        active_at_ = kNoInstant;
         return nullptr;
       } else {
         activate_next(pool, free_slots);
@@ -298,7 +299,6 @@ class InstantQueue {
   /// Order the active batch, whose ascending runs end at run_ends_.
   void merge_runs();
   void insert_active(const EventEntry& entry);
-  void close_active();
 
   std::vector<Instant> instants_;  // min-heap on `at`
   std::vector<Node> nodes_;
@@ -309,51 +309,6 @@ class InstantQueue {
   std::size_t active_pos_ = 0;
   TimeUs active_at_ = kNoInstant;
   std::array<CacheLine, std::size_t{1} << kCacheBits> cache_;
-};
-
-/// Single-threaded queue of (time, key, insertion order) -> callback.
-/// Events inserted earlier fire first among equal (time, key) pairs, which
-/// keeps runs reproducible. A cancelled event's callback is destroyed at
-/// once; its queue entry leaves when its instant becomes the earliest,
-/// through the same InstantQueue::next_live() the Simulator uses.
-///
-/// Callbacks live in a recycled slot pool (an EventId is slot + generation),
-/// so the queue performs no per-event heap allocation in steady state and
-/// its memory footprint is bounded by the peak number of *concurrently
-/// pending* events, not by the total number of events ever scheduled.
-class EventQueue {
- public:
-  EventId schedule(TimeUs at, SmallFn&& fn) {
-    return schedule_keyed(at, kDefaultEventKey, std::move(fn));
-  }
-  EventId schedule_keyed(TimeUs at, std::uint32_t key, SmallFn&& fn);
-  void cancel(EventId id);
-
-  bool empty() const { return live_ == 0; }
-  std::size_t size() const { return live_; }
-
-  /// Time of the earliest live event; kInfiniteTime when empty.
-  TimeUs next_time();
-
-  /// Pop and run the earliest live event, setting `out_time` to its time
-  /// first. Returns false if none. The callback runs in place in its pool
-  /// record, like Simulator events: cancelling itself is a no-op.
-  bool run_next(TimeUs& out_time);
-
-  /// Number of callback slots ever allocated — bounded by the peak count of
-  /// concurrently pending events (regression hook for the memory tests).
-  std::size_t slot_pool_size() const { return pool_.slots_allocated(); }
-
-  /// Entries the queue's batch storage holds room for; bounded like
-  /// slot_pool_size().
-  std::size_t batch_storage() const { return queue_.storage_capacity(); }
-
- private:
-  EventPool pool_;
-  InstantQueue queue_;
-  std::vector<std::uint32_t> free_slots_;
-  std::size_t live_ = 0;
-  std::uint64_t next_seq_ = 1;
 };
 
 }  // namespace gttsch

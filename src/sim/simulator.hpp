@@ -70,6 +70,12 @@ class Simulator {
   std::size_t pending_events() const { return live_; }
   std::uint64_t events_processed() const { return processed_; }
 
+  /// Event slots ever carved and entries the queue's storage holds room
+  /// for: both bounded by the peak count of pending events, not by the
+  /// number ever scheduled (hooks for the memory regression tests).
+  std::size_t event_slots_allocated() const { return pool_.slots_allocated(); }
+  std::size_t queue_storage() const { return queue_.storage_capacity(); }
+
   /// Root RNG for this run; components should fork() their own streams.
   Rng& rng() { return rng_; }
   std::uint64_t seed() const { return seed_; }

@@ -541,6 +541,75 @@ TEST(MediumCacheIncremental, WholeNetworkMoveCapFiresAtLiveRadioCount) {
 }
 
 // ---------------------------------------------------------------------------
+// Delivery callbacks that change other receivers mid-drain.
+// ---------------------------------------------------------------------------
+
+struct CallbackMutationResult {
+  MediumStats stats;
+  std::vector<int> rx_count;  ///< per radio id; index 0 is the sender
+};
+
+/// One broadcast from radio 0 to six in-range listeners (ids 1-6, PRR 1).
+/// Receiver 1 resolves first (ascending id), and its on_rx turns radio 3
+/// off, retunes radio 4 to another channel (which also restarts its listen
+/// window) and, with `destroy`, destroys radio 6. The destruction detaches
+/// a radio and so forces the delivery loop off the cache indices for the
+/// rest of the batch; without it, the remaining candidates resolve through
+/// the cache while their radios changed under it.
+CallbackMutationResult run_callback_mutations(bool cached, bool destroy) {
+  constexpr int kListeners = 6;
+  constexpr PhysChannel kChannel = 17;
+  Simulator sim(11);
+  Medium medium(sim, std::make_unique<UnitDiskModel>(50.0, 1.0, 1.5), Rng(11));
+  medium.set_link_cache_enabled(cached);
+  CallbackMutationResult out;
+  out.rx_count.assign(kListeners + 1, 0);
+  std::vector<std::unique_ptr<Radio>> radios;
+  for (int i = 0; i <= kListeners; ++i) {
+    radios.push_back(std::make_unique<Radio>(sim, medium, static_cast<NodeId>(i),
+                                             Position{static_cast<double>(i), 0.0}));
+    const auto idx = static_cast<std::size_t>(i);
+    radios.back()->on_rx = [&out, idx](FramePtr) { ++out.rx_count[idx]; };
+  }
+  radios[1]->on_rx = [&out, &radios, destroy](FramePtr) {
+    ++out.rx_count[1];
+    radios[3]->turn_off();
+    radios[4]->listen(kChannel + 1);
+    if (destroy) radios[6].reset();
+  };
+  sim.at(10, [&radios] {
+    for (std::size_t i = 1; i < radios.size(); ++i) radios[i]->listen(kChannel);
+  });
+  sim.at(100, [&radios] {
+    radios[0]->transmit(make_data_frame(0, kBroadcastId, DataPayload{}), kChannel);
+  });
+  sim.run_until(100_ms);
+  out.stats = medium.stats();
+  return out;
+}
+
+TEST(MediumCacheIncremental, DeliveryCallbackMutationsMatchUncachedReference) {
+  for (const bool destroy : {false, true}) {
+    const CallbackMutationResult cached = run_callback_mutations(true, destroy);
+    const CallbackMutationResult reference = run_callback_mutations(false, destroy);
+    // Hand-derived: 1, 2 and 5 hear the frame; 3 is off, 4 is on another
+    // channel, and 6 hears it unless it was destroyed first.
+    const std::vector<int> expected{0, 1, 1, 0, 0, 1, destroy ? 0 : 1};
+    for (const CallbackMutationResult* r : {&cached, &reference}) {
+      EXPECT_EQ(r->rx_count, expected) << "destroy " << destroy;
+      EXPECT_EQ(r->stats.transmissions, 1u);
+      EXPECT_EQ(r->stats.deliveries, destroy ? 3u : 4u);
+      EXPECT_EQ(r->stats.collision_losses, 0u);
+      EXPECT_EQ(r->stats.prr_losses, 0u);
+    }
+    EXPECT_EQ(cached.rx_count, reference.rx_count);
+    EXPECT_EQ(cached.stats.deliveries, reference.stats.deliveries);
+    EXPECT_EQ(cached.stats.collision_losses, reference.stats.collision_losses);
+    EXPECT_EQ(cached.stats.prr_losses, reference.stats.prr_losses);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Carrier sense: the cached busy_until against the uncached reference.
 // ---------------------------------------------------------------------------
 

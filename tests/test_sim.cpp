@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/trickle.hpp"
-#include "sim/event_queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
 
@@ -23,84 +22,99 @@ namespace {
 
 using namespace literals;
 
-TEST(EventQueue, FifoAtEqualTimes) {
-  EventQueue q;
+TEST(Simulator, FifoAtEqualTimes) {
+  Simulator sim(1);
   std::vector<int> order;
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule(10, [&] { order.push_back(2); });
-  q.schedule(5, [&] { order.push_back(0); });
-  TimeUs t = 0;
-  while (q.run_next(t)) {
-  }
+  sim.at(10, [&] { order.push_back(1); });
+  sim.at(10, [&] { order.push_back(2); });
+  sim.at(5, [&] { order.push_back(0); });
+  sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
-TEST(EventQueue, CancelPreventsExecution) {
-  EventQueue q;
+TEST(Simulator, CancelPreventsExecution) {
+  Simulator sim(1);
   bool ran = false;
-  const EventId id = q.schedule(1, [&] { ran = true; });
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
-  TimeUs t = 0;
-  EXPECT_FALSE(q.run_next(t));
+  const EventId id = sim.at(1, [&] { ran = true; });
+  sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.run_all();
   EXPECT_FALSE(ran);
+  EXPECT_EQ(sim.events_processed(), 0u);
 }
 
-TEST(EventQueue, CancelTwiceIsSafe) {
-  EventQueue q;
-  const EventId id = q.schedule(1, [] {});
-  q.cancel(id);
-  q.cancel(id);
-  EXPECT_TRUE(q.empty());
+TEST(Simulator, CancelTwiceIsSafe) {
+  Simulator sim(1);
+  const EventId id = sim.at(1, [] {});
+  sim.cancel(id);
+  sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(EventQueue, NextTimeSkipsCancelled) {
-  EventQueue q;
-  const EventId early = q.schedule(1, [] {});
-  q.schedule(9, [] {});
-  q.cancel(early);
-  EXPECT_EQ(q.next_time(), 9);
+TEST(Simulator, CancelledEventIsSkipped) {
+  Simulator sim(1);
+  TimeUs fired_at = -1;
+  const EventId early = sim.at(1, [&] { fired_at = sim.now(); });
+  sim.at(9, [&] { fired_at = sim.now(); });
+  sim.cancel(early);
+  sim.run_all();
+  EXPECT_EQ(fired_at, 9);
+  EXPECT_EQ(sim.events_processed(), 1u);
 }
 
-TEST(EventQueue, SizeTracksLiveEvents) {
-  EventQueue q;
-  const EventId a = q.schedule(1, [] {});
-  q.schedule(2, [] {});
-  EXPECT_EQ(q.size(), 2u);
-  q.cancel(a);
-  EXPECT_EQ(q.size(), 1u);
+TEST(Simulator, PendingEventsTracksLiveEvents) {
+  Simulator sim(1);
+  const EventId a = sim.at(1, [] {});
+  sim.at(2, [] {});
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.cancel(a);
+  EXPECT_EQ(sim.pending_events(), 1u);
 }
 
-TEST(EventQueue, CancelAfterFireIsSafe) {
-  EventQueue q;
+TEST(Simulator, CancelAfterFireIsSafe) {
+  Simulator sim(1);
   int fired = 0;
-  const EventId id = q.schedule(1, [&] { ++fired; });
-  TimeUs t = 0;
-  EXPECT_TRUE(q.run_next(t));
+  const EventId id = sim.at(1, [&] { ++fired; });
+  sim.run_until(1);
   // The slot may already be reused by a new event; cancelling the stale id
   // must neither abort nor kill the unrelated newcomer.
-  const EventId newer = q.schedule(2, [&] { ++fired; });
-  q.cancel(id);
-  EXPECT_EQ(q.size(), 1u);
-  EXPECT_TRUE(q.run_next(t));
+  const EventId newer = sim.at(2, [&] { ++fired; });
+  sim.cancel(id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.run_all();
   EXPECT_EQ(fired, 2);
-  q.cancel(newer);  // also stale now
-  EXPECT_TRUE(q.empty());
+  sim.cancel(newer);  // also stale now
+  EXPECT_EQ(sim.pending_events(), 0u);
 }
 
-TEST(EventQueue, LowerKeyRunsFirstAtEqualTimes) {
-  EventQueue q;
+TEST(Simulator, LowerKeyRunsFirstAtEqualTimes) {
+  Simulator sim(1);
   std::vector<int> order;
-  q.schedule(10, [&] { order.push_back(9); });  // default key, inserted first
-  q.schedule_keyed(10, 2, [&] { order.push_back(2); });
-  q.schedule_keyed(10, 1, [&] { order.push_back(1); });
-  TimeUs t = 0;
-  while (q.run_next(t)) {
-  }
+  sim.at(10, [&] { order.push_back(9); });  // default key, inserted first
+  sim.at_keyed(10, 2, [&] { order.push_back(2); });
+  sim.at_keyed(10, 1, [&] { order.push_back(1); });
+  sim.run_all();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 9}));
 }
 
-TEST(EventQueue, MemoryBoundedAcross10MEvents) {
+TEST(Simulator, ScheduleBeforeACancelledInstantRunAllReached) {
+  // run_all() reaches t=10, finds only a cancelled entry there and stops
+  // with the clock at 5. Events scheduled between the two must still run
+  // in time order.
+  Simulator sim(1);
+  std::vector<int> order;
+  sim.at(5, [&] { order.push_back(0); });
+  sim.cancel(sim.at(10, [&] { order.push_back(-1); }));
+  sim.run_all();
+  EXPECT_EQ(sim.now(), 5);
+  sim.at(10, [&] { order.push_back(2); });
+  sim.at(7, [&] { order.push_back(1); });
+  sim.run_all();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  EXPECT_EQ(sim.now(), 10);
+}
+
+TEST(Simulator, MemoryBoundedAcross10MEvents) {
   // Regression for the former cancelled_flags_ bitmap, which grew one bit
   // per EventId ever issued: ids are recycled via a slot pool, so memory
   // tracks the peak number of *pending* events, not lifetime throughput.
@@ -108,42 +122,42 @@ TEST(EventQueue, MemoryBoundedAcross10MEvents) {
   // instants (period 1) and slot-grid instants shared by eight events
   // (period 8) must both reuse nodes instead of growing with throughput.
   for (const TimeUs period : {1, 8}) {
-    EventQueue q;
+    Simulator sim(1);
     constexpr int kPendingTarget = 64;
     std::uint64_t scheduled = 0;
     std::uint64_t fired = 0;
-    TimeUs t = 0;
-    auto fn = [&fired] { ++fired; };
     auto instant = [period](std::uint64_t n) {
       return static_cast<TimeUs>(n) / period * period;
     };
-    for (int i = 0; i < kPendingTarget; ++i) q.schedule(instant(++scheduled), fn);
-    while (scheduled < 10'000'000) {
-      ASSERT_TRUE(q.run_next(t));
-      q.schedule(instant(++scheduled), fn);
+    // Each event schedules its successor, so kPendingTarget stay pending.
+    std::function<void()> fire = [&] {
+      ++fired;
+      if (scheduled >= 10'000'000) return;
+      sim.at(instant(++scheduled), [&fire] { fire(); });
       if (scheduled % 5 == 0) {  // exercise cancellation reclamation too
-        const EventId id = q.schedule(instant(scheduled + 1), fn);
-        q.cancel(id);
+        sim.cancel(sim.at(instant(scheduled + 1), [&fire] { fire(); }));
       }
+    };
+    for (int i = 0; i < kPendingTarget; ++i) {
+      sim.at(instant(++scheduled), [&fire] { fire(); });
     }
-    while (q.run_next(t)) {
-    }
+    sim.run_all();
     EXPECT_EQ(fired, scheduled);  // every non-cancelled event ran
     // Growth is bounded by peak concurrency (pending + cancelled entries
     // awaiting lazy reclamation), nowhere near the 10M ids issued.
-    EXPECT_LE(q.slot_pool_size(), 2 * kPendingTarget);
-    EXPECT_LE(q.batch_storage(), 3 * kPendingTarget);
+    EXPECT_LE(sim.event_slots_allocated(), 2 * kPendingTarget);
+    EXPECT_LE(sim.queue_storage(), 3 * kPendingTarget);
   }
 }
 
-TEST(EventQueue, MemoryBoundedUnderCancelHeavyRearms) {
+TEST(Simulator, MemoryBoundedUnderCancelHeavyRearms) {
   // Every fired event re-arms its own timer and one other, so about half
   // of all schedules end as cancelled entries. Such an entry leaves the
   // queue, and gives back its slot, when its instant is activated, so
   // storage must stay bounded by the peak count of pending entries: live
   // ones plus cancelled ones whose instant has not been reached.
   for (const TimeUs period : {1, 8}) {
-    EventQueue q;
+    Simulator sim(1);
     constexpr int kTimers = 64;
     Rng rng(static_cast<std::uint64_t>(period));
     std::vector<EventId> timer(kTimers, kInvalidEvent);
@@ -152,64 +166,44 @@ TEST(EventQueue, MemoryBoundedUnderCancelHeavyRearms) {
     std::priority_queue<TimeUs, std::vector<TimeUs>, std::greater<>> tombstones;
     std::size_t peak_pending = 0;
     std::uint64_t scheduled = 0;
-    TimeUs t = 0;
-    std::function<void(int)> arm = [&](int i) {
+    std::function<void(int)> fire;
+    auto arm = [&](int i) {
       // One of the next four instants of the period grid.
-      const TimeUs at = (t / period + 1 + static_cast<TimeUs>(rng.uniform(4))) * period;
+      const TimeUs at =
+          (sim.now() / period + 1 + static_cast<TimeUs>(rng.uniform(4))) * period;
       const auto n = static_cast<std::size_t>(i);
-      timer[n] = q.schedule(at, [&arm, i] { arm(i); });
+      timer[n] = sim.at(at, [&fire, i] { fire(i); });
       timer_at[n] = at;
       ++scheduled;
     };
-    for (int i = 0; i < kTimers; ++i) arm(i);
-    while (scheduled < 4'000'000) {
-      ASSERT_TRUE(q.run_next(t));  // the callback re-arms its own timer
-      while (!tombstones.empty() && tombstones.top() < t) tombstones.pop();
+    fire = [&](int i) {
+      if (scheduled >= 4'000'000) return;  // let the queue drain
+      arm(i);
+      while (!tombstones.empty() && tombstones.top() < sim.now()) tombstones.pop();
       const auto other = static_cast<std::size_t>(rng.uniform(kTimers));
-      q.cancel(timer[other]);
+      sim.cancel(timer[other]);
       tombstones.push(timer_at[other]);
       arm(static_cast<int>(other));
-      ASSERT_EQ(q.size(), static_cast<std::size_t>(kTimers));
-      peak_pending = std::max(peak_pending, q.size() + tombstones.size());
-    }
+      ASSERT_EQ(sim.pending_events(), static_cast<std::size_t>(kTimers));
+      peak_pending = std::max(peak_pending, sim.pending_events() + tombstones.size());
+    };
+    for (int i = 0; i < kTimers; ++i) arm(i);
+    sim.run_all();
+    EXPECT_GE(scheduled, 4'000'000u);
     // Half the schedules were cancelled, yet the pending peak stays near
     // two entries per timer; +1 is the record of the running event, held
     // while its callback schedules the next one.
     EXPECT_LE(peak_pending, 3u * kTimers);
-    EXPECT_LE(q.slot_pool_size(), peak_pending + 1);
-    EXPECT_LE(q.batch_storage(), 2 * peak_pending);
+    EXPECT_LE(sim.event_slots_allocated(), peak_pending + 1);
+    EXPECT_LE(sim.queue_storage(), 2 * peak_pending);
   }
-}
-
-TEST(EventQueue, ScheduleBehindPeekedInstantRunsFirst) {
-  // next_time() activates the batch at t=20; events scheduled before it
-  // afterwards (and into it) must still run in (at, key, seq) order.
-  EventQueue q;
-  std::vector<int> order;
-  q.schedule(20, [&] { order.push_back(3); });
-  q.schedule(20, [&] { order.push_back(4); });
-  EXPECT_EQ(q.next_time(), 20);
-  q.schedule(10, [&] { order.push_back(1); });
-  q.schedule_keyed(20, 0, [&] { order.push_back(2); });
-  q.schedule(15, [&] { order.push_back(0); });
-  TimeUs t = 0;
-  ASSERT_TRUE(q.run_next(t));
-  EXPECT_EQ(t, 10);
-  q.schedule(12, [&] { order.push_back(5); });
-  while (q.run_next(t)) {
-  }
-  EXPECT_EQ(order, (std::vector<int>{1, 5, 0, 2, 3, 4}));
 }
 
 // --------------------------------------------------- event-order oracle --
 
 enum class TimePattern { kSlotGrid, kDrifted, kMixed };
 
-/// The event core an oracle run drives: the Simulator, or the EventQueue
-/// facade (no owners, no timers, and no bound on how far it activates).
-enum class Core { kSimulator, kFacade };
-
-/// Drives an event core with seeded random sequences of `at`, `at_keyed`
+/// Drives the Simulator with seeded random sequences of `at`, `at_keyed`
 /// with node-id keys, owner scopes, `cancel`, OneShotTimer re-arms and
 /// same-instant scheduling from inside callbacks, and checks every event
 /// that fires against a std::set ordered by (at, key, owner, seq). Fired
@@ -218,12 +212,8 @@ enum class Core { kSimulator, kFacade };
 /// instant, whose batch then holds nothing but cancelled entries.
 class EventOrderOracle {
  public:
-  EventOrderOracle(std::uint64_t seed, TimePattern pattern,
-                   Core core = Core::kSimulator)
-      : sim_(seed),
-        rng_(seed * 7919 + 1),
-        pattern_(pattern),
-        facade_(core == Core::kFacade) {
+  EventOrderOracle(std::uint64_t seed, TimePattern pattern)
+      : sim_(seed), rng_(seed * 7919 + 1), pattern_(pattern) {
     for (std::uint32_t node = 0; node < kTimers; ++node) {
       timers_.push_back(std::make_unique<OneShotTimer>(sim_, node));
       timer_id_.push_back(-1);
@@ -233,21 +223,16 @@ class EventOrderOracle {
   /// Runs the sequence in slices; returns the number of events checked.
   std::uint64_t run() {
     for (int slice = 0; slice < 40; ++slice) {
-      // Top level: schedule behind, into and after the batch that the
-      // previous slice reached but did not run.
+      // Top level: schedule at the instant the previous slice stopped at,
+      // whose batch has already run, and at later instants, whose batches
+      // it did not reach.
       for (int i = 0; i < 40; ++i) act(kGlobalOwner);
-      run_until(now() + kSlot * 3 + 1234);
+      sim_.run_until(now() + kSlot * 3 + 1234);
       if (mismatches_ > 0) break;
     }
-    if (facade_) {
-      while (queue_.run_next(queue_now_)) {
-      }
-      EXPECT_TRUE(queue_.empty());
-    } else {
-      sim_.run_all();
-      EXPECT_EQ(sim_.events_processed(), fired_);
-      EXPECT_EQ(sim_.pending_events(), 0u);
-    }
+    sim_.run_all();
+    EXPECT_EQ(sim_.events_processed(), fired_);
+    EXPECT_EQ(sim_.pending_events(), 0u);
     EXPECT_EQ(mismatches_, 0u);
     EXPECT_TRUE(oracle_.empty());
     EXPECT_GT(instant_cancels_, 0u);
@@ -266,18 +251,7 @@ class EventOrderOracle {
     EventId id;
   };
 
-  TimeUs now() const { return facade_ ? queue_now_ : sim_.now(); }
-
-  void run_until(TimeUs until) {
-    if (!facade_) {
-      sim_.run_until(until);
-      return;
-    }
-    // next_time() activates the next instant even past `until`, so the
-    // facade also covers scheduling behind an activated batch.
-    while (queue_.next_time() <= until) queue_.run_next(queue_now_);
-    queue_now_ = until;
-  }
+  TimeUs now() const { return sim_.now(); }
 
   TimeUs pick_time(bool allow_now) {
     const TimeUs t_now = now();
@@ -297,11 +271,10 @@ class EventOrderOracle {
                                : static_cast<std::uint32_t>(rng_.uniform(kNodes));
   }
 
-  /// One random action, run with `owner` as the scheduling owner. The
-  /// facade has neither timers nor owners, so it schedules instead.
+  /// One random action, run with `owner` as the scheduling owner.
   void act(std::uint32_t owner) {
     const std::uint64_t r = rng_.uniform(10);
-    if (r < 5 || (facade_ && r < 8)) {
+    if (r < 5) {
       schedule(owner, pick_time(true), pick_key());
     } else if (r < 7) {
       rearm_timer(owner);
@@ -319,12 +292,7 @@ class EventOrderOracle {
     const int id = next_id_++;
     auto fire = [this, id] { on_fire(id); };
     const bool plain = key == kDefaultEventKey && rng_.bernoulli(0.5);
-    EventId eid;
-    if (facade_) {
-      eid = plain ? queue_.schedule(at, fire) : queue_.schedule_keyed(at, key, fire);
-    } else {
-      eid = plain ? sim_.at(at, fire) : sim_.at_keyed(at, key, fire);
-    }
+    const EventId eid = plain ? sim_.at(at, fire) : sim_.at_keyed(at, key, fire);
     const Key k{at, key, owner, next_seq_++, id};
     oracle_.insert(k);
     pending_.emplace(id, Pending{k, eid});
@@ -345,14 +313,6 @@ class EventOrderOracle {
     oracle_.insert(Key{at, node, owner, next_seq_++, id});
   }
 
-  void cancel_event(EventId id) {
-    if (facade_) {
-      queue_.cancel(id);
-    } else {
-      sim_.cancel(id);
-    }
-  }
-
   void cancel_random() {
     while (!live_ids_.empty()) {
       const std::size_t i = static_cast<std::size_t>(rng_.uniform(live_ids_.size()));
@@ -361,7 +321,7 @@ class EventOrderOracle {
       live_ids_.pop_back();
       const auto it = pending_.find(id);
       if (it == pending_.end()) continue;  // already fired or cancelled
-      cancel_event(it->second.id);
+      sim_.cancel(it->second.id);
       oracle_.erase(it->second.key);
       pending_.erase(it);
       return;
@@ -373,7 +333,7 @@ class EventOrderOracle {
     const int id = std::get<4>(*it);
     const auto p = pending_.find(id);
     if (p != pending_.end()) {
-      cancel_event(p->second.id);
+      sim_.cancel(p->second.id);
       pending_.erase(p);
     } else {
       // A timer's event: stopping the timer cancels it.
@@ -447,11 +407,8 @@ class EventOrderOracle {
   static constexpr std::uint64_t kBudget = 20'000;
 
   Simulator sim_;
-  EventQueue queue_;
-  TimeUs queue_now_ = 0;
   Rng rng_;
   TimePattern pattern_;
-  bool facade_;
   std::set<Key> oracle_;
   std::unordered_map<int, Pending> pending_;
   std::vector<int> live_ids_;
@@ -479,15 +436,6 @@ TEST(EventOrder, MatchesOracleOnDriftedInstants) {
 TEST(EventOrder, MatchesOracleOnMixedInstants) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     EXPECT_GT(EventOrderOracle(seed, TimePattern::kMixed).run(), 1000u);
-  }
-}
-
-TEST(EventOrder, FacadeMatchesOracle) {
-  for (const TimePattern pattern :
-       {TimePattern::kSlotGrid, TimePattern::kDrifted, TimePattern::kMixed}) {
-    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-      EXPECT_GT(EventOrderOracle(seed, pattern, Core::kFacade).run(), 1000u);
-    }
   }
 }
 
