@@ -15,14 +15,12 @@
 //   pdr_percent <- assoc_s, avg_delay_ms <- joined_s,
 //   p95_delay_ms <- operational_s; 600 = never (budget).
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
 #include "figure_common.hpp"
-#include "phy/dynamic_link.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
 #include "sixp/sf_registry.hpp"
@@ -45,33 +43,19 @@ struct FormationResult {
 };
 
 FormationResult measure(const ScenarioConfig& sc) {
-  auto nc = sc.make_node_config();
-  nc.app_rate_ppm = 0.0;  // formation only
-
-  // The config's own topology (identical to the historical
-  // build_dodag(1, ...) for the default dodag_count=1 grid), so --set
-  // topology/dodag overrides — and the pre-run trace validation, which
-  // checks node ids against make_topology() — see the network actually run.
-  const TopologySpec topo = sc.make_topology();
-
-  // Optional dynamics (--set trace_kind=...): formation under churn. The
-  // trace window covers the whole formation budget, not the paper's
-  // warmup/measure split.
-  ScenarioConfig trace_config = sc;
-  trace_config.warmup = 0;
-  trace_config.measure = static_cast<TimeUs>(kBudgetSeconds) * 1000000;
-  Trace trace;
-  std::string trace_error;
-  if (!trace_config.make_trace(topo, &trace, &trace_error)) {
-    std::fprintf(stderr, "formation_time: %s\n", trace_error.c_str());
-    std::abort();
-  }
-  DynamicLinkModel* failures = nullptr;
-  Network net(sc.seed, scenario_link_model_factory(sc, trace, &failures), topo, nc,
-              nullptr);
-  TracePlayer player(net, std::move(trace), failures);
-  net.start();
-  player.start();
+  // The config's own topology and trace (--set trace_kind=... measures
+  // formation under churn). The trace window covers the whole formation
+  // budget, not the paper's warmup/measure split.
+  ScenarioConfig config = sc;
+  config.warmup = 0;
+  config.measure = static_cast<TimeUs>(kBudgetSeconds) * 1000000;
+  ScenarioRunOptions options;
+  options.edit_node_config = [](NodeStackConfig& nc) {
+    nc.app_rate_ppm = 0.0;  // formation only
+  };
+  ScenarioRun run(config, options);
+  run.start();
+  Network& net = run.network();
 
   // Stage counts ride the shared Timeline sampler (stats/telemetry.hpp) at
   // 1 Hz — the same engine Telemetry drives for its JSONL gauge samples.
@@ -100,7 +84,7 @@ FormationResult measure(const ScenarioConfig& sc) {
 
   FormationResult r;
   for (int t = 1; t <= static_cast<int>(kBudgetSeconds); ++t) {
-    net.sim().run_until(static_cast<TimeUs>(t) * 1000000);
+    run.step_until(static_cast<TimeUs>(t) * 1000000);
     if (r.assoc_s < 0 && sampler.latest("assoc") == total) r.assoc_s = t;
     if (r.joined_s < 0 && sampler.latest("joined") == total) r.joined_s = t;
     if (r.operational_s < 0 && sampler.latest("operational") == total)

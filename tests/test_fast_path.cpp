@@ -201,14 +201,16 @@ TEST(FastPathEquivalence, SparseScheduleSkipsProportionally) {
   const ModeResult fast = run_mode(sc, 1000, /*per_slot=*/false);
   const ModeResult ref = run_mode(sc, 1000, /*per_slot=*/true);
   expect_identical(fast, ref);
-  EXPECT_LT(fast.events_processed * 3, ref.events_processed * 2);  // >= 1.5x
+  // Measured 52,792 fast vs 130,965 per-slot events (2.48x); counts are
+  // deterministic, so the bound sits just under what the code does.
+  EXPECT_LT(fast.events_processed * 12, ref.events_processed * 5);  // >= 2.4x
 }
 
 TEST(FastPathEquivalence, MinimalScheduleSkipsByOccupancy) {
   // 6TiSCH-minimal-style occupancy: length 397 with only 2 broadcast
   // slots (plus the shared/unicast handful) — the idle-slot-dominated
-  // regime the bench_sim_core end-to-end benchmark measures. Events must
-  // collapse by the occupancy ratio, not a constant factor.
+  // regime where skipping idle slots pays most. Events must collapse by
+  // the occupancy ratio, not a constant factor.
   ScenarioConfig sc = fig8_config("gt-tsch");
   sc.dodag_count = 1;
   sc.gt_slotframe_length = 397;
@@ -218,7 +220,8 @@ TEST(FastPathEquivalence, MinimalScheduleSkipsByOccupancy) {
   const ModeResult ref =
       run_mode(sc, 1000, /*per_slot=*/true, /*drift=*/0.0, /*broadcast_slots=*/2);
   expect_identical(fast, ref);
-  EXPECT_LT(fast.events_processed * 5, ref.events_processed);  // >= 5x fewer
+  // Measured 3,103 fast vs 49,374 per-slot events (15.9x).
+  EXPECT_LT(fast.events_processed * 15, ref.events_processed);  // >= 15x fewer
 }
 
 TEST(FastPathEquivalence, FiftyNodeGridTopology) {
