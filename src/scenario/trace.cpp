@@ -1,14 +1,15 @@
 #include "scenario/trace.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <cfloat>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
-#include <set>
-#include <sstream>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "phy/dynamic_link.hpp"
@@ -30,52 +31,95 @@ std::string at_line(int line, const std::string& message) {
   return "line " + std::to_string(line) + ": " + message;
 }
 
-/// strtod with a restricted charset: plain decimal/scientific notation
-/// only, full consumption, finite result. Rejects the hex, inf and nan
-/// spellings strtod would otherwise accept.
-bool parse_finite_double(const std::string& text, double* out) {
-  if (text.empty() ||
-      text.find_first_not_of("0123456789.+-eE") != std::string::npos) {
-    return false;
+/// For a decimal that from_chars rounded to +-DBL_MIN: whether it is tiny
+/// all the same, i.e. below DBL_MIN once rounded to 53 bits with an
+/// unbounded exponent (IEEE tininess after rounding, as glibc judges
+/// underflow). Doubling the decimal moves that rounding into the normal
+/// range, where from_chars does it: 2x rounds below 2 * DBL_MIN exactly
+/// when x is tiny. Only this one value per sign needs it, and its leading
+/// digit is 2, so no carry leaves the top digit.
+bool tiny_after_rounding(std::string_view text) {
+  std::string twice(text);
+  const std::size_t mantissa_end = std::min(twice.find_first_of("eE"), twice.size());
+  int carry = 0;
+  for (std::size_t i = mantissa_end; i-- > 0;) {
+    char& c = twice[i];
+    if (c < '0' || c > '9') continue;
+    const int d = 2 * (c - '0') + carry;
+    c = static_cast<char>('0' + d % 10);
+    carry = d / 10;
   }
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size() || errno == ERANGE || !std::isfinite(v)) {
+  double v = 0;
+  std::from_chars(twice.data(), twice.data() + twice.size(), v);
+  return std::abs(v) < 2 * DBL_MIN;
+}
+
+/// The grammar's number (trace.hpp): plain decimal/scientific notation with
+/// an optional sign, fully consumed, finite, and zero or normal. from_chars
+/// reads no hex in its general format, and its only other spellings are
+/// inf and nan, which the finiteness check refuses; overflow is its range
+/// error. It takes no leading '+', so one is stripped here (and a second
+/// sign after it refused), and it returns subnormals rather than a range
+/// error, so they are refused here.
+bool parse_finite_double(std::string_view text, double* out) {
+  const char* first = text.data();
+  const char* const last = first + text.size();
+  if (first != last && *first == '+') {
+    ++first;
+    if (first != last && (*first == '+' || *first == '-')) return false;
+  }
+  double v = 0;
+  const auto [end, ec] = std::from_chars(first, last, v);
+  if (ec != std::errc() || end != last || !std::isfinite(v)) return false;
+  const double magnitude = std::abs(v);
+  if (magnitude != 0 && (magnitude < DBL_MIN ||
+                         (magnitude == DBL_MIN &&
+                          tiny_after_rounding(std::string_view(first, last - first))))) {
     return false;
   }
   *out = v;
   return true;
 }
 
-bool parse_node_id(const std::string& text, NodeId* out) {
-  if (text.empty() || text.size() > 5 ||
-      text.find_first_not_of("0123456789") != std::string::npos) {
-    return false;
+bool parse_node_id(std::string_view text, NodeId* out) {
+  if (text.empty() || text.size() > 5) return false;
+  unsigned v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return false;
+    v = v * 10 + static_cast<unsigned>(c - '0');
   }
-  const unsigned long v = std::strtoul(text.c_str(), nullptr, 10);
   if (v > kMaxTraceNodeId) return false;
   *out = static_cast<NodeId>(v);
   return true;
 }
 
-std::vector<std::string> split_whitespace(const std::string& line) {
+/// A line's first whitespace-separated fields, as views into the line. The
+/// longest event has five; a sixth is kept only so arity checks see it.
+struct Tokens {
+  static constexpr std::size_t kMax = 6;
+  std::string_view field[kMax];
+  std::size_t count = 0;
+
+  std::string_view operator[](std::size_t i) const { return field[i]; }
+};
+
+Tokens split_whitespace(std::string_view line) {
   // '\r' counts as whitespace so CRLF trace files parse identically to LF.
   const auto is_space = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
-  std::vector<std::string> tokens;
+  Tokens tokens;
   std::size_t i = 0;
-  while (i < line.size()) {
+  while (i < line.size() && tokens.count < Tokens::kMax) {
     while (i < line.size() && is_space(line[i])) ++i;
     const std::size_t start = i;
     while (i < line.size() && !is_space(line[i])) ++i;
-    if (i > start) tokens.push_back(line.substr(start, i - start));
+    if (i > start) tokens.field[tokens.count++] = line.substr(start, i - start);
   }
   return tokens;
 }
 
 /// Microsecond-exact time formatting ("35.000000"); the parsing direction
-/// (strtod + llround(v * 1e6)) reproduces the exact TimeUs for any value
-/// within kMaxTraceSeconds, so format/parse round trips are lossless.
+/// (parse_finite_double + llround(v * 1e6)) reproduces the exact TimeUs for
+/// any value within kMaxTraceSeconds, so format/parse round trips are lossless.
 std::string format_time(TimeUs at) {
   char buf[40];
   std::snprintf(buf, sizeof buf, "%lld.%06lld",
@@ -193,8 +237,8 @@ bool parse_trace_kind(const std::string& text, TraceKind* out) {
 
 bool parse_trace(const std::string& text, Trace* out, std::string* error) {
   out->events.clear();
-  std::istringstream stream(text);
-  std::string line;
+  out->events.reserve(
+      static_cast<std::size_t>(std::count(text.begin(), text.end(), '\n')) + 1);
   int line_no = 0;
   TimeUs last_at = 0;
   // Liveness per node (present = currently dead) and blackout state per
@@ -206,87 +250,96 @@ bool parse_trace(const std::string& text, Trace* out, std::string* error) {
   };
   std::map<NodeId, FailureSite> dead;
   std::map<std::pair<NodeId, NodeId>, int> paused_on_line;
-  while (std::getline(stream, line)) {
+  const std::string_view all = text;
+  for (std::size_t next = 0; next < all.size();) {
+    const std::size_t eol = std::min(all.find('\n', next), all.size());
+    std::string_view line = all.substr(next, eol - next);
+    next = eol + 1;
     ++line_no;
-    const std::size_t hash = line.find('#');
-    if (hash != std::string::npos) line.resize(hash);
-    const std::vector<std::string> tokens = split_whitespace(line);
-    if (tokens.empty()) continue;
+    line = line.substr(0, line.find('#'));
+    const Tokens tokens = split_whitespace(line);
+    if (tokens.count == 0) continue;
     const auto err = [&](const std::string& message) {
       return fail(error, at_line(line_no, message));
     };
-    if (tokens.size() < 2) {
+    const auto quoted = [&](std::size_t i) {
+      std::string q(1, '\'');
+      q.append(tokens[i]);
+      return q += '\'';
+    };
+    if (tokens.count < 2) {
       return err(
           "expected '<t> move|fail|revive|prr|pause|resume ...' (see the trace "
           "grammar)");
     }
     double t_s = 0;
     if (!parse_finite_double(tokens[0], &t_s) || t_s < 0 || t_s > kMaxTraceSeconds) {
-      return err("bad timestamp '" + tokens[0] +
-                 "' (expected seconds in [0, 1e9])");
+      return err("bad timestamp " + quoted(0) + " (expected seconds in [0, 1e9])");
     }
     TraceEvent event;
     event.at = static_cast<TimeUs>(std::llround(t_s * 1e6));
     event.line = line_no;
     if (!out->events.empty() && event.at < last_at) {
-      return err("timestamp " + tokens[0] + " goes backwards (previous event at " +
-                 format_time(last_at) + " s)");
+      return err("timestamp " + std::string(tokens[0]) +
+                 " goes backwards (previous event at " + format_time(last_at) + " s)");
     }
-    const std::string& keyword = tokens[1];
+    const std::string_view keyword = tokens[1];
     if (keyword == "move") {
-      if (tokens.size() != 5) {
+      if (tokens.count != 5) {
         return err("move takes exactly '<t> move <node> <x> <y>'");
       }
       event.kind = TraceEventKind::kMove;
       if (!parse_node_id(tokens[2], &event.node)) {
-        return err("bad node id '" + tokens[2] + "'");
+        return err("bad node id " + quoted(2));
       }
       double coords[2] = {0, 0};
-      for (int c = 0; c < 2; ++c) {
-        if (!parse_finite_double(tokens[static_cast<std::size_t>(3 + c)], &coords[c]) ||
+      for (std::size_t c = 0; c < 2; ++c) {
+        if (!parse_finite_double(tokens[3 + c], &coords[c]) ||
             std::abs(coords[c]) > kMaxTraceCoordinate) {
-          return err("coordinate '" + tokens[static_cast<std::size_t>(3 + c)] +
-                     "' is not a number in [-1e6, 1e6]");
+          return err("coordinate " + quoted(3 + c) +
+                     " is not a number in [-1e6, 1e6]");
         }
       }
       event.pos = Position{coords[0], coords[1]};
     } else if (keyword == "fail" || keyword == "revive") {
-      if (tokens.size() != 3) {
-        return err(keyword + " takes exactly '<t> " + keyword + " <node>'");
+      if (tokens.count != 3) {
+        const std::string kw(keyword);
+        return err(kw + " takes exactly '<t> " + kw + " <node>'");
       }
       event.kind =
           keyword == "fail" ? TraceEventKind::kFail : TraceEventKind::kRevive;
       if (!parse_node_id(tokens[2], &event.node)) {
-        return err("bad node id '" + tokens[2] + "'");
+        return err("bad node id " + quoted(2));
       }
     } else if (keyword == "prr" || keyword == "pause" || keyword == "resume") {
       const std::size_t arity = keyword == "prr" ? 5 : 4;
-      if (tokens.size() != arity) {
-        return err(keyword + " takes exactly '<t> " + keyword + " <a> <b>" +
+      if (tokens.count != arity) {
+        const std::string kw(keyword);
+        return err(kw + " takes exactly '<t> " + kw + " <a> <b>" +
                    (keyword == "prr" ? " <value>'" : "'"));
       }
       event.kind = keyword == "prr"     ? TraceEventKind::kPrr
                    : keyword == "pause" ? TraceEventKind::kPause
                                         : TraceEventKind::kResume;
       if (!parse_node_id(tokens[2], &event.node)) {
-        return err("bad node id '" + tokens[2] + "'");
+        return err("bad node id " + quoted(2));
       }
       if (!parse_node_id(tokens[3], &event.peer)) {
-        return err("bad node id '" + tokens[3] + "'");
+        return err("bad node id " + quoted(3));
       }
       if (event.node == event.peer) {
-        return err("link endpoints must differ (got " + tokens[2] + " " +
-                   tokens[3] + ")");
+        return err("link endpoints must differ (got " + std::string(tokens[2]) + " " +
+                   std::string(tokens[3]) + ")");
       }
       if (keyword == "prr") {
         if (!parse_finite_double(tokens[4], &event.value) || event.value < 0.0 ||
             event.value > 1.0) {
-          return err("prr value '" + tokens[4] + "' is not a number in [0, 1]");
+          return err("prr value " + quoted(4) + " is not a number in [0, 1]");
         }
       }
     } else {
-      return err("unknown event '" + keyword +
-                 "' (expected move, fail, revive, prr, pause or resume)");
+      return err("unknown event " + quoted(1) +
+                 " (expected move, fail, revive, prr, pause or resume)");
     }
 
     // Lifecycle checks: no events touch a dead node (revive excepted),
@@ -343,12 +396,17 @@ bool parse_trace(const std::string& text, Trace* out, std::string* error) {
 }
 
 bool load_trace(const std::string& path, Trace* out, std::string* error) {
+  // One read into a buffer sized up front. file_size also refuses what is
+  // not a regular file (a directory would otherwise read as an empty trace).
+  std::error_code size_error;
+  const std::uintmax_t size = std::filesystem::file_size(path, size_error);
   std::ifstream file(path, std::ios::binary);
-  if (!file) return fail(error, "cannot read trace file '" + path + "'");
-  std::ostringstream content;
-  content << file.rdbuf();
-  if (file.bad()) return fail(error, "cannot read trace file '" + path + "'");
-  if (!parse_trace(content.str(), out, error)) {
+  if (size_error || !file) return fail(error, "cannot read trace file '" + path + "'");
+  std::string content(static_cast<std::size_t>(size), '\0');
+  if (!file.read(content.data(), static_cast<std::streamsize>(size))) {
+    return fail(error, "cannot read trace file '" + path + "'");
+  }
+  if (!parse_trace(content, out, error)) {
     return fail(error, path + ": " + (error != nullptr ? *error : ""));
   }
   return true;
@@ -396,10 +454,12 @@ bool save_trace(const std::string& path, const Trace& trace, std::string* error)
 
 bool validate_trace_nodes(const Trace& trace, const TopologySpec& topology,
                           std::string* error) {
-  std::set<NodeId> known;
-  for (const NodeSpec& n : topology.nodes) known.insert(n.id);
+  std::vector<NodeId> known;
+  known.reserve(topology.nodes.size());
+  for (const NodeSpec& n : topology.nodes) known.push_back(n.id);
+  std::sort(known.begin(), known.end());
   const auto check = [&](const TraceEvent& e, NodeId id) {
-    if (known.count(id) != 0) return true;
+    if (std::binary_search(known.begin(), known.end(), id)) return true;
     return fail(error, at_line(e.line, "unknown node id " + std::to_string(id) +
                                            " (topology has " +
                                            std::to_string(topology.nodes.size()) +
@@ -553,11 +613,10 @@ void TracePlayer::start() {
   GTTSCH_CHECK(!started_);
   started_ = true;
   for (const TraceEvent& e : trace_.events) {
-    if (net_.nodes().find(e.node) == net_.nodes().end() ||
-        (is_link_event(e.kind) &&
-         net_.nodes().find(e.peer) == net_.nodes().end())) {
+    for (const NodeId id : {e.node, is_link_event(e.kind) ? e.peer : e.node}) {
+      if (net_.nodes().count(id) != 0) continue;
       std::fprintf(stderr, "TracePlayer: %s\n",
-                   at_line(e.line, "unknown node id " + std::to_string(e.node)).c_str());
+                   at_line(e.line, "unknown node id " + std::to_string(id)).c_str());
       GTTSCH_CHECK(false && "trace addresses a node the network does not have");
     }
     if (failures_ == nullptr) continue;

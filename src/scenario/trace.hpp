@@ -15,6 +15,13 @@
 //   <t_s> pause <a> <b>           blackout the a<->b link (both directions)
 //   <t_s> resume <a> <b>          end the blackout: a<->b reverts to the
 //                                 base model (clears scripted prr too)
+// Numbers (<t_s>, <x>, <y>, <value>) are plain decimal or scientific
+// notation ("12", "-7.25", ".5", "5.", "1E+5") with an optional sign; hex,
+// inf and nan spellings are not numbers. The value must be finite and
+// either zero or normal: a number that overflows, or whose magnitude is
+// below 2^-1022 (about 2.2250738585072014e-308) once rounded to 53 bits
+// with an unbounded exponent (a subnormal), is rejected. Node ids are 1-5
+// decimal digits.
 // Every malformed line — bad keyword, wrong arity, non-numeric field,
 // backwards timestamp, out-of-range coordinate or prr, reserved node id,
 // event on a dead node or link, revive without a prior fail, resume

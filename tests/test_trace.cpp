@@ -4,6 +4,15 @@
 // moves and failures to a live network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cfloat>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <fstream>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -13,6 +22,7 @@
 #include "scenario/network.hpp"
 #include "scenario/trace.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace gttsch {
 namespace {
@@ -183,10 +193,111 @@ TEST(TraceParser, UnknownNodeRejectedAgainstTopology) {
 }
 
 TEST(TraceParser, MissingFileNamesThePath) {
-  Trace trace;
-  std::string error;
-  EXPECT_FALSE(load_trace("/no/such/file.trace", &trace, &error));
-  EXPECT_NE(error.find("/no/such/file.trace"), std::string::npos) << error;
+  // A directory is no trace file either (it must not read as an empty one).
+  const std::string paths[] = {"/no/such/file.trace", ::testing::TempDir()};
+  for (const std::string& path : paths) {
+    Trace trace;
+    std::string error;
+    EXPECT_FALSE(load_trace(path, &trace, &error)) << path;
+    EXPECT_NE(error.find("cannot read trace file '" + path + "'"), std::string::npos)
+        << error;
+  }
+}
+
+/// The numeric-field rule as strtod states it, kept as the oracle for the
+/// parser's own number scanning: restricted charset, full consumption, no
+/// ERANGE (so no overflow and no subnormal or underflowed result), finite.
+bool strtod_oracle(const std::string& text, double* out) {
+  if (text.empty() || text.find_first_not_of("0123456789.+-eE") != std::string::npos) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (end != text.c_str() + text.size() || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+std::string g17(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "%.17g", v);
+  return buf;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+TEST(TraceParser, NumericFieldsMatchStrtodOracle) {
+  std::vector<std::string> corpus = {
+      "+1.5", "-0", ".5", "5.", "1E+5", "+.5e-3", "1e", "1e+", "+-1", "--1", "++1",
+      "-+1", "+", "-", ".", "e5", "1.2.3", "1e5e5", "0", "0.0", "00012.500", "1e-310",
+      "4.9406564584124654e-324", "2.2250738585072011e-308", "2.2250738585072012e-308",
+      "2.2250738585072013e-308", "2.2250738585072014e-308", "1e-400", "-1e-400",
+      "0e-400", "0e99999999999999999999", "1e-99999999999999999999",
+      "1e99999999999999999999", "1e400", "1.7976931348623157e308",
+      // Either side of DBL_MIN - 2^-1076, below which a value that rounds
+      // to DBL_MIN still counts as tiny, and of DBL_MAX + half an ulp.
+      "2.2250738585072012595738212570207680200770177e-308",
+      "2.2250738585072012595738212570207680200770178e-308",
+      "1.797693134862315807937289714053034150799e308",
+      "1.797693134862315807937289714053034150800e308",
+      "1.7976931348623158e308", "1.7976931348623159e308", "0x1p3", "0X1P3", "inf", "-inf",
+      "+inf", "INF", "infinity", "-Infinity", "nan", "+nan", "-nan", "NaN", "nan(12)",
+      "1,5", "1_000", "1e5f", "1.5d", "1e9", "1000000000.0000001", "1e6", "1000000.0000000001",
+      "0.1000000000000000055511151231257827021181583404541015625",
+      "1.00000000000000011102230246251565404236316680908203125",
+      "123456789012345678901234567890", "0.999999999999999999999999",
+      g17(DBL_MIN), g17(std::nextafter(DBL_MIN, 0.0)), g17(std::nextafter(DBL_MIN, 1.0)),
+      g17(-DBL_MIN), g17(std::numeric_limits<double>::denorm_min()), g17(DBL_MAX)};
+  // %.17g spellings of every exponent range (raw bit patterns, so also
+  // subnormals, inf and nan), and of values in and around each field's range.
+  Rng rng(2024);
+  for (int i = 0; i < 1000; ++i) {
+    const std::uint64_t bits = rng.next_u64();
+    double v = 0;
+    std::memcpy(&v, &bits, sizeof v);
+    corpus.push_back(g17(v));
+  }
+  for (int i = 0; i < 1000; ++i) corpus.push_back(g17(rng.uniform_double(-1.5e6, 1.5e6)));
+  for (int i = 0; i < 1000; ++i) corpus.push_back(g17(rng.uniform_double(-0.2, 1.2)));
+  for (int i = 0; i < 1000; ++i) corpus.push_back(g17(rng.uniform_double(0.0, 1.2e9)));
+  for (int i = 0; i < 500; ++i) {
+    const int shift = static_cast<int>(rng.uniform(53));
+    corpus.push_back(g17(std::ldexp(rng.uniform_double(), -1022 - shift)));  // subnormal
+  }
+
+  int accepted = 0;
+  for (const std::string& s : corpus) {
+    SCOPED_TRACE("field '" + s + "'");
+    double v = 0;
+    const bool ok = strtod_oracle(s, &v);
+    Trace trace;
+    std::string error;
+
+    const bool t_ok = ok && v >= 0 && v <= kMaxTraceSeconds;
+    ASSERT_EQ(parse_trace(s + " fail 3\n", &trace, &error), t_ok) << error;
+    if (t_ok) {
+      EXPECT_EQ(trace.events[0].at, static_cast<TimeUs>(std::llround(v * 1e6)));
+    }
+
+    const bool c_ok = ok && std::abs(v) <= kMaxTraceCoordinate;
+    ASSERT_EQ(parse_trace("1 move 3 " + s + " 0\n", &trace, &error), c_ok) << error;
+    if (c_ok) {
+      EXPECT_TRUE(same_bits(trace.events[0].pos.x, v));
+    }
+
+    const bool p_ok = ok && v >= 0.0 && v <= 1.0;
+    ASSERT_EQ(parse_trace("1 prr 1 2 " + s + "\n", &trace, &error), p_ok) << error;
+    if (p_ok) {
+      EXPECT_TRUE(same_bits(trace.events[0].value, v));
+    }
+    accepted += ok ? 1 : 0;
+  }
+  // Both outcomes are well represented, so neither side passes vacuously.
+  EXPECT_GT(accepted, 2500);
+  EXPECT_GT(static_cast<int>(corpus.size()) - accepted, 500);
 }
 
 // ------------------------------------------------------------ round trip --
@@ -531,6 +642,93 @@ TEST(TraceFile, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < trace.events.size(); ++i) {
     EXPECT_TRUE(trace.events[i] == loaded.events[i]) << "event " << i;
   }
+}
+
+/// A trace shaped like perfbench's dynamic-100 file: a 100-node random disk,
+/// 20 random-walk movers merged with 10 crashloop nodes over 600-1800 s
+/// (about 12k lines). One seed for both generators makes the movers (front
+/// of the shuffled node order) and the crashers (its back) disjoint.
+Trace dynamic100_shaped_trace(const TopologySpec& topo) {
+  TraceGenParams walk;
+  walk.seed = 11;
+  walk.movers = 20;
+  walk.speed_mps = 2.5;
+  walk.interval_s = 2.0;
+  walk.start = 600_s;
+  walk.end = 1800_s;
+  TraceGenParams crash = walk;
+  crash.movers = 0;
+  crash.fail_count = 10;
+  crash.fail_at_s = 660.0;
+  Trace trace = generate_trace(TraceKind::kCrashloop, topo, crash);
+  const Trace moves = generate_trace(TraceKind::kRandomWalk, topo, walk);
+  trace.events.insert(trace.events.end(), moves.events.begin(), moves.events.end());
+  std::stable_sort(trace.events.begin(), trace.events.end(),
+                   [](const TraceEvent& a, const TraceEvent& b) { return a.at < b.at; });
+  return trace;
+}
+
+void expect_same_events(const Trace& expected, const Trace& actual) {
+  ASSERT_EQ(actual.events.size(), expected.events.size());
+  for (std::size_t i = 0; i < expected.events.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "event " << i);
+    EXPECT_TRUE(expected.events[i] == actual.events[i]);
+    EXPECT_EQ(actual.events[i].line, static_cast<int>(i) + 1);
+  }
+}
+
+TEST(TraceFile, Dynamic100ShapedRoundTripAtVolume) {
+  ScenarioConfig sc;
+  sc.topology = TopologyKind::kRandomDisk;
+  sc.topology_nodes = 100;
+  sc.disk_radius = 150.0;
+  const Trace trace = dynamic100_shaped_trace(sc.make_topology());
+  ASSERT_GT(trace.events.size(), 12000u);
+  const std::string text = format_trace(trace);
+
+  Trace parsed;
+  std::string error;
+  ASSERT_TRUE(parse_trace(text, &parsed, &error)) << error;
+  expect_same_events(trace, parsed);
+
+  const std::string path = ::testing::TempDir() + "dynamic100_shaped.trace";
+  {
+    std::ofstream file(path, std::ios::binary | std::ios::trunc);
+    file << text;
+    ASSERT_TRUE(file.good());
+  }
+  Trace loaded;
+  ASSERT_TRUE(load_trace(path, &loaded, &error)) << error;
+  expect_same_events(trace, loaded);
+
+  std::string crlf, commented;
+  for (std::size_t start = 0; start < text.size();) {
+    const std::size_t nl = text.find('\n', start);
+    const std::string line = text.substr(start, nl - start);
+    crlf += line + "\r\n";
+    commented += line + "  # note " + std::to_string(start) + "\n";
+    start = nl + 1;
+  }
+  Trace from_crlf, from_commented;
+  ASSERT_TRUE(parse_trace(crlf, &from_crlf, &error)) << error;
+  expect_same_events(trace, from_crlf);
+  ASSERT_TRUE(parse_trace(commented, &from_commented, &error)) << error;
+  expect_same_events(trace, from_commented);
+}
+
+// The abort names the id the network lacks, also when it is a link's peer.
+TEST(TracePlayerDeathTest, UnknownPeerIsNamedInTheAbort) {
+  TopologySpec topo;
+  topo.nodes.push_back(NodeSpec{1, {0, 0}, true});
+  topo.nodes.push_back(NodeSpec{2, {0, 30}, false});
+  ScenarioConfig sc;
+  Network net(1, std::make_unique<UnitDiskModel>(40.0, 1.0, 1.6), topo,
+              sc.make_node_config(), nullptr);
+  Trace trace;
+  std::string error;
+  ASSERT_TRUE(parse_trace("10 prr 2 9 0.5\n", &trace, &error)) << error;
+  TracePlayer player(net, std::move(trace));
+  EXPECT_DEATH(player.start(), "line 1: unknown node id 9");
 }
 
 }  // namespace
