@@ -13,6 +13,7 @@
 // journals merge with `gt_campaign merge`.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -130,15 +131,19 @@ inline void print_panels(const char* figure, const char* x_name,
     t.print();
   }
   std::printf("\n%s — diagnostics (generated/delivered per run-average)\n", figure);
+  // The aggregate holds seed sums; a point in another shard has no runs.
+  auto per_run = [](const campaign::PointAggregate& a, std::uint64_t sum) {
+    if (a.runs == 0) return std::string("-");
+    return TablePrinter::num(static_cast<double>(sum) / a.runs, 1);
+  };
   TablePrinter t({x_name, "GT gen", "GT dlv", "GT join", "Or gen", "Or dlv", "Or join"});
   for (const auto& row : rows)
-    t.add_row({row.x,
-               TablePrinter::num(static_cast<std::int64_t>(row.gt.mean.generated)),
-               TablePrinter::num(static_cast<std::int64_t>(row.gt.mean.delivered)),
-               TablePrinter::num(static_cast<std::int64_t>(row.gt.mean.nodes_joined)),
-               TablePrinter::num(static_cast<std::int64_t>(row.orchestra.mean.generated)),
-               TablePrinter::num(static_cast<std::int64_t>(row.orchestra.mean.delivered)),
-               TablePrinter::num(static_cast<std::int64_t>(row.orchestra.mean.nodes_joined))});
+    t.add_row({row.x, per_run(row.gt, row.gt.mean.generated),
+               per_run(row.gt, row.gt.mean.delivered),
+               per_run(row.gt, row.gt.mean.nodes_joined),
+               per_run(row.orchestra, row.orchestra.mean.generated),
+               per_run(row.orchestra, row.orchestra.mean.delivered),
+               per_run(row.orchestra, row.orchestra.mean.nodes_joined)});
   t.print();
 }
 

@@ -1,6 +1,8 @@
 #include "campaign/aggregate.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "util/check.hpp"
 
@@ -85,37 +87,9 @@ SampleStats summarize(const std::vector<double>& samples) {
   return s;
 }
 
-namespace {
-
-struct NamedMetric {
-  const char* name;
-  SampleStats PointAggregate::*stats;
-};
-
-constexpr NamedMetric kNamedMetrics[] = {
-    {"pdr_percent", &PointAggregate::pdr_percent},
-    {"avg_delay_ms", &PointAggregate::avg_delay_ms},
-    {"p95_delay_ms", &PointAggregate::p95_delay_ms},
-    {"loss_per_minute", &PointAggregate::loss_per_minute},
-    {"duty_cycle_percent", &PointAggregate::duty_cycle_percent},
-    {"queue_loss_per_node", &PointAggregate::queue_loss_per_node},
-    {"throughput_per_minute", &PointAggregate::throughput_per_minute},
-    {"mean_hops", &PointAggregate::mean_hops},
-    {"pre_pdr_percent", &PointAggregate::pre_pdr_percent},
-    {"churn_pdr_percent", &PointAggregate::churn_pdr_percent},
-    {"post_pdr_percent", &PointAggregate::post_pdr_percent},
-    {"probe_pdr_percent", &PointAggregate::probe_pdr_percent},
-    {"probe_avg_latency_ms", &PointAggregate::probe_avg_latency_ms},
-    {"recovery_rejoin_s", &PointAggregate::recovery_rejoin_s},
-    {"recovery_first_delivery_s", &PointAggregate::recovery_first_delivery_s},
-    {"recovery_ttr_s", &PointAggregate::recovery_ttr_s},
-};
-
-}  // namespace
-
 SampleStats PointAggregate::*metric_by_name(const std::string& name) {
-  for (const NamedMetric& m : kNamedMetrics) {
-    if (name == m.name) return m.stats;
+  for (const MetricRow& row : kMetricRows) {
+    if (row.fold == Fold::kSpread && name == row.name) return row.stats;
   }
   return nullptr;
 }
@@ -123,7 +97,9 @@ SampleStats PointAggregate::*metric_by_name(const std::string& name) {
 const std::vector<std::string>& metric_names() {
   static const std::vector<std::string> names = [] {
     std::vector<std::string> v;
-    for (const NamedMetric& m : kNamedMetrics) v.push_back(m.name);
+    for (const MetricRow& row : kMetricRows) {
+      if (row.fold == Fold::kSpread) v.push_back(row.name);
+    }
     return v;
   }();
   return names;
@@ -156,95 +132,45 @@ PointAggregate PointAccumulator::finalize() const {
   }
   if (by_seed_.empty()) return out;
 
-  // Collect per-metric sample vectors in seed order (std::map iterates in
-  // key order, so arrival order is irrelevant).
-  struct Series {
-    SampleStats PointAggregate::*stats;
-    double RunMetrics::*metric;
-  };
-  static constexpr Series kSeries[] = {
-      {&PointAggregate::pdr_percent, &RunMetrics::pdr_percent},
-      {&PointAggregate::avg_delay_ms, &RunMetrics::avg_delay_ms},
-      {&PointAggregate::p95_delay_ms, &RunMetrics::p95_delay_ms},
-      {&PointAggregate::loss_per_minute, &RunMetrics::loss_per_minute},
-      {&PointAggregate::duty_cycle_percent, &RunMetrics::duty_cycle_percent},
-      {&PointAggregate::queue_loss_per_node, &RunMetrics::queue_loss_per_node},
-      {&PointAggregate::throughput_per_minute, &RunMetrics::throughput_per_minute},
-      {&PointAggregate::mean_hops, &RunMetrics::mean_hops},
-      {&PointAggregate::pre_pdr_percent, &RunMetrics::pre_pdr_percent},
-      {&PointAggregate::churn_pdr_percent, &RunMetrics::churn_pdr_percent},
-      {&PointAggregate::post_pdr_percent, &RunMetrics::post_pdr_percent},
-      {&PointAggregate::probe_pdr_percent, &RunMetrics::probe_pdr_percent},
-      {&PointAggregate::probe_avg_latency_ms, &RunMetrics::probe_avg_latency_ms},
-      {&PointAggregate::recovery_rejoin_s, &RunMetrics::recovery_rejoin_s},
-      {&PointAggregate::recovery_first_delivery_s,
-       &RunMetrics::recovery_first_delivery_s},
-      {&PointAggregate::recovery_ttr_s, &RunMetrics::recovery_ttr_s},
-  };
-  std::vector<double> samples;
-  samples.reserve(by_seed_.size());
-  for (const Series& series : kSeries) {
-    samples.clear();
-    for (const auto& [seed_index, result] : by_seed_) {
-      samples.push_back(result.metrics.*series.metric);
-    }
-    out.*series.stats = summarize(samples);
-  }
-
   for (const auto& [seed_index, result] : by_seed_) {
-    const RunMetrics& m = result.metrics;
-    out.mean.generated += m.generated;
-    out.mean.delivered += m.delivered;
-    out.mean.queue_drops += m.queue_drops;
-    out.mean.mac_drops += m.mac_drops;
-    out.mean.no_route_drops += m.no_route_drops;
-    out.mean.nodes_joined += m.nodes_joined;
-    out.mean.node_count = m.node_count;
-    out.mean.measure_minutes += m.measure_minutes;
-    out.mean.churn_phases |= m.churn_phases;
-    out.mean.pre_generated += m.pre_generated;
-    out.mean.churn_generated += m.churn_generated;
-    out.mean.post_generated += m.post_generated;
-    out.mean.pre_delivered += m.pre_delivered;
-    out.mean.churn_delivered += m.churn_delivered;
-    out.mean.post_delivered += m.post_delivered;
-    out.mean.probes_sent += m.probes_sent;
-    out.mean.probes_delivered += m.probes_delivered;
-    out.mean.node_failures += m.node_failures;
-    out.mean.node_revivals += m.node_revivals;
-    out.mean.node_rejoins += m.node_rejoins;
-    out.mean.orphan_intervals += m.orphan_intervals;
-    out.mean.recovery_ttr_censored += m.recovery_ttr_censored;
-    out.mean.pre_avg_delay_ms += m.pre_avg_delay_ms;
-    out.mean.churn_avg_delay_ms += m.churn_avg_delay_ms;
-    out.mean.post_avg_delay_ms += m.post_avg_delay_ms;
-    out.medium_sum.transmissions += result.medium.transmissions;
-    out.medium_sum.deliveries += result.medium.deliveries;
-    out.medium_sum.collision_losses += result.medium.collision_losses;
-    out.medium_sum.prr_losses += result.medium.prr_losses;
     if (result.fully_formed) ++out.fully_formed_runs;
     ++out.runs;
   }
-  out.mean.pdr_percent = out.pdr_percent.mean;
-  out.mean.avg_delay_ms = out.avg_delay_ms.mean;
-  out.mean.p95_delay_ms = out.p95_delay_ms.mean;
-  out.mean.loss_per_minute = out.loss_per_minute.mean;
-  out.mean.duty_cycle_percent = out.duty_cycle_percent.mean;
-  out.mean.queue_loss_per_node = out.queue_loss_per_node.mean;
-  out.mean.throughput_per_minute = out.throughput_per_minute.mean;
-  out.mean.mean_hops = out.mean_hops.mean;
-  out.mean.measure_minutes /= static_cast<double>(out.runs);
-  out.mean.pre_avg_delay_ms /= static_cast<double>(out.runs);
-  out.mean.churn_avg_delay_ms /= static_cast<double>(out.runs);
-  out.mean.post_avg_delay_ms /= static_cast<double>(out.runs);
-  out.mean.pre_pdr_percent = out.pre_pdr_percent.mean;
-  out.mean.churn_pdr_percent = out.churn_pdr_percent.mean;
-  out.mean.post_pdr_percent = out.post_pdr_percent.mean;
-  out.mean.probe_pdr_percent = out.probe_pdr_percent.mean;
-  out.mean.probe_avg_latency_ms = out.probe_avg_latency_ms.mean;
-  out.mean.recovery_rejoin_s = out.recovery_rejoin_s.mean;
-  out.mean.recovery_first_delivery_s = out.recovery_first_delivery_s.mean;
-  out.mean.recovery_ttr_s = out.recovery_ttr_s.mean;
+  // Each row folds its per-seed values in seed order (std::map iterates in
+  // key order, so arrival order is irrelevant).
+  std::vector<double> samples;
+  samples.reserve(by_seed_.size());
+  for (const MetricRow& row : kMetricRows) {
+    std::visit(
+        [&](auto member) {
+          auto& total = metric_ref(out.mean, out.medium_sum, member);
+          using T = std::remove_reference_t<decltype(total)>;
+          if (row.fold == Fold::kSpread) {
+            samples.clear();
+            for (const auto& [seed_index, result] : by_seed_) {
+              samples.push_back(
+                  static_cast<double>(metric_ref(result.metrics, result.medium, member)));
+            }
+            out.*row.stats = summarize(samples);
+            total = static_cast<T>((out.*row.stats).mean);
+            return;
+          }
+          for (const auto& [seed_index, result] : by_seed_) {
+            const T value = metric_ref(result.metrics, result.medium, member);
+            switch (row.fold) {
+              case Fold::kMean:
+              case Fold::kSum: total += value; break;
+              case Fold::kLast: total = value; break;
+              case Fold::kMax: total = std::max(total, value); break;
+              case Fold::kSpread: break;
+            }
+          }
+          if constexpr (std::is_floating_point_v<T>) {
+            if (row.fold == Fold::kMean) total /= static_cast<double>(out.runs);
+          }
+        },
+        row.member);
+  }
   return out;
 }
 

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <map>
 #include <set>
+#include <type_traits>
+#include <variant>
 
 #include "campaign/jsonio.hpp"
 
@@ -21,98 +23,53 @@ bool fail(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Per-field serialization tables: one row per RunMetrics / MediumStats
-/// member, shared by the writer and the parser so they cannot drift.
-struct DoubleField {
-  const char* name;
-  double RunMetrics::*member;
-};
-struct U64Field {
-  const char* name;
-  std::uint64_t RunMetrics::*member;
-};
-struct MediumField {
-  const char* name;
-  std::uint64_t MediumStats::*member;
-};
-
-constexpr DoubleField kMetricDoubles[] = {
-    {"pdr_percent", &RunMetrics::pdr_percent},
-    {"avg_delay_ms", &RunMetrics::avg_delay_ms},
-    {"p95_delay_ms", &RunMetrics::p95_delay_ms},
-    {"loss_per_minute", &RunMetrics::loss_per_minute},
-    {"duty_cycle_percent", &RunMetrics::duty_cycle_percent},
-    {"queue_loss_per_node", &RunMetrics::queue_loss_per_node},
-    {"throughput_per_minute", &RunMetrics::throughput_per_minute},
-    {"mean_hops", &RunMetrics::mean_hops},
-    {"measure_minutes", &RunMetrics::measure_minutes},
-    {"pre_pdr_percent", &RunMetrics::pre_pdr_percent},
-    {"churn_pdr_percent", &RunMetrics::churn_pdr_percent},
-    {"post_pdr_percent", &RunMetrics::post_pdr_percent},
-    {"pre_avg_delay_ms", &RunMetrics::pre_avg_delay_ms},
-    {"churn_avg_delay_ms", &RunMetrics::churn_avg_delay_ms},
-    {"post_avg_delay_ms", &RunMetrics::post_avg_delay_ms},
-    {"probe_pdr_percent", &RunMetrics::probe_pdr_percent},
-    {"probe_avg_latency_ms", &RunMetrics::probe_avg_latency_ms},
-    {"recovery_rejoin_s", &RunMetrics::recovery_rejoin_s},
-    {"recovery_first_delivery_s", &RunMetrics::recovery_first_delivery_s},
-    {"recovery_ttr_s", &RunMetrics::recovery_ttr_s},
-};
-
-constexpr U64Field kMetricCounters[] = {
-    {"generated", &RunMetrics::generated},
-    {"delivered", &RunMetrics::delivered},
-    {"queue_drops", &RunMetrics::queue_drops},
-    {"mac_drops", &RunMetrics::mac_drops},
-    {"no_route_drops", &RunMetrics::no_route_drops},
-    {"nodes_joined", &RunMetrics::nodes_joined},
-    {"node_count", &RunMetrics::node_count},
-    {"churn_phases", &RunMetrics::churn_phases},
-    {"pre_generated", &RunMetrics::pre_generated},
-    {"churn_generated", &RunMetrics::churn_generated},
-    {"post_generated", &RunMetrics::post_generated},
-    {"pre_delivered", &RunMetrics::pre_delivered},
-    {"churn_delivered", &RunMetrics::churn_delivered},
-    {"post_delivered", &RunMetrics::post_delivered},
-    {"probes_sent", &RunMetrics::probes_sent},
-    {"probes_delivered", &RunMetrics::probes_delivered},
-    {"node_failures", &RunMetrics::node_failures},
-    {"node_revivals", &RunMetrics::node_revivals},
-    {"node_rejoins", &RunMetrics::node_rejoins},
-    {"orphan_intervals", &RunMetrics::orphan_intervals},
-    {"recovery_ttr_censored", &RunMetrics::recovery_ttr_censored},
-};
-
-constexpr MediumField kMediumCounters[] = {
-    {"transmissions", &MediumStats::transmissions},
-    {"deliveries", &MediumStats::deliveries},
-    {"collision_losses", &MediumStats::collision_losses},
-    {"prr_losses", &MediumStats::prr_losses},
-};
-
-// ---------------------------------------------------------- parsing --
+// ------------------------------------------------- parsing, rendering --
 // The shared reader lives in campaign/jsonio.hpp; what follows are the
-// journal-specific object parsers built on it.
+// journal-specific object parsers built on it, and the metric-row writer.
 
-bool parse_metrics(Cursor& cur, RunMetrics* metrics) {
+/// Parses the "metrics" (medium == false) or "medium" object's rows.
+bool parse_rows(Cursor& cur, bool medium, ExperimentResult* result) {
   return parse_object(cur, [&](const std::string& key) {
-    for (const DoubleField& f : kMetricDoubles) {
-      if (key == f.name) return cur.parse_double(&(metrics->*f.member));
-    }
-    for (const U64Field& f : kMetricCounters) {
-      if (key == f.name) return cur.parse_u64(&(metrics->*f.member));
+    for (const MetricRow& row : kMetricRows) {
+      if (is_medium(row) != medium || key != row.name) continue;
+      return std::visit(
+          [&](auto member) {
+            auto& value = metric_ref(result->metrics, result->medium, member);
+            if constexpr (std::is_same_v<decltype(value), double&>) {
+              return cur.parse_double(&value);
+            } else {
+              return cur.parse_u64(&value);
+            }
+          },
+          row.member);
     }
     return cur.skip_value();
   });
 }
 
-bool parse_medium(Cursor& cur, MediumStats* medium) {
-  return parse_object(cur, [&](const std::string& key) {
-    for (const MediumField& f : kMediumCounters) {
-      if (key == f.name) return cur.parse_u64(&(medium->*f.member));
-    }
-    return cur.skip_value();
-  });
+/// Renders the "metrics" (medium == false) or "medium" object's rows.
+void render_rows(const ExperimentResult& result, bool medium, std::string* out) {
+  *out += '{';
+  const char* separator = "";
+  for (const MetricRow& row : kMetricRows) {
+    if (is_medium(row) != medium) continue;
+    *out += separator;
+    separator = ", ";
+    *out += '"';
+    *out += row.name;
+    *out += "\": ";
+    std::visit(
+        [&](auto member) {
+          const auto value = metric_ref(result.metrics, result.medium, member);
+          if constexpr (std::is_same_v<decltype(value), const double>) {
+            *out += fmt_double(value);
+          } else {
+            *out += std::to_string(value);
+          }
+        },
+        row.member);
+  }
+  *out += '}';
 }
 
 bool parse_coords(Cursor& cur,
@@ -155,25 +112,11 @@ std::string render_journal_line(const JournalRecord& r) {
   if (r.attempts != 1) out += ", \"attempts\": " + std::to_string(r.attempts);
   out += ", \"fully_formed\": ";
   out += r.result.fully_formed ? "true" : "false";
-  out += ", \"metrics\": {";
-  bool first = true;
-  for (const DoubleField& f : kMetricDoubles) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"' + std::string(f.name) + "\": " + fmt_double(r.result.metrics.*f.member);
-  }
-  for (const U64Field& f : kMetricCounters) {
-    out += ", \"" + std::string(f.name) +
-           "\": " + std::to_string(r.result.metrics.*f.member);
-  }
-  out += "}, \"medium\": {";
-  first = true;
-  for (const MediumField& f : kMediumCounters) {
-    if (!first) out += ", ";
-    first = false;
-    out += '"' + std::string(f.name) + "\": " + std::to_string(r.result.medium.*f.member);
-  }
-  out += "}}";
+  out += ", \"metrics\": ";
+  render_rows(r.result, /*medium=*/false, &out);
+  out += ", \"medium\": ";
+  render_rows(r.result, /*medium=*/true, &out);
+  out += '}';
   return out;
 }
 
@@ -225,8 +168,8 @@ bool parse_journal_line(const std::string& line, JournalRecord* out,
       return true;
     }
     if (key == "fully_formed") return cur.parse_bool(&out->result.fully_formed);
-    if (key == "metrics") return parse_metrics(cur, &out->result.metrics);
-    if (key == "medium") return parse_medium(cur, &out->result.medium);
+    if (key == "metrics") return parse_rows(cur, /*medium=*/false, &out->result);
+    if (key == "medium") return parse_rows(cur, /*medium=*/true, &out->result);
     return cur.skip_value();
   });
   if (!ok || !cur.at_end()) {

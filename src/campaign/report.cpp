@@ -1,36 +1,14 @@
 #include "campaign/report.hpp"
 
 #include <cstdio>
+#include <type_traits>
+#include <variant>
 
 #include "campaign/journal.hpp"
 #include "util/csv.hpp"
 
 namespace gttsch::campaign {
 namespace {
-
-struct MetricColumn {
-  const char* name;
-  SampleStats PointAggregate::*stats;
-};
-
-constexpr MetricColumn kMetrics[] = {
-    {"pdr_percent", &PointAggregate::pdr_percent},
-    {"avg_delay_ms", &PointAggregate::avg_delay_ms},
-    {"p95_delay_ms", &PointAggregate::p95_delay_ms},
-    {"loss_per_minute", &PointAggregate::loss_per_minute},
-    {"duty_cycle_percent", &PointAggregate::duty_cycle_percent},
-    {"queue_loss_per_node", &PointAggregate::queue_loss_per_node},
-    {"throughput_per_minute", &PointAggregate::throughput_per_minute},
-    {"mean_hops", &PointAggregate::mean_hops},
-    {"pre_pdr_percent", &PointAggregate::pre_pdr_percent},
-    {"churn_pdr_percent", &PointAggregate::churn_pdr_percent},
-    {"post_pdr_percent", &PointAggregate::post_pdr_percent},
-    {"probe_pdr_percent", &PointAggregate::probe_pdr_percent},
-    {"probe_avg_latency_ms", &PointAggregate::probe_avg_latency_ms},
-    {"recovery_rejoin_s", &PointAggregate::recovery_rejoin_s},
-    {"recovery_first_delivery_s", &PointAggregate::recovery_first_delivery_s},
-    {"recovery_ttr_s", &PointAggregate::recovery_ttr_s},
-};
 
 std::string fmt(double v) {
   char buf[64];
@@ -40,12 +18,27 @@ std::string fmt(double v) {
 
 std::string fmt(std::uint64_t v) { return std::to_string(v); }
 
-/// Nodes joined at the end of a run, averaged over the point's seeds (the
-/// aggregate sums it, like the other counters).
-double nodes_joined_mean(const PointAggregate& a) {
-  return a.runs == 0 ? 0.0
-                     : static_cast<double>(a.mean.nodes_joined) /
-                           static_cast<double>(a.runs);
+/// A non-spread row's value in `a`, as its report cell.
+std::string total_text(const MetricRow& row, const PointAggregate& a) {
+  return std::visit(
+      [&](auto member) {
+        const auto value = metric_ref(a.mean, a.medium_sum, member);
+        if constexpr (std::is_same_v<decltype(value), const std::uint64_t>) {
+          // An integer mean row holds the seed sum (see Fold::kMean).
+          if (row.fold == Fold::kMean) {
+            return fmt(a.runs == 0 ? 0.0
+                                   : static_cast<double>(value) /
+                                         static_cast<double>(a.runs));
+          }
+        }
+        return fmt(value);
+      },
+      row.member);
+}
+
+/// The CSV column of a non-spread row; medium rows carry a prefix.
+std::string total_column(const MetricRow& row) {
+  return is_medium(row) ? std::string("medium_") + row.name : std::string(row.name);
 }
 
 std::string json_escape(const std::string& s) {
@@ -75,19 +68,14 @@ std::vector<std::string> csv_header(const std::vector<PointAggregate>& aggregate
   header.push_back("status");
   header.push_back("failed_jobs");
   header.push_back("failure_kinds");
-  for (const MetricColumn& m : kMetrics) {
-    header.push_back(std::string(m.name) + "_mean");
-    header.push_back(std::string(m.name) + "_stddev");
-    header.push_back(std::string(m.name) + "_ci95");
+  for (const MetricRow& row : kMetricRows) {
+    if (row.fold != Fold::kSpread) continue;
+    header.push_back(std::string(row.name) + "_mean");
+    header.push_back(std::string(row.name) + "_stddev");
+    header.push_back(std::string(row.name) + "_ci95");
   }
-  for (const char* name :
-       {"generated", "delivered", "queue_drops", "mac_drops", "no_route_drops",
-        "medium_transmissions", "medium_collision_losses", "medium_prr_losses",
-        "pre_generated", "churn_generated", "post_generated", "pre_delivered",
-        "churn_delivered", "post_delivered", "probes_sent", "probes_delivered",
-        "node_failures", "node_revivals", "node_rejoins", "orphan_intervals",
-        "recovery_ttr_censored", "nodes_joined"}) {
-    header.push_back(name);
+  for (const MetricRow& row : kMetricRows) {
+    if (row.fold != Fold::kSpread) header.push_back(total_column(row));
   }
   return header;
 }
@@ -100,7 +88,8 @@ std::vector<std::string> csv_row(const PointAggregate& a) {
   row.push_back(point_status(a));
   row.push_back(std::to_string(a.runs_failed));
   row.push_back(failure_kinds_label(a));
-  for (const MetricColumn& m : kMetrics) {
+  for (const MetricRow& m : kMetricRows) {
+    if (m.fold != Fold::kSpread) continue;
     const SampleStats& s = a.*m.stats;
     row.push_back(fmt(s.mean));
     row.push_back(fmt(s.stddev));
@@ -108,28 +97,9 @@ std::vector<std::string> csv_row(const PointAggregate& a) {
     // blank cell, not a fake 0-width interval.
     row.push_back(s.n > 1 ? fmt(s.ci95_half) : std::string());
   }
-  row.push_back(fmt(a.mean.generated));
-  row.push_back(fmt(a.mean.delivered));
-  row.push_back(fmt(a.mean.queue_drops));
-  row.push_back(fmt(a.mean.mac_drops));
-  row.push_back(fmt(a.mean.no_route_drops));
-  row.push_back(fmt(a.medium_sum.transmissions));
-  row.push_back(fmt(a.medium_sum.collision_losses));
-  row.push_back(fmt(a.medium_sum.prr_losses));
-  row.push_back(fmt(a.mean.pre_generated));
-  row.push_back(fmt(a.mean.churn_generated));
-  row.push_back(fmt(a.mean.post_generated));
-  row.push_back(fmt(a.mean.pre_delivered));
-  row.push_back(fmt(a.mean.churn_delivered));
-  row.push_back(fmt(a.mean.post_delivered));
-  row.push_back(fmt(a.mean.probes_sent));
-  row.push_back(fmt(a.mean.probes_delivered));
-  row.push_back(fmt(a.mean.node_failures));
-  row.push_back(fmt(a.mean.node_revivals));
-  row.push_back(fmt(a.mean.node_rejoins));
-  row.push_back(fmt(a.mean.orphan_intervals));
-  row.push_back(fmt(a.mean.recovery_ttr_censored));
-  row.push_back(fmt(nodes_joined_mean(a)));
+  for (const MetricRow& m : kMetricRows) {
+    if (m.fold != Fold::kSpread) row.push_back(total_text(m, a));
+  }
   return row;
 }
 
@@ -175,41 +145,35 @@ std::string render_json(const std::vector<PointAggregate>& aggregates) {
     out += "    \"failure_kinds\": {\"crashed\": " + std::to_string(a.failed_crashed) +
            ", \"timeout\": " + std::to_string(a.failed_timeout) +
            ", \"failed\": " + std::to_string(a.failed_other) + "},\n";
-    out += "    \"metrics\": {\n";
-    for (std::size_t m = 0; m < std::size(kMetrics); ++m) {
-      const SampleStats& s = a.*kMetrics[m].stats;
+    // "metrics": the spread rows; "counters" and "medium": the others.
+    const char* separator = "\n";
+    out += "    \"metrics\": {";
+    for (const MetricRow& m : kMetricRows) {
+      if (m.fold != Fold::kSpread) continue;
+      const SampleStats& s = a.*m.stats;
+      out += separator;
+      separator = ",\n";
       out += "      \"";
-      out += kMetrics[m].name;
+      out += m.name;
       out += "\": {\"mean\": " + fmt(s.mean) + ", \"stddev\": " + fmt(s.stddev) +
              ", \"ci95\": " + (s.n > 1 ? fmt(s.ci95_half) : std::string("null")) +
              ", \"min\": " + fmt(s.min) +
              ", \"max\": " + fmt(s.max) + ", \"n\": " + std::to_string(s.n) + "}";
-      out += (m + 1 < std::size(kMetrics)) ? ",\n" : "\n";
     }
-    out += "    },\n";
-    out += "    \"counters\": {\"generated\": " + fmt(a.mean.generated) +
-           ", \"delivered\": " + fmt(a.mean.delivered) +
-           ", \"queue_drops\": " + fmt(a.mean.queue_drops) +
-           ", \"mac_drops\": " + fmt(a.mean.mac_drops) +
-           ", \"no_route_drops\": " + fmt(a.mean.no_route_drops) +
-           ", \"pre_generated\": " + fmt(a.mean.pre_generated) +
-           ", \"churn_generated\": " + fmt(a.mean.churn_generated) +
-           ", \"post_generated\": " + fmt(a.mean.post_generated) +
-           ", \"pre_delivered\": " + fmt(a.mean.pre_delivered) +
-           ", \"churn_delivered\": " + fmt(a.mean.churn_delivered) +
-           ", \"post_delivered\": " + fmt(a.mean.post_delivered) +
-           ", \"probes_sent\": " + fmt(a.mean.probes_sent) +
-           ", \"probes_delivered\": " + fmt(a.mean.probes_delivered) +
-           ", \"node_failures\": " + fmt(a.mean.node_failures) +
-           ", \"node_revivals\": " + fmt(a.mean.node_revivals) +
-           ", \"node_rejoins\": " + fmt(a.mean.node_rejoins) +
-           ", \"orphan_intervals\": " + fmt(a.mean.orphan_intervals) +
-           ", \"recovery_ttr_censored\": " + fmt(a.mean.recovery_ttr_censored) +
-           ", \"nodes_joined\": " + fmt(nodes_joined_mean(a)) + "},\n";
-    out += "    \"medium\": {\"transmissions\": " + fmt(a.medium_sum.transmissions) +
-           ", \"deliveries\": " + fmt(a.medium_sum.deliveries) +
-           ", \"collision_losses\": " + fmt(a.medium_sum.collision_losses) +
-           ", \"prr_losses\": " + fmt(a.medium_sum.prr_losses) + "}\n";
+    out += "\n    },\n";
+    for (const bool medium : {false, true}) {
+      out += medium ? "    \"medium\": {" : "    \"counters\": {";
+      separator = "";
+      for (const MetricRow& m : kMetricRows) {
+        if (m.fold == Fold::kSpread || is_medium(m) != medium) continue;
+        out += separator;
+        separator = ", ";
+        out += '"';
+        out += m.name;
+        out += "\": " + total_text(m, a);
+      }
+      out += medium ? "}\n" : "},\n";
+    }
     out += (i + 1 < aggregates.size()) ? "  },\n" : "  }\n";
   }
   out += "]\n";

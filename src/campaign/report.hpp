@@ -13,8 +13,9 @@ namespace gttsch::campaign {
 /// Column layout: label, one column per axis coordinate, runs,
 /// fully_formed_runs, status (ok/failed/empty), failed_jobs,
 /// failure_kinds ("kind:count" pairs, ';'-joined, "" when clean), then
-/// mean/stddev/ci95 per panel metric, then the summed counters, then
-/// nodes_joined (the per-seed mean).
+/// `<name>_mean`/`_stddev`/`_ci95` per kSpread row of kMetricRows, then
+/// one column per other row in table order (mean rows per run, sum rows
+/// summed over seeds; MediumStats rows as `medium_<name>`).
 /// Coordinate columns come from the first aggregate.
 std::vector<std::string> csv_header(const std::vector<PointAggregate>& aggregates);
 std::vector<std::string> csv_row(const PointAggregate& aggregate);
@@ -29,7 +30,10 @@ bool write_csv(const std::string& path,
                const std::vector<PointAggregate>& aggregates);
 
 /// Renders the aggregates as a JSON array (stable field order, no
-/// external dependency) — the machine-readable campaign artifact.
+/// external dependency) — the machine-readable campaign artifact. The
+/// kSpread rows go under "metrics", the other RunMetrics rows under
+/// "counters" and the MediumStats rows under "medium", valued as in the
+/// CSV.
 std::string render_json(const std::vector<PointAggregate>& aggregates);
 
 /// Writes render_json() to `path`; returns false on I/O failure.

@@ -444,7 +444,6 @@ Runner::Result Runner::run(const std::vector<Job>& jobs) {
         p.total = jobs.size();
         p.job = &jobs[i];
         p.outcome = &out.outcomes[i];
-        p.result = &out.outcomes[i].result;
         std::lock_guard<std::mutex> lock(progress_mutex);
         options_.on_progress(p);
       }
@@ -484,7 +483,8 @@ bool run_points_campaign(const std::vector<GridPoint>& points,
   // Callers that bypass expand_grid (the figure benches build their grids
   // by hand) still get the loud pre-run trace check instead of an abort
   // deep inside run_scenario.
-  if (!validate_points_trace(points, error)) return false;
+  TraceFiles trace_files;
+  if (!validate_points_trace(points, error, &trace_files)) return false;
 
   CampaignOptions effective = options;
   if (options.fault.active()) {
@@ -537,7 +537,7 @@ bool run_points_campaign(const std::vector<GridPoint>& points,
     }
   }
 
-  const std::uint64_t campaign_fp = campaign_fingerprint(points, seeds);
+  const std::uint64_t campaign_fp = campaign_fingerprint(points, seeds, &trace_files);
   return options.adaptive.enabled()
              ? run_adaptive(points, seeds, campaign_fp, effective, out, error)
              : run_fixed(points, seeds, campaign_fp, effective, out, error);
@@ -548,13 +548,6 @@ bool run_campaign(const CampaignSpec& spec, const CampaignOptions& options,
   const std::vector<GridPoint> points = expand_grid(spec, error);
   if (points.empty()) return false;
   return run_points_campaign(points, spec.seeds, options, out, error);
-}
-
-bool run_campaign(const CampaignSpec& spec, const RunnerOptions& options,
-                  CampaignResult* out, std::string* error) {
-  CampaignOptions full;
-  full.runner = options;
-  return run_campaign(spec, full, out, error);
 }
 
 bool parse_campaign_flags(const Flags& flags, CampaignOptions* options,

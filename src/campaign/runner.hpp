@@ -42,9 +42,8 @@ struct JobOutcome {
 struct Progress {
   std::size_t completed = 0;  ///< jobs finished so far (including this one)
   std::size_t total = 0;
-  const Job* job = nullptr;     ///< the job that just finished
-  const ExperimentResult* result = nullptr;  ///< outcome->result (legacy alias)
-  const JobOutcome* outcome = nullptr;       ///< full outcome incl. failures
+  const Job* job = nullptr;             ///< the job that just finished
+  const JobOutcome* outcome = nullptr;  ///< full outcome incl. failures
 };
 
 struct RunnerOptions {
@@ -186,10 +185,6 @@ bool run_points_campaign(const std::vector<GridPoint>& points,
                          std::string* error);
 
 bool run_campaign(const CampaignSpec& spec, const CampaignOptions& options,
-                  CampaignResult* out, std::string* error);
-
-/// Legacy entry point: whole campaign, no journal, fixed seeds.
-bool run_campaign(const CampaignSpec& spec, const RunnerOptions& options,
                   CampaignResult* out, std::string* error);
 
 /// Shared command-line surface for the scale-out options — used by both

@@ -69,7 +69,8 @@ struct Topology {
 struct TraceMode {
   TraceKind ScenarioConfig::*member;
 };
-/// Trace file: syntax-checked on --set; its content is fingerprinted.
+/// Trace file: its content is fingerprinted. validate_points_trace reads
+/// and checks it once per campaign, so --set only stores the path.
 struct TracePath {
   std::string ScenarioConfig::*member;
 };
@@ -224,16 +225,8 @@ bool set(const Field& f, kind::TraceMode k, ScenarioConfig& c, const std::string
                          "crashloop)");
 }
 
-bool set(const Field& f, kind::TracePath k, ScenarioConfig& c, const std::string& value,
-         std::string* error) {
-  // Eager syntax check: a bad trace file fails the spec here, naming the
-  // offending line, before any simulation runs. Node ids depend on the
-  // topology axes and are checked per grid point in validate_points_trace.
-  Trace probe;
-  std::string trace_error;
-  if (!load_trace(value, &probe, &trace_error)) {
-    return fail(error, std::string(f.name) + ": " + trace_error);
-  }
+bool set(const Field&, kind::TracePath k, ScenarioConfig& c, const std::string& value,
+         std::string*) {
   c.*k.member = value;
   return true;
 }
@@ -461,30 +454,27 @@ std::vector<GridPoint> expand_grid(const CampaignSpec& spec, std::string* error)
   return points;
 }
 
-bool validate_points_trace(const std::vector<GridPoint>& points, std::string* error) {
+bool validate_points_trace(const std::vector<GridPoint>& points, std::string* error,
+                           TraceFiles* files) {
   // One disk read + parse per unique trace file, however many points
   // reference it (a file axis crossed with other axes repeats each path).
-  struct CachedFile {
-    bool ok = false;
-    Trace trace;
-    std::string error;
-  };
-  std::map<std::string, CachedFile> files;
+  // The first failure ends the check, so only parsed files are kept.
+  TraceFiles local;
+  TraceFiles& parsed = files != nullptr ? *files : local;
   for (const GridPoint& point : points) {
     const ScenarioConfig& c = point.config;
     std::string trace_error;
     bool ok;
     if (c.trace_kind == TraceKind::kFile && !c.trace.empty()) {
-      auto [it, inserted] = files.try_emplace(c.trace);
-      if (inserted) it->second.ok = load_trace(c.trace, &it->second.trace, &it->second.error);
-      if (it->second.ok) {
-        // Node ids are per point: the same file can be valid for one
-        // topology axis value and not another.
-        ok = validate_trace_nodes(it->second.trace, c.make_topology(), &trace_error);
-      } else {
-        ok = false;
-        trace_error = it->second.error;
+      auto it = parsed.find(c.trace);
+      Trace trace;
+      if (it == parsed.end() && load_trace(c.trace, &trace, &trace_error)) {
+        it = parsed.emplace(c.trace, std::move(trace)).first;
       }
+      // Node ids are per point: the same file can be valid for one
+      // topology axis value and not another.
+      ok = it != parsed.end() &&
+           validate_trace_nodes(it->second, c.make_topology(), &trace_error);
     } else {
       // kNone, the generators, and the empty-path kFile error: all cheap.
       ok = c.validate_trace(&trace_error);
@@ -628,18 +618,25 @@ class Fingerprint {
 
 /// Canonical trace-file content per path, memoized across the grid points
 /// of one fingerprint call (a file axis crossed with other axes repeats
-/// each path): one disk read + parse per unique file.
-using TraceContentCache = std::map<std::string, std::string>;
+/// each path). A file validation already parsed is not read again; any
+/// other is read and parsed once.
+struct TraceContentCache {
+  const TraceFiles* parsed = nullptr;
+  std::map<std::string, std::string> content;
+};
 
 const std::string& canonical_trace_content(const std::string& path,
                                            TraceContentCache& cache) {
-  auto [it, inserted] = cache.try_emplace(path);
-  if (inserted) {
-    Trace t;
-    std::string ignored;
-    it->second =
-        load_trace(path, &t, &ignored) ? format_trace(t) : std::string("<unreadable>");
+  auto [it, inserted] = cache.content.try_emplace(path);
+  if (!inserted) return it->second;
+  if (cache.parsed != nullptr) {
+    if (const auto found = cache.parsed->find(path); found != cache.parsed->end()) {
+      return it->second = format_trace(found->second);
+    }
   }
+  Trace t;
+  std::string ignored;
+  it->second = load_trace(path, &t, &ignored) ? format_trace(t) : "<unreadable>";
   return it->second;
 }
 
@@ -673,9 +670,10 @@ void mix_field(Fingerprint& fp, const Field& f, const ScenarioConfig& c,
 }  // namespace
 
 std::uint64_t campaign_fingerprint(const std::vector<GridPoint>& points,
-                                   const std::vector<std::uint64_t>& seeds) {
+                                   const std::vector<std::uint64_t>& seeds,
+                                   const TraceFiles* files) {
   Fingerprint fp;
-  TraceContentCache trace_cache;
+  TraceContentCache trace_cache{files, {}};
   for (const GridPoint& point : points) {
     fp.mix(point.label);
     for (const auto& [key, value] : point.coords) {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,13 +85,19 @@ bool parse_config_exact(jsonio::Cursor& cur, ScenarioConfig* config);
 /// value applies cleanly) and the seed list (non-empty, no duplicates).
 bool validate(const CampaignSpec& spec, std::string* error);
 
-/// Pre-run trace validation over fully resolved points — the shared check
-/// behind expand_grid and run_points_campaign (the fig benches build their
-/// grids by hand and bypass expand_grid). Generator params are
-/// range-checked per point; each trace *file* is read and parsed once per
-/// unique path, its node ids checked against every referencing point's
-/// topology. Failures name the offending point.
-bool validate_points_trace(const std::vector<GridPoint>& points, std::string* error);
+/// Trace files as validate_points_trace parsed them, keyed by path.
+using TraceFiles = std::map<std::string, Trace>;
+
+/// Pre-run trace validation over fully resolved points — the check
+/// run_points_campaign and `gt_campaign validate` make before any job (the
+/// fig benches build their grids by hand and bypass expand_grid).
+/// Generator params are range-checked per point; each trace *file* is read
+/// and parsed once per unique path, its node ids checked against every
+/// referencing point's topology. Failures name the offending point, and a
+/// missing or malformed file its path or line. When `files` is non-null
+/// it receives the parsed files, for campaign_fingerprint to reuse.
+bool validate_points_trace(const std::vector<GridPoint>& points, std::string* error,
+                           TraceFiles* files = nullptr);
 
 /// Cartesian product of the axes over the base config; the first axis
 /// varies slowest. A spec with no axes yields the single base point.
@@ -136,8 +143,10 @@ std::vector<std::uint64_t> extend_seeds(std::vector<std::uint64_t> seeds,
 /// records stamped with it can be rejected when they come from a campaign
 /// that differs *outside* the swept axes (e.g. a different --set base
 /// config), which labels and coords alone cannot see. Never returns 0;
-/// 0 is reserved for "record predates fingerprinting".
+/// 0 is reserved for "record predates fingerprinting". A trace file found
+/// in `files` is not read again.
 std::uint64_t campaign_fingerprint(const std::vector<GridPoint>& points,
-                                   const std::vector<std::uint64_t>& seeds);
+                                   const std::vector<std::uint64_t>& seeds,
+                                   const TraceFiles* files = nullptr);
 
 }  // namespace gttsch::campaign

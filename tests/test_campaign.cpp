@@ -14,7 +14,9 @@
 #include <random>
 #include <set>
 #include <thread>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "campaign/journal.hpp"
 #include "campaign/report.hpp"
@@ -30,6 +32,9 @@ using campaign::Axis;
 using campaign::CampaignSpec;
 using campaign::GridPoint;
 using campaign::Job;
+using campaign::Fold;
+using campaign::metric_ref;
+using campaign::MetricRow;
 using campaign::PointAccumulator;
 using campaign::PointAggregate;
 using campaign::SampleStats;
@@ -357,6 +362,11 @@ TEST(CampaignSpec, FingerprintSeesTraceFileContentNotJustPath) {
   const auto points = campaign::expand_grid(spec, &error);
   ASSERT_FALSE(points.empty()) << error;
   const std::uint64_t fp = campaign::campaign_fingerprint(points, spec.seeds);
+  // The files validation parsed stand in for a second read, same value.
+  campaign::TraceFiles files;
+  ASSERT_TRUE(campaign::validate_points_trace(points, &error, &files)) << error;
+  ASSERT_EQ(files.count(path), 1u);
+  EXPECT_EQ(campaign::campaign_fingerprint(points, spec.seeds, &files), fp);
 
   {
     std::ofstream f(path);
@@ -424,6 +434,31 @@ TEST(CampaignAggregate, TCriticalCoversSmallAndLargeDf) {
   EXPECT_DOUBLE_EQ(campaign::t_critical_95(0), 0.0);
 }
 
+/// Bit-identical on every kMetricRows row (not merely approximately).
+void expect_identical(const PointAggregate& a, const PointAggregate& b) {
+  for (const MetricRow& row : campaign::kMetricRows) {
+    if (row.fold == Fold::kSpread) {
+      const SampleStats& sa = a.*row.stats;
+      const SampleStats& sb = b.*row.stats;
+      EXPECT_EQ(sa.n, sb.n) << row.name;
+      EXPECT_EQ(sa.mean, sb.mean) << row.name;
+      EXPECT_EQ(sa.stddev, sb.stddev) << row.name;
+      EXPECT_EQ(sa.ci95_half, sb.ci95_half) << row.name;
+      EXPECT_EQ(sa.min, sb.min) << row.name;
+      EXPECT_EQ(sa.max, sb.max) << row.name;
+    }
+    std::visit(
+        [&](auto member) {
+          EXPECT_EQ(metric_ref(a.mean, a.medium_sum, member),
+                    metric_ref(b.mean, b.medium_sum, member))
+              << row.name;
+        },
+        row.member);
+  }
+  EXPECT_EQ(a.runs, b.runs);
+  EXPECT_EQ(a.fully_formed_runs, b.fully_formed_runs);
+}
+
 ExperimentResult fake_result(double pdr, double delay, std::uint64_t generated) {
   ExperimentResult r;
   r.metrics.pdr_percent = pdr;
@@ -457,16 +492,93 @@ TEST(CampaignAggregate, MergeIsOrderIndependent) {
     for (const std::size_t i : order) shuffled.add(i, results[i]);
     const PointAggregate agg = shuffled.finalize();
 
-    // Bit-identical, not merely approximately equal.
-    EXPECT_EQ(agg.pdr_percent.mean, expected.pdr_percent.mean);
-    EXPECT_EQ(agg.pdr_percent.stddev, expected.pdr_percent.stddev);
-    EXPECT_EQ(agg.pdr_percent.ci95_half, expected.pdr_percent.ci95_half);
-    EXPECT_EQ(agg.avg_delay_ms.mean, expected.avg_delay_ms.mean);
-    EXPECT_EQ(agg.avg_delay_ms.stddev, expected.avg_delay_ms.stddev);
-    EXPECT_EQ(agg.mean.generated, expected.mean.generated);
-    EXPECT_EQ(agg.medium_sum.transmissions, expected.medium_sum.transmissions);
-    EXPECT_EQ(agg.runs, expected.runs);
-    EXPECT_EQ(agg.fully_formed_runs, expected.fully_formed_runs);
+    expect_identical(agg, expected);
+  }
+}
+
+TEST(CampaignAggregate, MetricRowsCoverEveryMemberOnce) {
+  const RunMetrics metrics;
+  const MediumStats medium;
+  std::set<std::string> names;
+  std::size_t run_metrics_bytes = 0;
+  std::size_t medium_bytes = 0;
+  std::size_t spread_rows = 0;
+  for (const MetricRow& row : campaign::kMetricRows) {
+    EXPECT_TRUE(names.insert(row.name).second) << row.name;
+    // Member pointers compare only for equality.
+    std::size_t same_member = 0;
+    std::size_t same_stats = 0;
+    for (const MetricRow& other : campaign::kMetricRows) {
+      same_member += other.member == row.member ? 1 : 0;
+      same_stats += other.stats == row.stats ? 1 : 0;
+    }
+    EXPECT_EQ(same_member, 1u) << row.name;
+    std::visit(
+        [&](auto member) {
+          (campaign::is_medium(row) ? medium_bytes : run_metrics_bytes) +=
+              sizeof metric_ref(metrics, medium, member);
+        },
+        row.member);
+    // Only spread rows name a SampleStats member, each its own.
+    EXPECT_EQ(row.fold == Fold::kSpread, row.stats != nullptr) << row.name;
+    if (row.stats != nullptr) {
+      EXPECT_EQ(same_stats, 1u) << row.name;
+      ++spread_rows;
+    }
+  }
+  // Neither struct has padding, so equal byte counts of distinct members
+  // mean every member has a row.
+  EXPECT_EQ(run_metrics_bytes, sizeof(RunMetrics));
+  EXPECT_EQ(medium_bytes, sizeof(MediumStats));
+  EXPECT_EQ(campaign::metric_names().size(), spread_rows);
+}
+
+TEST(CampaignAggregate, RowsFoldAsTheTableSays) {
+  // Row i reads 10i + 7 in seed 0 and i in seed 1: the first is larger,
+  // so last, max, sum and mean all differ.
+  ExperimentResult first;
+  ExperimentResult second;
+  std::uint64_t i = 0;
+  for (const MetricRow& row : campaign::kMetricRows) {
+    ++i;
+    std::visit(
+        [&](auto member) {
+          using T = std::remove_reference_t<decltype(metric_ref(
+              first.metrics, first.medium, member))>;
+          metric_ref(first.metrics, first.medium, member) = static_cast<T>(10 * i + 7);
+          metric_ref(second.metrics, second.medium, member) = static_cast<T>(i);
+        },
+        row.member);
+  }
+  PointAccumulator acc;
+  acc.add(0, first);
+  acc.add(1, second);
+  const PointAggregate agg = acc.finalize();
+  i = 0;
+  for (const MetricRow& row : campaign::kMetricRows) {
+    ++i;
+    const double a = static_cast<double>(10 * i + 7);
+    const double b = static_cast<double>(i);
+    const double got = std::visit(
+        [&](auto member) {
+          return static_cast<double>(metric_ref(agg.mean, agg.medium_sum, member));
+        },
+        row.member);
+    const bool integer =
+        !std::holds_alternative<double RunMetrics::*>(row.member);
+    switch (row.fold) {
+      case Fold::kSpread:
+        EXPECT_EQ((agg.*row.stats).mean, (a + b) / 2) << row.name;
+        EXPECT_EQ((agg.*row.stats).max, a) << row.name;
+        EXPECT_EQ(got, (a + b) / 2) << row.name;
+        break;
+      case Fold::kMean:  // an integer mean row keeps the seed sum
+        EXPECT_EQ(got, integer ? a + b : (a + b) / 2) << row.name;
+        break;
+      case Fold::kSum: EXPECT_EQ(got, a + b) << row.name; break;
+      case Fold::kLast: EXPECT_EQ(got, b) << row.name; break;
+      case Fold::kMax: EXPECT_EQ(got, a) << row.name; break;
+    }
   }
 }
 
@@ -505,37 +617,17 @@ TEST(CampaignAggregate, PackedMeansMatchSerialPerSeedFold) {
 
 // ---------------------------------------------------------------- runner --
 
-void expect_identical(const PointAggregate& a, const PointAggregate& b) {
-  const SampleStats PointAggregate::*kStats[] = {
-      &PointAggregate::pdr_percent,        &PointAggregate::avg_delay_ms,
-      &PointAggregate::p95_delay_ms,       &PointAggregate::loss_per_minute,
-      &PointAggregate::duty_cycle_percent, &PointAggregate::queue_loss_per_node,
-      &PointAggregate::throughput_per_minute, &PointAggregate::mean_hops};
-  for (const auto member : kStats) {
-    EXPECT_EQ((a.*member).mean, (b.*member).mean);
-    EXPECT_EQ((a.*member).stddev, (b.*member).stddev);
-    EXPECT_EQ((a.*member).ci95_half, (b.*member).ci95_half);
-    EXPECT_EQ((a.*member).min, (b.*member).min);
-    EXPECT_EQ((a.*member).max, (b.*member).max);
-  }
-  EXPECT_EQ(a.mean.generated, b.mean.generated);
-  EXPECT_EQ(a.mean.delivered, b.mean.delivered);
-  EXPECT_EQ(a.medium_sum.transmissions, b.medium_sum.transmissions);
-  EXPECT_EQ(a.runs, b.runs);
-  EXPECT_EQ(a.fully_formed_runs, b.fully_formed_runs);
-}
-
 TEST(CampaignRunner, ParallelRunMatchesSerialBitForBit) {
   const CampaignSpec spec = tiny_spec();  // 4 points x 3 seeds = 12 jobs
   std::string error;
 
-  campaign::RunnerOptions serial;
-  serial.jobs = 1;
+  campaign::CampaignOptions serial;
+  serial.runner.jobs = 1;
   campaign::CampaignResult serial_result;
   ASSERT_TRUE(campaign::run_campaign(spec, serial, &serial_result, &error)) << error;
 
-  campaign::RunnerOptions parallel;
-  parallel.jobs = 4;
+  campaign::CampaignOptions parallel;
+  parallel.runner.jobs = 4;
   campaign::CampaignResult parallel_result;
   ASSERT_TRUE(campaign::run_campaign(spec, parallel, &parallel_result, &error)) << error;
 
@@ -1188,6 +1280,37 @@ TEST(CampaignReport, CsvRowsMatchHeaderWidth) {
   const auto joined = std::find(header.begin(), header.end(), "nodes_joined");
   ASSERT_NE(joined, header.end());
   EXPECT_EQ(row[static_cast<std::size_t>(joined - header.begin())], "4.5");
+}
+
+TEST(CampaignReport, CsvHeaderIsPinned) {
+  // The report's column names are its interface: a renamed, dropped or
+  // reordered kMetricRows row shows up here.
+  PointAggregate agg;
+  agg.coords = {{"scheduler", "gt-tsch"}};
+  std::vector<std::string> expected = {"label", "scheduler", "runs", "fully_formed_runs",
+                                       "status", "failed_jobs", "failure_kinds"};
+  for (const char* spread :
+       {"pdr_percent", "avg_delay_ms", "p95_delay_ms", "loss_per_minute",
+        "duty_cycle_percent", "queue_loss_per_node", "throughput_per_minute",
+        "mean_hops", "pre_pdr_percent", "churn_pdr_percent", "post_pdr_percent",
+        "probe_pdr_percent", "probe_avg_latency_ms", "recovery_rejoin_s",
+        "recovery_first_delivery_s", "recovery_ttr_s"}) {
+    for (const char* suffix : {"_mean", "_stddev", "_ci95"}) {
+      expected.push_back(std::string(spread) + suffix);
+    }
+  }
+  for (const char* total :
+       {"measure_minutes", "pre_avg_delay_ms", "churn_avg_delay_ms",
+        "post_avg_delay_ms", "generated", "delivered", "queue_drops", "mac_drops",
+        "no_route_drops", "nodes_joined", "node_count", "churn_phases", "pre_generated",
+        "churn_generated", "post_generated", "pre_delivered", "churn_delivered",
+        "post_delivered", "probes_sent", "probes_delivered", "node_failures",
+        "node_revivals", "node_rejoins", "orphan_intervals", "recovery_ttr_censored",
+        "medium_transmissions", "medium_deliveries", "medium_collision_losses",
+        "medium_prr_losses"}) {
+    expected.push_back(total);
+  }
+  EXPECT_EQ(campaign::csv_header({agg}), expected);
 }
 
 TEST(CampaignReport, JsonCarriesLabelsAndSpread) {

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <type_traits>
+#include <variant>
 
 #include "campaign/journal.hpp"
 
@@ -15,6 +17,8 @@ namespace {
 
 using campaign::JournalRecord;
 using campaign::JournalWriter;
+using campaign::metric_ref;
+using campaign::MetricRow;
 using campaign::PointAccumulator;
 using campaign::PointAggregate;
 
@@ -66,28 +70,15 @@ void expect_equal(const JournalRecord& a, const JournalRecord& b) {
   EXPECT_EQ(a.result.fully_formed, b.result.fully_formed);
   // Bit-identical doubles, not approximately equal: resume/merge
   // correctness depends on the exact values coming back.
-  EXPECT_EQ(a.result.metrics.pdr_percent, b.result.metrics.pdr_percent);
-  EXPECT_EQ(a.result.metrics.avg_delay_ms, b.result.metrics.avg_delay_ms);
-  EXPECT_EQ(a.result.metrics.p95_delay_ms, b.result.metrics.p95_delay_ms);
-  EXPECT_EQ(a.result.metrics.loss_per_minute, b.result.metrics.loss_per_minute);
-  EXPECT_EQ(a.result.metrics.duty_cycle_percent, b.result.metrics.duty_cycle_percent);
-  EXPECT_EQ(a.result.metrics.queue_loss_per_node,
-            b.result.metrics.queue_loss_per_node);
-  EXPECT_EQ(a.result.metrics.throughput_per_minute,
-            b.result.metrics.throughput_per_minute);
-  EXPECT_EQ(a.result.metrics.mean_hops, b.result.metrics.mean_hops);
-  EXPECT_EQ(a.result.metrics.measure_minutes, b.result.metrics.measure_minutes);
-  EXPECT_EQ(a.result.metrics.generated, b.result.metrics.generated);
-  EXPECT_EQ(a.result.metrics.delivered, b.result.metrics.delivered);
-  EXPECT_EQ(a.result.metrics.queue_drops, b.result.metrics.queue_drops);
-  EXPECT_EQ(a.result.metrics.mac_drops, b.result.metrics.mac_drops);
-  EXPECT_EQ(a.result.metrics.no_route_drops, b.result.metrics.no_route_drops);
-  EXPECT_EQ(a.result.metrics.nodes_joined, b.result.metrics.nodes_joined);
-  EXPECT_EQ(a.result.metrics.node_count, b.result.metrics.node_count);
-  EXPECT_EQ(a.result.medium.transmissions, b.result.medium.transmissions);
-  EXPECT_EQ(a.result.medium.deliveries, b.result.medium.deliveries);
-  EXPECT_EQ(a.result.medium.collision_losses, b.result.medium.collision_losses);
-  EXPECT_EQ(a.result.medium.prr_losses, b.result.medium.prr_losses);
+  for (const MetricRow& row : campaign::kMetricRows) {
+    std::visit(
+        [&](auto member) {
+          EXPECT_EQ(metric_ref(a.result.metrics, a.result.medium, member),
+                    metric_ref(b.result.metrics, b.result.medium, member))
+              << row.name;
+        },
+        row.member);
+  }
 }
 
 TEST(Journal, LineRoundTripsBitExactly) {
@@ -99,6 +90,38 @@ TEST(Journal, LineRoundTripsBitExactly) {
   std::string error;
   ASSERT_TRUE(campaign::parse_journal_line(line, &parsed, &error)) << error;
   expect_equal(original, parsed);
+}
+
+TEST(Journal, EveryMetricRowRoundTripsBitExactly) {
+  // A distinct value per row: doubles with non-terminating binary
+  // fractions, counters past 2^53 (where a double would round them). A row
+  // that the writer skipped, or the parser read into another member, fails.
+  JournalRecord original = nasty_record(0, 0);
+  std::uint64_t i = 0;
+  for (const MetricRow& row : campaign::kMetricRows) {
+    ++i;
+    std::visit(
+        [&](auto member) {
+          auto& value =
+              metric_ref(original.result.metrics, original.result.medium, member);
+          if constexpr (std::is_same_v<decltype(value), double&>) {
+            value = static_cast<double>(i) + 1.0 / 3.0;
+          } else {
+            value = (std::uint64_t{1} << 53) + i;
+          }
+        },
+        row.member);
+  }
+  const std::string line = campaign::render_journal_line(original);
+  for (const MetricRow& row : campaign::kMetricRows) {
+    EXPECT_NE(line.find('"' + std::string(row.name) + "\": "), std::string::npos)
+        << row.name;
+  }
+  JournalRecord parsed;
+  std::string error;
+  ASSERT_TRUE(campaign::parse_journal_line(line, &parsed, &error)) << error;
+  expect_equal(original, parsed);
+  EXPECT_EQ(campaign::render_journal_line(parsed), line);
 }
 
 TEST(Journal, EscapesLabelsAndCoords) {
