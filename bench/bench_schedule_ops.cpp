@@ -1,8 +1,11 @@
 // Microbenchmarks for schedule operations: cell lookup, next-active-slot
 // search and the shared-cell queue pick (the MAC slot-start hot path, run
-// at every active slot of every node), cell add/remove, and the Section V
-// placement search used in every 6P ADD.
+// at every active slot of every node), cell add/remove, ALICE's
+// per-slotframe link-cell replacement, and the Section V placement search
+// used in every 6P ADD.
 #include <benchmark/benchmark.h>
+
+#include <vector>
 
 #include "core/channel_alloc.hpp"
 #include "core/slotframe_layout.hpp"
@@ -105,6 +108,57 @@ void BM_CellAddRemove(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CellAddRemove);
+
+/// ALICE's per-slotframe rehash: the 8-slot unicast slotframe of a
+/// 41/31/8 schedule gets `cells` new link cells, either as one assign
+/// (assign:1) or as remove_if + one add per cell (assign:0). The listener
+/// queries next_active_asn after every edit, as the MAC re-aiming its wake
+/// does, so each notification pays a timetable compile.
+void BM_SlotframeAssign(benchmark::State& state) {
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const bool one_edit = state.range(1) != 0;
+  TschSchedule sched;
+  Cell c;
+  c.options = kCellTx;
+  c.neighbor = kBroadcastId;
+  c.slot_offset = 17;
+  sched.add_slotframe(0, 41).add(c);
+  c.options = kCellTx | kCellRx | kCellShared;
+  c.slot_offset = 0;
+  sched.add_slotframe(1, 31).add(c);
+  Slotframe& unicast = sched.add_slotframe(2, 8);
+  Asn asn = 0;
+  sched.set_change_listener(
+      [&] { benchmark::DoNotOptimize(sched.next_active_asn(asn)); });
+  // A few rehash rounds' worth of cell sets, cycled: slots and channels
+  // move every round, as ALICE's hash(src, dst, ASFN) makes them.
+  std::vector<std::vector<Cell>> rounds(16);
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    for (std::size_t i = 0; i < k; ++i) {
+      Cell link;
+      link.slot_offset = static_cast<std::uint16_t>((r * 5 + i * 3) % 8);
+      link.channel_offset = static_cast<ChannelOffset>(2 + (r + i) % 6);
+      link.options = i == 0 ? kCellTx : kCellRx;
+      link.neighbor = i == 0 ? 1 : kBroadcastId;
+      rounds[r].push_back(link);
+    }
+  }
+  std::size_t r = 0;
+  for (auto _ : state) {
+    const std::vector<Cell>& cells = rounds[r++ % rounds.size()];
+    asn += 8;
+    if (one_edit) {
+      unicast.assign(cells);
+    } else {
+      unicast.remove_if([](const Cell&) { return true; });
+      for (const Cell& cell : cells) unicast.add(cell);
+    }
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SlotframeAssign)
+    ->ArgNames({"cells", "assign"})
+    ->ArgsProduct({{1, 4, 8}, {0, 1}});
 
 void BM_PlaceRxSearch(benchmark::State& state) {
   const SlotframeLayout layout({32, 4, 3});

@@ -87,7 +87,7 @@ void AliceSf::install_base_slotframes() {
 void AliceSf::reinstall_link_cells(std::uint64_t asfn) {
   Slotframe* unicast = mac_.schedule().get(kUnicastHandle);
   if (unicast == nullptr) return;
-  unicast->remove_if([](const Cell&) { return true; });
+  link_cells_.clear();
 
   const std::uint16_t length = config_.unicast_slotframe_length;
   const std::uint8_t channel_span =
@@ -108,7 +108,7 @@ void AliceSf::reinstall_link_cells(std::uint64_t asfn) {
     Cell tx = link_cell(mac_.id(), parent);
     tx.options = kCellTx;
     tx.neighbor = parent;
-    unicast->add(tx);
+    link_cells_.push_back(tx);
   }
 
   // Rx per live neighbor: their half of neighbor -> self. Pruning
@@ -129,8 +129,9 @@ void AliceSf::reinstall_link_cells(std::uint64_t asfn) {
     Cell rx = link_cell(neighbor, mac_.id());
     rx.options = kCellRx;
     rx.neighbor = kBroadcastId;  // any sender that hashed onto this link slot
-    unicast->add(rx);
+    link_cells_.push_back(rx);
   }
+  unicast->assign(link_cells_);
 }
 
 void AliceSf::rehash_tick() {

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <map>
+#include <vector>
 
 #include "mac/tsch_mac.hpp"
 #include "net/rpl.hpp"
@@ -76,7 +77,8 @@ class AliceSf final : public SchedulingFunction {
   /// simulation clock (which TSCH sync tracks) is shared.
   std::uint64_t current_asfn() const;
   void install_base_slotframes();
-  /// Drop and re-create every unicast link cell for `asfn`.
+  /// Replace every unicast link cell with those of `asfn`, as one
+  /// schedule edit.
   void reinstall_link_cells(std::uint64_t asfn);
   void rehash_tick();
 
@@ -89,6 +91,7 @@ class AliceSf final : public SchedulingFunction {
   NodeId eb_rx_source_ = kNoNode;
   /// Liveness of everyone we heard (any frame type) — the Rx-cell set.
   std::map<NodeId, TimeUs> neighbors_;
+  std::vector<Cell> link_cells_;  ///< reinstall_link_cells' scratch
   OneShotTimer rehash_;
 };
 

@@ -1,6 +1,7 @@
 #include "mac/schedule.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "util/check.hpp"
 
@@ -12,6 +13,7 @@ Slotframe::Slotframe(std::uint16_t handle, std::uint16_t length)
 }
 
 void Slotframe::notify_owner() {
+  table_stale_ = true;
   if (owner_ != nullptr) owner_->on_mutated();
 }
 
@@ -40,12 +42,27 @@ std::size_t Slotframe::remove_if(const std::function<bool(const Cell&)>& pred) {
   std::size_t removed = 0;
   for (auto& bucket : by_slot_) {
     const auto before = bucket.size();
-    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), pred), bucket.end());
+    bucket.erase(std::remove_if(bucket.begin(), bucket.end(), std::cref(pred)),
+                 bucket.end());
     removed += before - bucket.size();
   }
   size_ -= removed;
   if (removed > 0) notify_owner();
   return removed;
+}
+
+void Slotframe::assign(const std::vector<Cell>& cells) {
+  const bool was_empty = size_ == 0;
+  for (auto& bucket : by_slot_) bucket.clear();
+  size_ = 0;
+  for (const Cell& cell : cells) {
+    GTTSCH_CHECK(cell.slot_offset < length_);
+    auto& bucket = by_slot_[cell.slot_offset];
+    if (std::find(bucket.begin(), bucket.end(), cell) != bucket.end()) continue;
+    bucket.push_back(cell);
+    ++size_;
+  }
+  if (!was_empty || size_ > 0) notify_owner();
 }
 
 const std::vector<Cell>& Slotframe::cells_at(std::uint16_t slot) const {
@@ -72,12 +89,12 @@ Slotframe& TschSchedule::add_slotframe(std::uint16_t handle, std::uint16_t lengt
   const auto [it, inserted] = frames_.try_emplace(handle, handle, length);
   GTTSCH_CHECK(inserted);
   it->second.owner_ = this;
-  on_mutated();
+  on_slotframes_changed();
   return it->second;
 }
 
 void TschSchedule::remove_slotframe(std::uint16_t handle) {
-  if (frames_.erase(handle) > 0) on_mutated();
+  if (frames_.erase(handle) > 0) on_slotframes_changed();
 }
 
 Slotframe* TschSchedule::get(std::uint16_t handle) {
@@ -96,19 +113,32 @@ void TschSchedule::on_mutated() {
   if (change_listener_) change_listener_();
 }
 
+void TschSchedule::on_slotframes_changed() {
+  frame_list_dirty_ = true;
+  on_mutated();
+}
+
 void TschSchedule::set_change_listener(std::function<void()> listener) {
   change_listener_ = std::move(listener);
 }
 
-void TschSchedule::ensure_table() const {
-  if (!table_dirty_) return;
-  table_.resize(frames_.size());
-  auto entry = table_.begin();
-  for (const auto& [handle, sf] : frames_) {
-    CompiledFrame& t = *entry++;
-    t.handle = handle;
-    t.length = sf.length();
-    t.frame = &sf;
+void TschSchedule::compile_table() const {
+  if (frame_list_dirty_) {
+    table_.resize(frames_.size());
+    auto entry = table_.begin();
+    for (const auto& [handle, sf] : frames_) {
+      CompiledFrame& t = *entry++;
+      t.handle = handle;
+      t.length = sf.length();
+      t.frame = &sf;
+      sf.table_stale_ = true;  // the entry may have held another slotframe
+    }
+    frame_list_dirty_ = false;
+  }
+  for (CompiledFrame& t : table_) {
+    const Slotframe& sf = *t.frame;
+    if (!sf.table_stale_) continue;
+    sf.table_stale_ = false;
     t.gap.clear();
     if (sf.size() == 0) continue;
     // Two backward passes over the ring: the first seeds the distance from

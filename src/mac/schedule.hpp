@@ -36,6 +36,12 @@ class Slotframe {
   /// Removes all cells matching `pred`; returns removed count.
   std::size_t remove_if(const std::function<bool(const Cell&)>& pred);
 
+  /// Replaces every cell with `cells`, added in order under add()'s
+  /// duplicate rule (so each slot's cells come out as sequential adds
+  /// would leave them), as one edit: the owner is notified once, and not
+  /// at all when the slotframe was and stays empty.
+  void assign(const std::vector<Cell>& cells);
+
   const std::vector<Cell>& cells_at(std::uint16_t slot) const;
 
   /// All cells in slot order (flattened copy).
@@ -55,6 +61,9 @@ class Slotframe {
   std::vector<std::vector<Cell>> by_slot_;
   std::size_t size_ = 0;
   TschSchedule* owner_ = nullptr;  ///< set when owned by a TschSchedule
+  /// Edited since the owner last compiled this slotframe's gaps; the
+  /// owner's (const) lazy compile clears it.
+  mutable bool table_stale_ = true;
 };
 
 /// A node's full schedule: slotframes keyed (and prioritised) by handle.
@@ -62,9 +71,11 @@ class Slotframe {
 /// Beyond the cell containers, the schedule maintains a compiled timetable
 /// — one flat entry per slotframe in handle order, holding the slotframe's
 /// length, a pointer to its cells and, per slot offset, the cyclic gap to
-/// the next occupied offset — rebuilt (lazily) whenever any cell or
-/// slotframe is added or removed. Both slot queries walk this table, so a
-/// slot start costs one indexed read per slotframe: the MAC fast path uses
+/// the next occupied offset — compiled lazily and per slotframe: the next
+/// query after a cell edit recompiles the gaps of only the slotframes
+/// edited since the last one, and only adding or removing a slotframe
+/// rebuilds the entry list. Both slot queries walk this table, so a slot
+/// start costs one indexed read per slotframe: the MAC fast path uses
 /// next_active_asn to jump directly to the next ASN holding at least one
 /// cell instead of waking on every slot, and registers a change listener
 /// so mid-run 6P/RPL schedule edits re-aim an already-armed wakeup.
@@ -122,7 +133,12 @@ class TschSchedule {
  private:
   friend class Slotframe;
   void on_mutated();
-  void ensure_table() const;
+  void on_slotframes_changed();
+  /// The slot queries' fast path: one flag test once the table is current.
+  void ensure_table() const {
+    if (table_dirty_) compile_table();
+  }
+  void compile_table() const;
 
   /// Compiled timetable entry for one slotframe.
   struct CompiledFrame {
@@ -139,7 +155,8 @@ class TschSchedule {
   std::uint64_t version_ = 0;
   std::function<void()> change_listener_;
   mutable std::vector<CompiledFrame> table_;
-  mutable bool table_dirty_ = true;
+  mutable bool table_dirty_ = true;       ///< some entry is out of date
+  mutable bool frame_list_dirty_ = true;  ///< a slotframe came or went
 };
 
 }  // namespace gttsch

@@ -149,6 +149,11 @@ bool ScenarioConfig::make_trace(const TopologySpec& topology, Trace* out,
 }
 
 bool ScenarioConfig::validate_trace(std::string* error) const {
+  // Only the file kind reads `trace`; anywhere else the path would be
+  // silently ignored, which is almost surely a forgotten trace_kind=file.
+  if (trace_kind != TraceKind::kFile && !trace.empty()) {
+    return fail_with(error, "trace=PATH requires trace_kind=file");
+  }
   switch (trace_kind) {
     case TraceKind::kNone:
       return true;

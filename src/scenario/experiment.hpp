@@ -109,7 +109,8 @@ struct ScenarioConfig {
   /// The campaign layer's pre-run check that a grid point's trace setup is
   /// sound before any simulation starts: generator params range-checked,
   /// file traces loaded and their node ids checked against this config's
-  /// own topology. Cheap — never synthesizes a generator stream.
+  /// own topology, and a `trace` path refused under any kind but kFile.
+  /// Cheap — never synthesizes a generator stream.
   bool validate_trace(std::string* error) const;
 };
 

@@ -136,8 +136,10 @@ void Telemetry::attach(Network& net, RunStats* stats) {
       std::size_t total = 0;
       for (const auto& [id, node] : net_->nodes()) {
         node->mac().schedule().for_each([&total](const Slotframe& sf) {
-          for (const Cell& cell : sf.all_cells()) {
-            if (cell.is_tx() && !cell.is_shared()) ++total;
+          for (std::uint16_t slot = 0; slot < sf.length(); ++slot) {
+            for (const Cell& cell : sf.cells_at(slot)) {
+              if (cell.is_tx() && !cell.is_shared()) ++total;
+            }
           }
         });
       }

@@ -58,6 +58,13 @@ expect_exit 2 "missing trace file" --set "trace_kind=file;trace=$TMP/nope.trace"
 expect_stderr "nope.trace" "missing trace file"
 expect_exit 2 "file kind without path" --set "trace_kind=file"
 expect_stderr "trace=PATH" "file kind without path"
+# A path under any other kind would be ignored by the run: a spec error.
+expect_exit 2 "path without file kind" --quiet --seeds 1 \
+    --set "trace=$EXAMPLE_TRACE;dodag_count=1;nodes_per_dodag=5"
+expect_stderr "trace=PATH requires trace_kind=file" "path without file kind"
+expect_exit 2 "validate path without file kind" validate --seeds 1 \
+    --set "trace=$EXAMPLE_TRACE;trace_kind=crashloop"
+expect_stderr "trace=PATH requires trace_kind=file" "validate path without file kind"
 expect_exit 2 "zero trace interval" --grid trace_interval_s=0,2
 expect_stderr "trace_interval_s" "zero trace interval"
 

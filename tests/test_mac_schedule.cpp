@@ -167,9 +167,23 @@ TEST(Schedule, ChangeListenerFiresOnEveryMutation) {
   EXPECT_EQ(calls, 3);
   sf.remove(c);  // absent: no change
   EXPECT_EQ(calls, 3);
-  const std::uint64_t v = s.version();
-  s.remove_slotframe(0);
+  // assign is one edit however many cells it replaces...
+  std::uint64_t v = s.version();
+  sf.assign(
+      {make_cell(1, 0, kCellTx, 3), make_cell(2, 1, kCellRx), make_cell(5, 0, kCellTx)});
   EXPECT_EQ(calls, 4);
+  EXPECT_EQ(s.version(), v + 1);
+  EXPECT_EQ(sf.size(), 3u);
+  sf.assign({});  // ...emptying the slotframe included
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(sf.size(), 0u);
+  // Empty to empty changes nothing, as remove_if + no adds would not.
+  v = s.version();
+  sf.assign({});
+  EXPECT_EQ(calls, 5);
+  EXPECT_EQ(s.version(), v);
+  s.remove_slotframe(0);
+  EXPECT_EQ(calls, 6);
   EXPECT_GT(s.version(), v);
 }
 
@@ -217,8 +231,10 @@ Asn brute_next_active(const TschSchedule& s, Asn after) {
 }
 
 /// One random schedule edit: slotframe add/remove, cell add/remove,
-/// remove_if, or a frame reduced to a single occupied slot (whose cyclic
-/// gap wraps the whole slotframe).
+/// remove_if, a frame reduced to a single occupied slot (whose cyclic
+/// gap wraps the whole slotframe), or an assign of 0-3 cells with
+/// duplicates (empty to empty included), checked against clearing and
+/// adding the same cells one by one.
 void random_schedule_edit(TschSchedule& s, Rng& rng) {
   static constexpr std::uint16_t kLengths[] = {7, 32, 101, 397};
   const auto handle = static_cast<std::uint16_t>(rng.uniform(4));
@@ -231,7 +247,7 @@ void random_schedule_edit(TschSchedule& s, Rng& rng) {
   const Cell cell = make_cell(slot, static_cast<ChannelOffset>(rng.uniform(3)),
                               rng.uniform(2) ? kCellTx : kCellRx,
                               static_cast<NodeId>(rng.uniform(3)));
-  switch (rng.uniform(10)) {
+  switch (rng.uniform(12)) {
     case 0:
       s.remove_slotframe(handle);
       break;
@@ -246,6 +262,24 @@ void random_schedule_edit(TschSchedule& s, Rng& rng) {
     case 4: {
       const auto cells = sf->all_cells();
       if (!cells.empty()) sf->remove(cells[rng.uniform(cells.size())]);
+      break;
+    }
+    case 10:
+    case 11: {
+      std::vector<Cell> cells;
+      const auto n = rng.uniform(4);
+      for (std::uint64_t i = 0; i < n; ++i) {
+        cells.push_back(make_cell(static_cast<std::uint16_t>(rng.uniform(sf->length())),
+                                  static_cast<ChannelOffset>(rng.uniform(2)), kCellTx));
+        if (rng.uniform(3) == 0) cells.push_back(cells.back());
+      }
+      Slotframe expected(handle, sf->length());
+      for (const Cell& c : cells) expected.add(c);
+      const std::uint64_t v = s.version();
+      const bool was_empty = sf->size() == 0;
+      sf->assign(cells);
+      EXPECT_EQ(sf->all_cells(), expected.all_cells());
+      EXPECT_EQ(s.version(), v + (was_empty && cells.empty() ? 0 : 1));
       break;
     }
     default:
@@ -285,7 +319,12 @@ TEST(CompiledSlotTable, MatchesBruteForceUnderInterleavedEdits) {
     Rng rng(seed);
     TschSchedule s;
     for (int step = 0; step < 150; ++step) {
-      random_schedule_edit(s, rng);
+      // Up to three edits, possibly to different slotframes, between
+      // queries: each query recompiles only the slotframes edited since
+      // the last one.
+      for (auto edits = rng.uniform(3) + 1; edits > 0; --edits) {
+        random_schedule_edit(s, rng);
+      }
       expect_table_matches_brute(s, rng);
       if (::testing::Test::HasFatalFailure()) return;
     }

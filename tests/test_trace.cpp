@@ -483,6 +483,19 @@ TEST(TraceConfig, FileKindWithoutPathIsRejected) {
   EXPECT_NE(error.find("trace=PATH"), std::string::npos) << error;
 }
 
+TEST(TraceConfig, PathWithoutFileKindIsRejected) {
+  ScenarioConfig sc;
+  sc.trace = "examples/crashloop.trace";  // never read: the check is on the kind
+  std::string error;
+  for (const TraceKind kind : {TraceKind::kNone, TraceKind::kRandomWalk,
+                               TraceKind::kRandomWaypoint, TraceKind::kCrashloop}) {
+    sc.trace_kind = kind;
+    error.clear();
+    EXPECT_FALSE(sc.validate_trace(&error));
+    EXPECT_EQ(error, "trace=PATH requires trace_kind=file");
+  }
+}
+
 TEST(TraceConfig, BadGeneratorParamsAreRejected) {
   ScenarioConfig sc;
   sc.trace_kind = TraceKind::kRandomWalk;
