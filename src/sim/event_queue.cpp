@@ -25,6 +25,7 @@ void EventPool::release(std::uint32_t slot,
                         std::vector<std::uint32_t>& free_slots) {
   EventRecord& rec = record(slot);
   rec.fn.reset();
+  rec.timer_id = nullptr;
   rec.armed = false;
   rec.cancelled = false;
   ++rec.generation;

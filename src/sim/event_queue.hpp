@@ -90,15 +90,25 @@ constexpr std::uint32_t event_id_generation(EventId id) {
   return static_cast<std::uint32_t>(id >> 32);
 }
 
-/// Callback slot: the payload an EventEntry points at.
+/// Callback slot: the payload an EventEntry points at. A OneShotTimer's
+/// event also holds the address of the timer's id, which the pool clears
+/// when the event starts running; cancel and release drop the address, so
+/// a timer destroyed while its event is pending is never written to.
 struct EventRecord {
   SmallFn fn;
+  EventId* timer_id = nullptr;  // the scheduling timer's id_, or nullptr
   std::uint32_t generation = 1;
   bool armed = false;      // a queue entry references this slot and the
                            // event has not started running
   bool cancelled = false;  // armed but logically dead; released when the
                            // queue next reaches its entry
 };
+// A record is the size of one cache line: cancel() and run() read pool
+// records at random. Gated like kFields' size check in campaign/spec.cpp.
+#if (defined(__x86_64__) || defined(__aarch64__)) && defined(_GLIBCXX_RELEASE)
+static_assert(sizeof(EventRecord) == 64,
+              "EventRecord outgrew a 64-byte line: shrink SmallFn::kInlineSize");
+#endif
 
 /// Chunked slot store. Chunks are allocated once and never move, so
 /// `record()` references stay valid across growth: a running callback
@@ -116,21 +126,26 @@ class EventPool {
   EventPool& operator=(const EventPool&) = delete;
 
   /// Pop a slot from `free_slots`, or carve a fresh one from the chunk
-  /// store. The returned record has fn reset and armed/cancelled false.
+  /// store. The returned record has fn and timer_id reset and
+  /// armed/cancelled false.
   std::uint32_t alloc(std::vector<std::uint32_t>& free_slots);
 
-  /// Reclaim a slot after its entry left a queue: resets the callback,
-  /// bumps the generation, and pushes the slot onto `free_slots`.
+  /// Reclaim a slot after its entry left a queue: resets the callback and
+  /// the timer address, bumps the generation, and pushes the slot onto
+  /// `free_slots`.
   void release(std::uint32_t slot, std::vector<std::uint32_t>& free_slots);
 
   /// Run the callback of an entry that just left its queue, in place, then
-  /// release the slot. The record is disarmed first, so cancel() of the
-  /// running event is a no-op, and the slot is released only after the
-  /// call, so events the callback schedules cannot reuse it. Chunks never
-  /// move, so the record stays put while the callback grows the pool.
+  /// release the slot. The record is disarmed and its timer's id cleared
+  /// first, so cancel() of the running event is a no-op and the timer
+  /// reads as stopped (the callback may re-arm or destroy it). The slot is
+  /// released only after the call, so events the callback schedules
+  /// cannot reuse it. Chunks never move, so the record stays put while
+  /// the callback grows the pool.
   void run(std::uint32_t slot, std::vector<std::uint32_t>& free_slots) {
     EventRecord& rec = record(slot);
     rec.armed = false;
+    if (rec.timer_id != nullptr) *rec.timer_id = kInvalidEvent;
     rec.fn();
     release(slot, free_slots);
   }

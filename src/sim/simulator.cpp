@@ -80,11 +80,12 @@ EventId Simulator::after_keyed(TimeUs delay, std::uint32_t key,
 }
 
 EventId Simulator::schedule_impl(TimeUs when, std::uint32_t key,
-                                 SmallFn&& fn) {
+                                 SmallFn&& fn, EventId* timer_id) {
   // The event inherits the owner of the event being executed.
   const std::uint32_t slot = pool_.alloc(free_slots_);
   EventRecord& rec = pool_.record(slot);
   rec.fn = std::move(fn);
+  rec.timer_id = timer_id;
   rec.armed = true;
   rec.cancelled = false;
   queue_.push(EventEntry{when, next_seq_++, key, owner_, slot});
@@ -97,6 +98,7 @@ void Simulator::cancel(EventId id) {
   if (rec == nullptr || !rec->armed || rec->cancelled) return;
   rec->cancelled = true;
   rec->fn.reset();  // release captures now; the queue entry leaves later
+  rec->timer_id = nullptr;
   GTTSCH_CHECK(live_ > 0);
   --live_;
 }

@@ -4,7 +4,8 @@
 // in one InstantQueue (see event_queue.hpp): a heap over distinct instants
 // plus an ordered batch for the current one, so the many events that share
 // a TSCH slot boundary cost no heap operation each. Callbacks live in an
-// EventPool.
+// EventPool, a OneShotTimer's included: its closure is moved into the
+// event's record once and called there.
 //
 // Every event carries an owner, the node it belongs to. An event inherits
 // the owner of the event that scheduled it, and the entry points that
@@ -114,7 +115,12 @@ class Simulator {
   };
 
  private:
-  EventId schedule_impl(TimeUs when, std::uint32_t key, SmallFn&& fn);
+  friend class OneShotTimer;
+
+  /// The one scheduling path. `timer_id`, when set, is the id_ of the
+  /// OneShotTimer that schedules the event (see EventRecord).
+  EventId schedule_impl(TimeUs when, std::uint32_t key, SmallFn&& fn,
+                        EventId* timer_id = nullptr);
   /// Run every live event due at or before `until`, in order.
   void run_through(TimeUs until);
   /// Run `e`, already removed from the queue.

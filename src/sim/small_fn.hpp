@@ -4,13 +4,13 @@
 // closures (slot timers, ACK deadlines, medium completions), all of which
 // capture a `this` pointer plus at most a few scalars. std::function's
 // small-object optimisation is an implementation detail (libstdc++ caps it
-// at 16 bytes); SmallFn makes the no-allocation guarantee explicit: any
-// nothrow-movable callable up to kInlineSize bytes lives inside the object,
-// larger ones fall back to the heap so the type stays fully general.
+// at 16 bytes); SmallFn makes the no-allocation guarantee explicit: every
+// callable lives inside the object, and one that is larger than
+// kInlineSize bytes, over-aligned or not nothrow-movable fails to compile.
+// Capture a larger state by reference or through a pointer.
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -20,8 +20,9 @@ namespace gttsch {
 class SmallFn {
  public:
   /// Large enough for `this` + several captured scalars, and for a moved-in
-  /// std::function (32 bytes in libstdc++), with room to spare.
-  static constexpr std::size_t kInlineSize = 48;
+  /// std::function (32 bytes in libstdc++). Small enough that an
+  /// EventRecord, a SmallFn plus its bookkeeping, stays at 64 bytes.
+  static constexpr std::size_t kInlineSize = 40;
 
   SmallFn() = default;
 
@@ -30,13 +31,13 @@ class SmallFn {
                                         std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): callable wrapper
     using Fn = std::decay_t<F>;
-    if constexpr (fits_inline<Fn>()) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      ops_ = &kInlineOps<Fn>;
-    } else {
-      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
-      ops_ = &kHeapOps<Fn>;
-    }
+    static_assert(sizeof(Fn) <= kInlineSize,
+                  "closure larger than SmallFn::kInlineSize: capture by reference");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t), "over-aligned closure");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "closure must be nothrow move constructible");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    ops_ = &kOps<Fn>;
   }
 
   SmallFn(SmallFn&& other) noexcept : ops_(other.ops_) {
@@ -78,13 +79,7 @@ class SmallFn {
   };
 
   template <typename Fn>
-  static constexpr bool fits_inline() {
-    return sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<Fn>;
-  }
-
-  template <typename Fn>
-  static constexpr Ops kInlineOps = {
+  static constexpr Ops kOps = {
       [](void* self) { (*std::launder(reinterpret_cast<Fn*>(self)))(); },
       [](void* src, void* dst) {
         Fn* from = std::launder(reinterpret_cast<Fn*>(src));
@@ -92,15 +87,6 @@ class SmallFn {
         from->~Fn();
       },
       [](void* self) { std::launder(reinterpret_cast<Fn*>(self))->~Fn(); },
-  };
-
-  template <typename Fn>
-  static constexpr Ops kHeapOps = {
-      [](void* self) { (**std::launder(reinterpret_cast<Fn**>(self)))(); },
-      [](void* src, void* dst) {
-        ::new (dst) Fn*(*std::launder(reinterpret_cast<Fn**>(src)));
-      },
-      [](void* self) { delete *std::launder(reinterpret_cast<Fn**>(self)); },
   };
 
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];

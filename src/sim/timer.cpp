@@ -1,17 +1,13 @@
 #include "sim/timer.hpp"
 
+#include "util/check.hpp"
+
 namespace gttsch {
 
 void OneShotTimer::start(TimeUs delay, SmallFn fn) {
   stop();
-  fn_ = std::move(fn);
-  id_ = sim_.after_keyed(delay, key_, [this] {
-    id_ = kInvalidEvent;
-    // Move to a local first: the callback may re-arm this timer (which
-    // assigns fn_) without destroying the closure mid-invocation.
-    SmallFn f = std::move(fn_);
-    f();
-  });
+  GTTSCH_CHECK(delay >= 0);
+  id_ = sim_.schedule_impl(sim_.now() + delay, key_, std::move(fn), &id_);
 }
 
 void OneShotTimer::stop() {
@@ -19,7 +15,6 @@ void OneShotTimer::stop() {
     sim_.cancel(id_);
     id_ = kInvalidEvent;
   }
-  fn_.reset();
 }
 
 void PeriodicTimer::start(TimeUs first_delay, TimeUs period, std::function<void()> fn,

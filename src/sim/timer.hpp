@@ -9,11 +9,14 @@ namespace gttsch {
 
 /// One-shot timer; re-arming cancels any pending expiry.
 ///
-/// The callback is stored in the timer object (SmallFn), and the scheduled
-/// event captures only `this` — so arming a timer never heap-allocates for
-/// the usual small closures, which keeps the per-slot MAC hot path
-/// allocation-free. `key` (default kDefaultEventKey) selects the event's
-/// same-time ordering class; the MAC slot timer passes the node id.
+/// The timer holds only the id of its pending event. The callback (a
+/// SmallFn, so arming never heap-allocates and the per-slot MAC hot path
+/// stays allocation-free) is moved straight into the event's pool record
+/// and runs there, and the record clears the timer's id just before the
+/// call: running() is false inside the callback, which may re-arm the
+/// timer or destroy it. `key` (default kDefaultEventKey) selects the
+/// event's same-time ordering class; the MAC slot timer passes the node
+/// id.
 class OneShotTimer {
  public:
   explicit OneShotTimer(Simulator& sim, std::uint32_t key = kDefaultEventKey)
@@ -29,8 +32,7 @@ class OneShotTimer {
  private:
   Simulator& sim_;
   std::uint32_t key_;
-  EventId id_ = kInvalidEvent;
-  SmallFn fn_;
+  EventId id_ = kInvalidEvent;  // the pending event's record points here
 };
 
 /// Fixed-period timer. The callback runs every `period` after `start`,

@@ -19,12 +19,9 @@ bool SixpAgent::request(NodeId peer, SixpPayload payload) {
 
   if (!mac_.enqueue(make_sixp_frame(mac_.id(), peer, payload))) return false;
 
-  Transaction tx;
-  tx.command = payload.command;
-  tx.seqnum = payload.seqnum;
-  tx.timer = std::make_unique<OneShotTimer>(sim_);
-  tx.timer->start(response_timeout_, [this, peer] { on_timeout(peer); });
-  outstanding_.emplace(peer, std::move(tx));
+  Transaction& tx =
+      outstanding_.try_emplace(peer, sim_, payload.command, payload.seqnum).first->second;
+  tx.timer.start(response_timeout_, [this, peer] { on_timeout(peer); });
   ++counters_.requests_sent;
   return true;
 }

@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <map>
-#include <memory>
 
 #include "mac/tsch_mac.hpp"
 #include "sim/simulator.hpp"
@@ -71,10 +70,16 @@ class SixpAgent {
   const SixpCounters& counters() const { return counters_; }
 
  private:
+  /// Held in place: std::map nodes never move, so the timer needs no
+  /// indirection. on_timeout() erases the transaction, timer included,
+  /// from inside the timer's own callback; the callback lives in its
+  /// event record, not in the timer, so that is safe.
   struct Transaction {
+    Transaction(Simulator& sim, SixpCommand c, std::uint8_t s)
+        : command(c), seqnum(s), timer(sim) {}
     SixpCommand command;
     std::uint8_t seqnum;
-    std::unique_ptr<OneShotTimer> timer;
+    OneShotTimer timer;
   };
 
   void on_timeout(NodeId peer);

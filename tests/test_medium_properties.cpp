@@ -56,7 +56,7 @@ AirResult run_random_air(const RandomAirScenario& sc, double range_override = -1
     const TimeUs at = static_cast<TimeUs>(rng.uniform(60000000));
     const auto sender = static_cast<std::size_t>(rng.uniform(sc.nodes));
     const PhysChannel ch = static_cast<PhysChannel>(11 + rng.uniform(8));
-    sim.at(at, [&radios, &medium, sender, ch, sc] {
+    sim.at(at, [&radios, sender, ch] {
       // Everyone else listens on the channel (if idle).
       for (std::size_t r = 0; r < radios.size(); ++r) {
         if (r == sender) continue;

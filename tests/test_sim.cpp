@@ -209,7 +209,8 @@ enum class TimePattern { kSlotGrid, kDrifted, kMixed };
 /// that fires against a std::set ordered by (at, key, owner, seq). Fired
 /// events also cancel some pending events of their own instant, which are
 /// already in the active batch, and every pending event of one later
-/// instant, whose batch then holds nothing but cancelled entries.
+/// instant, whose batch then holds nothing but cancelled entries. Timer
+/// re-arms sometimes destroy and recreate the timer first.
 class EventOrderOracle {
  public:
   EventOrderOracle(std::uint64_t seed, TimePattern pattern)
@@ -236,6 +237,7 @@ class EventOrderOracle {
     EXPECT_EQ(mismatches_, 0u);
     EXPECT_TRUE(oracle_.empty());
     EXPECT_GT(instant_cancels_, 0u);
+    EXPECT_GT(timer_rebuilds_, 0u);
     return fired_;
   }
 
@@ -301,8 +303,15 @@ class EventOrderOracle {
 
   void rearm_timer(std::uint32_t owner) {
     const std::uint32_t node = static_cast<std::uint32_t>(rng_.uniform(kTimers));
-    OneShotTimer& timer = *timers_[node];
     if (timer_id_[node] >= 0) forget(timer_id_[node]);
+    if (rng_.bernoulli(0.125)) {
+      // Replace the timer: destroying it cancels its pending event, and
+      // when this runs in the timer's own callback it destroys the timer
+      // whose callback is running.
+      timers_[node] = std::make_unique<OneShotTimer>(sim_, node);
+      ++timer_rebuilds_;
+    }
+    OneShotTimer& timer = *timers_[node];
     const TimeUs at = pick_time(true);
     const int id = next_id_++;
     timer.start(at - now(), [this, id, node] {
@@ -419,6 +428,7 @@ class EventOrderOracle {
   std::uint64_t fired_ = 0;
   std::uint64_t mismatches_ = 0;
   std::uint64_t instant_cancels_ = 0;
+  std::uint64_t timer_rebuilds_ = 0;
 };
 
 TEST(EventOrder, MatchesOracleOnSlotGrid) {
@@ -594,6 +604,74 @@ TEST(OneShotTimer, StopPreventsFire) {
   t.stop();
   sim.run_until(100);
   EXPECT_FALSE(fired);
+}
+
+// ---------------------------------------------- timer-handle lifetimes --
+
+TEST(OneShotTimer, DestroyedWhilePendingIsNeverWrittenTo) {
+  // The timer sits in storage that outlives it, so a write through the
+  // pending event's stale timer address shows up as a changed byte.
+  Simulator sim(1);
+  alignas(OneShotTimer) unsigned char storage[sizeof(OneShotTimer)];
+  auto tag = std::make_shared<int>(1);
+  auto* timer = ::new (static_cast<void*>(storage)) OneShotTimer(sim, 2);
+  timer->start(10, [tag] { ADD_FAILURE() << "a destroyed timer fired"; });
+  EXPECT_EQ(tag.use_count(), 2);
+  timer->~OneShotTimer();
+  EXPECT_EQ(tag.use_count(), 1);  // cancelling released the captures
+  std::fill(std::begin(storage), std::end(storage), static_cast<unsigned char>(0xA5));
+  // Reach the cancelled entry so its slot is released, then reuse the
+  // slot (and others) with plain events and with a live timer's events.
+  OneShotTimer other(sim, 2);
+  int ran = 0;
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 8; ++i) sim.after(5 + i % 3, [&ran] { ++ran; });
+    other.start(6, [&ran] { ++ran; });
+    sim.run_until(sim.now() + 20);
+  }
+  EXPECT_EQ(ran, 4 * 9);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_TRUE(std::all_of(std::begin(storage), std::end(storage),
+                          [](unsigned char b) { return b == 0xA5; }));
+}
+
+TEST(OneShotTimer, DestroyedByItsOwnCallback) {
+  // SixpAgent::on_timeout erases the transaction that owns the running
+  // timer. The closure lives in the event record, so it outlives the
+  // timer until the call returns; nothing may touch the timer afterwards
+  // (ASan reports a write to the freed timer).
+  Simulator sim(1);
+  auto timer = std::make_unique<OneShotTimer>(sim, 1);
+  auto tag = std::make_shared<int>(7);
+  int after = 0;
+  timer->start(10, [&timer, &sim, &after, tag] {
+    EXPECT_FALSE(timer->running());
+    timer.reset();
+    EXPECT_EQ(*tag, 7);
+    EXPECT_EQ(tag.use_count(), 2);
+    for (int i = 0; i < 4; ++i) sim.at(10, [&after] { ++after; });
+  });
+  sim.run_all();
+  EXPECT_EQ(timer, nullptr);
+  EXPECT_EQ(after, 4);
+  EXPECT_EQ(tag.use_count(), 1);  // the closure died after its call
+  EXPECT_EQ(sim.events_processed(), 5u);
+}
+
+TEST(OneShotTimer, RunningIsFalseInsideItsCallbackUntilRearmed) {
+  Simulator sim(1);
+  OneShotTimer t(sim);
+  std::vector<bool> running;
+  t.start(5, [&] {
+    running.push_back(t.running());
+    t.start(5, [&] { running.push_back(t.running()); });
+    running.push_back(t.running());
+  });
+  EXPECT_TRUE(t.running());
+  sim.run_all();
+  EXPECT_EQ(running, (std::vector<bool>{false, true, false}));
+  EXPECT_FALSE(t.running());
+  EXPECT_EQ(sim.now(), 10);
 }
 
 TEST(PeriodicTimer, FiresAtFixedPeriod) {

@@ -25,11 +25,16 @@ Exits 2 before the first pair when this checkout's `.bench_build/` was
 configured for another tree (it was copied or moved along with the
 checkout): perfbench/run.py reuses an existing CMake cache, so the
 working-tree side would build and time that other tree's sources.
+
+SIGTERM and SIGHUP (from `timeout`, a closed terminal) stop it like
+Ctrl-C: the perfbench run in flight, with its build or harness, is
+terminated and the temporary worktree is removed.
 """
 
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -58,17 +63,35 @@ def stale_build_home():
     return home
 
 
+def exit_on_signal(signum, frame):
+    """Turn SIGTERM/SIGHUP into a normal exit, so `finally` blocks run."""
+    sys.exit(128 + signum)
+
+
 def run_side(checkout, command, workload, seed, seconds):
     """One perfbench invocation. Returns (result or None, behaviour_changed)."""
     cmd = command + ["--workload", workload, "--seed", str(seed),
                      "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
-    changed = "behaviour changed" in proc.stderr
-    lines = proc.stdout.strip().splitlines()
+    # Its own process group: perfbench/run.py starts the build and the
+    # harness as children of its own, and stopping must reach them too.
+    proc = subprocess.Popen(cmd, cwd=checkout, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        os.killpg(proc.pid, signal.SIGTERM)
+        try:
+            proc.wait(timeout=10)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+        raise
+    changed = "behaviour changed" in stderr
+    lines = stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
     except (IndexError, ValueError):
-        sys.stderr.write(proc.stderr)
+        sys.stderr.write(stderr)
         return None, changed
     return result, changed
 
@@ -91,14 +114,16 @@ def main(argv):
                              os.path.join(ROOT, ".bench_build")))
         return 2
 
+    for signum in (signal.SIGTERM, signal.SIGHUP):
+        signal.signal(signum, exit_on_signal)
     worktree = tempfile.mkdtemp(prefix="perfbench-ab-")
-    subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", worktree, parent_rev],
-                   check=True, capture_output=True)
     sides = {"parent": worktree, "change": ROOT}
     results = {"parent": [], "change": []}
     changed = {"parent": 0, "change": 0}
     missing = 0
     try:
+        subprocess.run(["git", "-C", ROOT, "worktree", "add", "--detach", worktree, parent_rev],
+                       check=True, capture_output=True)
         for pair in range(PAIRS):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             row = {}
