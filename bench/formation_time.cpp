@@ -100,15 +100,15 @@ FormationResult measure(const ScenarioConfig& sc) {
 /// Campaign job: formation seconds packed into the panel-metric slots (see
 /// file header) so journaling, sharded merge, and adaptive CI stopping all
 /// work unchanged.
-ExperimentResult run_formation_job(const ScenarioConfig& sc) {
-  const FormationResult r = measure(sc);
+ExperimentResult run_formation_job(const campaign::Job& job) {
+  const FormationResult r = measure(job.config);
   ExperimentResult out;
   out.metrics.pdr_percent = r.assoc_s > 0 ? r.assoc_s : kBudgetSeconds;
   out.metrics.avg_delay_ms = r.joined_s > 0 ? r.joined_s : kBudgetSeconds;
   // A run that never got every SF operational charges the full budget so
   // bootstrap failures cannot average (or CI-converge) toward zero.
   out.metrics.p95_delay_ms = r.operational_s > 0 ? r.operational_s : kBudgetSeconds;
-  out.metrics.node_count = static_cast<std::uint64_t>(sc.nodes_per_dodag);
+  out.metrics.node_count = static_cast<std::uint64_t>(job.config.nodes_per_dodag);
   out.fully_formed = r.formed;
   return out;
 }
@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "formation_time: unknown flag --%s\n", flag.c_str());
     return 2;
   }
-  options.runner.run_fn = run_formation_job;
+  options.runner.run_job_fn = run_formation_job;
   campaign::CampaignResult result;
   if (!campaign::run_points_campaign(grid, seeds, options, &result, &error)) {
     std::fprintf(stderr, "formation_time: %s\n", error.c_str());

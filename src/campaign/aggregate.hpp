@@ -24,7 +24,7 @@ enum class JobStatus : std::uint8_t {
   kOk,       ///< result is valid
   kCrashed,  ///< isolated child died on a signal (term_signal says which)
   kTimeout,  ///< isolated child exceeded --job-timeout and was SIGKILLed
-  kFailed,   ///< nonzero exit, protocol breakage, or in-process watchdog trip
+  kFailed,   ///< isolated child exited nonzero or broke the run-job protocol
 };
 
 /// Stable wire name ("ok" / "crashed" / "timeout" / "failed") — the journal

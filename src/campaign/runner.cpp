@@ -8,7 +8,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <thread>
 
 #include "campaign/isolate.hpp"
@@ -166,98 +165,39 @@ bool check_journal_health(const std::optional<JournalWriter>& writer,
                          "' failed (disk full?); journal is incomplete");
 }
 
-/// Fixed-seed mode: the classic (point x seed) job grid, minus jobs from
-/// other shards, minus jobs already in the resume journal.
-bool run_fixed(const std::vector<GridPoint>& points,
-               const std::vector<std::uint64_t>& seeds,
+/// The one seeding loop. Each wave runs every job the seeding rule asks
+/// for next, and its outcomes are folded before the next wave is formed.
+/// Fixed seeding asks for every pending seed of this shard's jobs (sharded
+/// by Job::index), so it finishes in a single wave. Adaptive seeding
+/// shards whole points, because each point's final seed count is
+/// data-dependent, and grows a point in batches until the CI stopping
+/// rule or the seed cap settles it.
+bool run_waves(const std::vector<GridPoint>& points,
+               const std::vector<std::uint64_t>& base_seeds,
                std::uint64_t campaign_fp, const CampaignOptions& options,
                CampaignResult* out, std::string* error) {
-  const std::vector<Job> all_jobs = make_jobs(points, seeds);
-  const std::vector<Job> my_jobs = shard_jobs(all_jobs, options.shard);
-
-  std::vector<JournalRecord> prior;
-  if (options.resume &&
-      !load_resume_records(options.journal_path, points, seeds, campaign_fp,
-                           &prior, &out->error_kind, error)) {
-    return false;
-  }
-  // Ok records are always satisfied from the journal. Quarantined records
-  // are too — a crashed job stays quarantined across resumes — unless
-  // --retry-quarantined asks for them to run again.
-  std::set<std::pair<std::size_t, std::size_t>> done;
-  for (const JournalRecord& r : prior) {
-    if (r.status != JobStatus::kOk && options.fault.retry_quarantined) continue;
-    done.emplace(r.point_index, r.seed_index);
-  }
-
-  std::vector<Job> pending;
-  pending.reserve(my_jobs.size());
-  for (const Job& job : my_jobs) {
-    if (done.count({job.point_index, job.seed_index}) == 0) pending.push_back(job);
-  }
-
-  std::optional<JournalWriter> writer;
-  if (!open_journal(options, writer, out, error)) return false;
-
-  Runner* runner_ptr = nullptr;
-  Runner runner(with_journal(options.runner, writer ? &*writer : nullptr, points,
-                             campaign_fp, &runner_ptr));
-  runner_ptr = &runner;
-  const Runner::Result run = runner.run(pending);
-
-  std::vector<PointAccumulator> accumulators(points.size());
-  for (const JournalRecord& r : prior) {
-    if (r.status == JobStatus::kOk) {
-      accumulators[r.point_index].add(r.seed_index, r.result);
-    } else if (!options.fault.retry_quarantined) {
-      accumulators[r.point_index].add_failure(r.seed_index, r.status);
-    }
-    // retry_quarantined failures were left out of `done`; their re-run
-    // outcome below decides what the aggregate sees.
-  }
-  out->jobs_run = 0;
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    if (!run.completed[i]) continue;
-    const JobOutcome& outcome = run.outcomes[i];
-    if (outcome.status == JobStatus::kOk) {
-      accumulators[pending[i].point_index].add(pending[i].seed_index,
-                                               outcome.result);
-    } else {
-      accumulators[pending[i].point_index].add_failure(pending[i].seed_index,
-                                                       outcome.status);
-    }
-    ++out->jobs_run;
-  }
-  out->jobs_skipped = my_jobs.size() - pending.size();
-  out->cancelled = run.cancelled;
-  if (!check_journal_health(writer, options, out, error)) return false;
-  finalize_into(points, accumulators, out);
-  return true;
-}
-
-/// Adaptive mode: per-point sequential seed batches with a CI-driven
-/// stopping rule. Points (not jobs) are sharded, because each point's
-/// final seed count is data-dependent.
-bool run_adaptive(const std::vector<GridPoint>& points,
-                  const std::vector<std::uint64_t>& base_seeds,
-                  std::uint64_t campaign_fp, const CampaignOptions& options,
-                  CampaignResult* out, std::string* error) {
   const AdaptiveOptions& ad = options.adaptive;
-  SampleStats PointAggregate::*metric = metric_by_name(ad.metric);
-  if (metric == nullptr) {
-    return fail(error, "adaptive: unknown metric '" + ad.metric + "'");
+  const bool adaptive = ad.enabled();
+  SampleStats PointAggregate::*metric = nullptr;
+  std::size_t max_seeds = base_seeds.size();
+  std::size_t min_seeds = 0;
+  std::size_t batch = 0;
+  if (adaptive) {
+    metric = metric_by_name(ad.metric);
+    if (metric == nullptr) {
+      return fail(error, "adaptive: unknown metric '" + ad.metric + "'");
+    }
+    if (ad.max_seeds > 0) max_seeds = ad.max_seeds;
+    // The CI needs a stddev, so never stop below two seeds.
+    min_seeds = std::min(std::max<std::size_t>(2, ad.min_seeds), max_seeds);
+    batch = std::max<std::size_t>(1, ad.batch);
   }
-  const std::size_t max_seeds = ad.max_seeds > 0 ? ad.max_seeds : base_seeds.size();
-  if (max_seeds == 0) return fail(error, "adaptive: empty seed budget");
-  // The CI needs a stddev, so never stop below two seeds.
-  const std::size_t min_seeds =
-      std::min(std::max<std::size_t>(2, ad.min_seeds), max_seeds);
-  const std::size_t batch = std::max<std::size_t>(1, ad.batch);
-  const std::vector<std::uint64_t> seeds = extend_seeds(base_seeds, max_seeds);
-
-  const std::vector<GridPoint> my_points = shard_points(points, options.shard);
-  std::vector<std::uint8_t> in_shard(points.size(), 0);
-  for (const GridPoint& point : my_points) in_shard[point.index] = 1;
+  const std::vector<std::uint64_t> seeds =
+      adaptive ? extend_seeds(base_seeds, max_seeds) : base_seeds;
+  auto owned = [&](std::size_t point_index, std::size_t seed_index) {
+    return options.shard.owns(adaptive ? point_index
+                                       : point_index * seeds.size() + seed_index);
+  };
 
   std::vector<JournalRecord> prior;
   if (options.resume &&
@@ -265,16 +205,29 @@ bool run_adaptive(const std::vector<GridPoint>& points,
                            &prior, &out->error_kind, error)) {
     return false;
   }
-  std::vector<std::vector<std::uint8_t>> done(
-      points.size(), std::vector<std::uint8_t>(max_seeds, 0));
+  // done[point * max_seeds + seed]: the seed holds a result or a
+  // quarantine, so no wave runs it again.
+  std::vector<std::uint8_t> done(points.size() * max_seeds, 0);
   std::vector<PointAccumulator> accumulators(points.size());
+  auto fold = [&](std::size_t point_index, std::size_t seed_index,
+                  JobStatus status, const ExperimentResult& result) {
+    if (status == JobStatus::kOk) {
+      accumulators[point_index].add(seed_index, result);
+    } else {
+      // A quarantined seed is spent, not re-scheduled: adaptivity may
+      // still reach its CI target with later seeds, and a deterministic
+      // crasher would otherwise burn the whole budget.
+      accumulators[point_index].add_failure(seed_index, status);
+    }
+    done[point_index * max_seeds + seed_index] = 1;
+  };
   out->jobs_skipped = 0;
   for (const JournalRecord& r : prior) {
     if (r.seed_index >= max_seeds) {
       // load_resume_records checks against the *extended* seed list, which
       // keeps every base seed even when max_seeds is smaller — but the
-      // bookkeeping rows below are only max_seeds wide, so a journal from a
-      // run with a larger seed budget must be rejected, not indexed.
+      // bookkeeping rows are only max_seeds wide, so a journal from a run
+      // with a larger seed budget must be rejected, not indexed.
       return fail(error, "journal seed #" + std::to_string(r.seed_index) +
                              " for point " + std::to_string(r.point_index) +
                              " exceeds the adaptive seed cap of " +
@@ -282,62 +235,49 @@ bool run_adaptive(const std::vector<GridPoint>& points,
                              "; rerun with a larger --max-seeds or without "
                              "adaptive seeding");
     }
-    if (r.status != JobStatus::kOk && options.fault.retry_quarantined) {
-      continue;  // leave done == 0 so the wave scheduler re-runs the seed
+    // Ok records are always satisfied from the journal. Quarantined records
+    // are too — a crashed job stays quarantined across resumes — unless
+    // --retry-quarantined asks for them to run again.
+    if (r.status != JobStatus::kOk && options.fault.retry_quarantined) continue;
+    // Only this shard's jobs count as skipped, even when the journal also
+    // carries other shards' records.
+    if (!done[r.point_index * max_seeds + r.seed_index] &&
+        owned(r.point_index, r.seed_index)) {
+      ++out->jobs_skipped;
     }
-    done[r.point_index][r.seed_index] = 1;
-    if (r.status == JobStatus::kOk) {
-      accumulators[r.point_index].add(r.seed_index, r.result);
-    } else {
-      // Quarantined seed: it holds its done slot (so waves skip it) but
-      // contributes only failure accounting; the stopping rule proceeds
-      // on the surviving seeds.
-      accumulators[r.point_index].add_failure(r.seed_index, r.status);
-    }
-    // Match fixed mode: report only this shard's jobs as skipped, even
-    // when the journal also carries other shards' records.
-    if (in_shard[r.point_index]) ++out->jobs_skipped;
+    fold(r.point_index, r.seed_index, r.status, r.result);
   }
+
+  // Seeds a point still asks for: all of them under fixed seeding; under
+  // adaptive seeding up to min_seeds, then `batch` more per wave until the
+  // CI target or max_seeds settles the point.
+  auto wanted = [&](std::size_t point_index) -> std::size_t {
+    if (!adaptive) return max_seeds;
+    const std::size_t n = accumulators[point_index].size();
+    if (n < min_seeds) return min_seeds - n;
+    if (n >= max_seeds) return 0;
+    const SampleStats s = accumulators[point_index].finalize().*metric;
+    if (s.ci95_half <= ad.ci_rel * std::fabs(s.mean)) return 0;
+    return std::min(n + batch, max_seeds) - n;
+  };
 
   std::optional<JournalWriter> writer;
   if (!open_journal(options, writer, out, error)) return false;
-
   Runner* runner_ptr = nullptr;
   Runner runner(with_journal(options.runner, writer ? &*writer : nullptr, points,
                              campaign_fp, &runner_ptr));
   runner_ptr = &runner;
 
-  std::vector<std::uint8_t> settled(points.size(), 0);
-  auto converged = [&](std::size_t point_index) {
-    const PointAggregate agg = accumulators[point_index].finalize();
-    const SampleStats& s = agg.*metric;
-    return s.ci95_half <= ad.ci_rel * std::fabs(s.mean);
-  };
-
   out->jobs_run = 0;
   out->cancelled = false;
   for (;;) {
     std::vector<Job> wave;
-    for (const GridPoint& point : my_points) {
-      if (settled[point.index]) continue;
-      const std::size_t n = accumulators[point.index].size();
-      if ((n >= min_seeds && converged(point.index)) || n >= max_seeds) {
-        settled[point.index] = 1;
-        continue;
-      }
-      const std::size_t target =
-          n < min_seeds ? min_seeds : std::min(n + batch, max_seeds);
-      std::size_t scheduled = 0;
-      for (std::size_t s = 0; s < max_seeds && n + scheduled < target; ++s) {
-        if (done[point.index][s]) continue;
-        Job job;
-        job.index = wave.size();
-        job.point_index = point.index;
-        job.seed_index = s;
-        job.config = point.config;
-        job.config.seed = seeds[s];
-        wave.push_back(std::move(job));
-        ++scheduled;
+    for (const GridPoint& point : points) {
+      std::size_t want = wanted(point.index);
+      for (std::size_t s = 0; s < max_seeds && want > 0; ++s) {
+        if (done[point.index * max_seeds + s] || !owned(point.index, s)) continue;
+        wave.push_back(make_job(point, seeds, s));
+        --want;
       }
     }
     if (wave.empty()) break;
@@ -345,17 +285,8 @@ bool run_adaptive(const std::vector<GridPoint>& points,
     const Runner::Result run = runner.run(wave);
     for (std::size_t i = 0; i < wave.size(); ++i) {
       if (!run.completed[i]) continue;
-      const JobOutcome& outcome = run.outcomes[i];
-      if (outcome.status == JobStatus::kOk) {
-        accumulators[wave[i].point_index].add(wave[i].seed_index, outcome.result);
-      } else {
-        // The failed seed is spent (done), not re-scheduled: adaptivity
-        // may still reach its CI target with later seeds, and a
-        // deterministic crasher would otherwise burn the whole budget.
-        accumulators[wave[i].point_index].add_failure(wave[i].seed_index,
-                                                      outcome.status);
-      }
-      done[wave[i].point_index][wave[i].seed_index] = 1;
+      fold(wave[i].point_index, wave[i].seed_index, run.outcomes[i].status,
+           run.outcomes[i].result);
       ++out->jobs_run;
     }
     if (run.cancelled) {
@@ -404,13 +335,9 @@ Runner::Result Runner::run(const std::vector<Job>& jobs) {
     return false;
   };
 
-  auto execute = [&](const Job& job) -> JobOutcome {
-    if (options_.execute_fn) return options_.execute_fn(job);
-    JobOutcome outcome;
-    outcome.result = options_.run_job_fn ? options_.run_job_fn(job)
-                     : options_.run_fn   ? options_.run_fn(job.config)
-                                         : run_scenario(job.config);
-    return outcome;
+  auto execute = [this](const Job& job) {
+    return options_.run_job_fn ? options_.run_job_fn(job)
+                               : JobOutcome(run_scenario(job.config));
   };
 
   auto worker = [&] {
@@ -487,60 +414,35 @@ bool run_points_campaign(const std::vector<GridPoint>& points,
   if (!validate_points_trace(points, error, &trace_files)) return false;
 
   CampaignOptions effective = options;
-  if (options.fault.active()) {
-    if (options.runner.run_fn || options.runner.run_job_fn ||
-        options.runner.execute_fn) {
+  if (options.fault.isolate) {
+    if (options.runner.run_job_fn) {
       return fail(error,
-                  "fault-tolerant execution (--isolate / --job-timeout) cannot "
-                  "be combined with a custom run function (e.g. --telemetry-dir)");
+                  "process isolation (--isolate) cannot be combined with a "
+                  "custom run function (e.g. --telemetry-dir)");
     }
-    if (options.fault.isolate && options.fault.exec_path.empty()) {
+    if (options.fault.exec_path.empty()) {
       return fail(error, "isolate requested without an executable path");
     }
-    effective.runner.retries = options.fault.retries;
-    effective.runner.retry_backoff_ms = options.fault.retry_backoff_ms;
-    if (options.fault.isolate) {
-      // Labels ride along so the child can key per-point behavior (the
-      // chaos hook) and the parent can verify the echo. shared_ptr: the
-      // closure must stay valid after this frame for the worker threads.
-      auto labels = std::make_shared<std::vector<std::string>>();
-      labels->reserve(points.size());
-      for (const GridPoint& point : points) labels->push_back(point.label);
-      const std::string exec_path = options.fault.exec_path;
-      const double timeout_s = options.fault.job_timeout_s;
-      effective.runner.execute_fn = [labels, exec_path,
-                                     timeout_s](const Job& job) {
-        JobEnvelope envelope;
-        envelope.point_index = job.point_index;
-        envelope.seed_index = job.seed_index;
-        envelope.label = (*labels)[job.point_index];
-        envelope.config = job.config;
-        return run_job_isolated(exec_path, timeout_s, envelope);
-      };
-    } else {
-      // In-process fallback: no crash protection, but the simulator
-      // watchdog still converts a livelocked/overlong run into a
-      // quarantined job instead of a hung campaign.
-      const double timeout_s = options.fault.job_timeout_s;
-      effective.runner.execute_fn = [timeout_s](const Job& job) {
-        JobOutcome outcome;
-        RunGuard guard;
-        guard.max_wall_s = timeout_s;
-        std::string guard_error;
-        if (!run_scenario_guarded(job.config, guard, &outcome.result,
-                                  &guard_error)) {
-          outcome.status = JobStatus::kFailed;
-          outcome.detail = guard_error;
-        }
-        return outcome;
-      };
-    }
+    // Labels ride along so the child can key per-point behavior (the
+    // chaos hook) and the parent can verify the echo. shared_ptr: the
+    // closure must stay valid after this frame for the worker threads.
+    auto labels = std::make_shared<std::vector<std::string>>();
+    labels->reserve(points.size());
+    for (const GridPoint& point : points) labels->push_back(point.label);
+    const std::string exec_path = options.fault.exec_path;
+    const double timeout_s = options.fault.job_timeout_s;
+    effective.runner.run_job_fn = [labels, exec_path, timeout_s](const Job& job) {
+      JobEnvelope envelope;
+      envelope.point_index = job.point_index;
+      envelope.seed_index = job.seed_index;
+      envelope.label = (*labels)[job.point_index];
+      envelope.config = job.config;
+      return run_job_isolated(exec_path, timeout_s, envelope);
+    };
   }
 
   const std::uint64_t campaign_fp = campaign_fingerprint(points, seeds, &trace_files);
-  return options.adaptive.enabled()
-             ? run_adaptive(points, seeds, campaign_fp, effective, out, error)
-             : run_fixed(points, seeds, campaign_fp, effective, out, error);
+  return run_waves(points, seeds, campaign_fp, effective, out, error);
 }
 
 bool run_campaign(const CampaignSpec& spec, const CampaignOptions& options,
@@ -607,26 +509,27 @@ bool parse_campaign_flags(const Flags& flags, CampaignOptions* options,
 
   FaultOptions& fault = options->fault;
   fault.isolate = flags.get_bool("isolate", fault.isolate);
+  // Only the isolated executor fails jobs, so without --isolate these would
+  // be silent no-ops; reject them loudly like the adaptive-only flags above.
+  for (const char* name : {"job-timeout", "retries"}) {
+    if (flags.has(name) && !fault.isolate) {
+      return fail(error, std::string("--") + name +
+                             " only takes effect with --isolate");
+    }
+  }
   if (flags.has("job-timeout")) {
-    fault.job_timeout_s = flags.get_double("job-timeout", 0.0);
-    if (!(fault.job_timeout_s > 0.0)) {
-      return fail(error, "--job-timeout: expected a positive number of "
-                         "seconds, got '" +
-                             flags.get("job-timeout", "") + "'");
+    // Bounded so the child's deadline stays representable on the steady
+    // clock; below a millisecond the poll loop could not honour it.
+    const std::string v = flags.get("job-timeout", "");
+    if (!parse_bounded_double(v, 1e-3, 1e6, &fault.job_timeout_s)) {
+      return fail(error,
+                  "--job-timeout: expected a number of seconds in [0.001, "
+                  "1000000], got '" + v + "'");
     }
   }
   std::size_t retries = 0;
   if (!parse_count_flag(flags, "retries", &retries, error)) return false;
-  if (flags.has("retries")) {
-    // Without isolation or a watchdog every run path is infallible, so a
-    // lone --retries would be a silent no-op; reject it loudly like the
-    // adaptive-only flags above.
-    if (!fault.active()) {
-      return fail(error,
-                  "--retries only takes effect with --isolate or --job-timeout");
-    }
-    fault.retries = static_cast<int>(retries);
-  }
+  if (flags.has("retries")) options->runner.retries = static_cast<int>(retries);
   if (flags.has("retry-quarantined")) {
     fault.retry_quarantined = flags.get_bool("retry-quarantined", false);
     if (fault.retry_quarantined && !options->resume) {
@@ -641,17 +544,9 @@ PointAggregate run_point(const ScenarioConfig& config,
                          const std::vector<std::uint64_t>& seeds,
                          const RunnerOptions& options) {
   GTTSCH_CHECK(!seeds.empty());
-  std::vector<Job> jobs;
-  jobs.reserve(seeds.size());
-  for (std::size_t s = 0; s < seeds.size(); ++s) {
-    Job job;
-    job.index = s;
-    job.point_index = 0;
-    job.seed_index = s;
-    job.config = config;
-    job.config.seed = seeds[s];
-    jobs.push_back(std::move(job));
-  }
+  GridPoint point;
+  point.config = config;
+  const std::vector<Job> jobs = make_jobs({point}, seeds);
   Runner runner(options);
   const Runner::Result run = runner.run(jobs);
   PointAccumulator acc;

@@ -3,19 +3,24 @@
 // run_scenario — runs are embarrassingly parallel and bit-identical to
 // serial execution for the same seed, whatever the completion order.
 //
-// On top of the pool, run_points_campaign adds the three pieces that make
+// On top of the pool, run_points_campaign adds the pieces that make
 // million-run campaigns practical (see ROADMAP):
 //   * sharding   — run only `--shard i/N` of the jobs; shards merge later,
 //   * journaling — append each finished job to a crash-safe JSONL journal
 //                  and `resume` by skipping jobs already recorded,
 //   * adaptive seeding — per-point sequential seed batches that stop once
-//                  the 95% CI half-width of a chosen metric is tight.
+//                  the 95% CI half-width of a chosen metric is tight,
+//   * isolation  — each job in a child process with a wall-clock budget,
+//                  so a crash or hang quarantines one job.
+// Fixed and adaptive seeding share one wave loop: a fixed campaign is a
+// single wave of this shard's pending jobs.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/aggregate.hpp"
@@ -29,8 +34,13 @@ namespace gttsch::campaign {
 /// failure with enough forensics for the journal (exit code / signal /
 /// attempt count).
 struct JobOutcome {
+  JobOutcome() = default;
+  /// An ok outcome, so a job hook that cannot fail may return its
+  /// ExperimentResult directly.
+  JobOutcome(ExperimentResult ok) : result(std::move(ok)) {}
+
   JobStatus status = JobStatus::kOk;
-  int exit_code = 0;    ///< child exit code (status == kFailed, isolated)
+  int exit_code = 0;    ///< child exit code (status == kFailed)
   int term_signal = 0;  ///< fatal signal number (status == kCrashed)
   int attempts = 1;     ///< executions spent (1 + retries used)
   std::string detail;   ///< human-readable failure note for the summary
@@ -52,18 +62,12 @@ struct RunnerOptions {
   int jobs = 0;
   /// Invoked after every job, serialized (never concurrently).
   std::function<void(const Progress&)> on_progress;
-  /// How one job is executed; defaults to run_scenario. Tests substitute
-  /// a synthetic function to count invocations and shape metric noise.
-  std::function<ExperimentResult(const ScenarioConfig&)> run_fn;
-  /// Job-aware variant, taking precedence over run_fn: receives the whole
-  /// Job so per-job artifacts can be keyed by point/seed index (e.g.
-  /// gt_campaign --telemetry-dir writes one JSONL per job).
-  std::function<ExperimentResult(const Job&)> run_job_fn;
-  /// Outcome-aware variant, taking precedence over both: the only one
-  /// that can report a *failed* job (crash/timeout in an isolated child,
-  /// watchdog trip in-process). Failures are retried per `retries` below;
-  /// the other run functions are assumed infallible (they abort on error).
-  std::function<JobOutcome(const Job&)> execute_fn;
+  /// How one job is executed; empty runs run_scenario(job.config). Gets
+  /// the whole Job so per-job artifacts can be keyed by point/seed index
+  /// (gt_campaign --telemetry-dir writes one JSONL per job). A non-ok
+  /// outcome is retried per `retries` below, then quarantined; the
+  /// isolated executor (FaultOptions::isolate) is the hook that fails.
+  std::function<JobOutcome(const Job&)> run_job_fn;
   /// Re-executions granted to a failing job before it is quarantined.
   int retries = 0;
   /// First retry backoff; doubles per subsequent retry (capped at 10 s).
@@ -112,11 +116,11 @@ struct AdaptiveOptions {
   bool enabled() const { return ci_rel > 0.0; }
 };
 
-/// Fault-tolerant execution (the --isolate / --job-timeout / --retries
-/// surface). Failures never stop the campaign: after `retries`
-/// re-executions a failing job is *quarantined* — journaled with its
-/// status, counted in the aggregates' runs_failed, and skipped on resume
-/// unless retry_quarantined asks for another attempt.
+/// Fault-tolerant execution (the --isolate / --job-timeout surface;
+/// --retries lands in RunnerOptions::retries). Failures never stop the
+/// campaign: after the runner's retries a failing job is *quarantined* —
+/// journaled with its status, counted in the aggregates' runs_failed, and
+/// skipped on resume unless retry_quarantined asks for another attempt.
 struct FaultOptions {
   /// Run each job in a forked child re-entering `exec_path run-job`, so a
   /// crash/OOM/livelock costs one job, not the campaign.
@@ -124,19 +128,12 @@ struct FaultOptions {
   /// Path of the binary implementing the run-job protocol (gt_campaign
   /// sets its own path); empty + isolate is a spec error.
   std::string exec_path;
-  /// Wall-clock budget per job in seconds; <= 0 = unlimited. Isolated
-  /// jobs are SIGKILLed on expiry (kTimeout); in-process jobs arm the
-  /// simulator watchdog and abort as kFailed.
+  /// Wall-clock budget per isolated job in seconds; <= 0 = unlimited. The
+  /// child is SIGKILLed on expiry (kTimeout).
   double job_timeout_s = 0.0;
-  /// Re-executions granted to a failing job before quarantine.
-  int retries = 0;
-  /// First retry backoff; doubles per retry. Exposed for fast tests.
-  int retry_backoff_ms = 200;
   /// With resume: re-run quarantined journal records instead of skipping
   /// them (ok records are always skipped).
   bool retry_quarantined = false;
-
-  bool active() const { return isolate || job_timeout_s > 0.0; }
 };
 
 /// Everything beyond raw pool execution: sharding, journal/resume,
@@ -193,12 +190,13 @@ bool run_campaign(const CampaignSpec& spec, const CampaignOptions& options,
 ///   an unequal --journal), --ci-rel FRAC, the adaptive-only flags
 ///   --max-seeds/--min-seeds/--batch/--metric, which error out loudly
 ///   when given without --ci-rel (they would otherwise be silent no-ops),
-///   and the fault-tolerance flags --isolate, --job-timeout S, --retries N
-///   (which requires --isolate or --job-timeout) and --retry-quarantined
-///   (which requires --resume).
-/// Count-valued flags are validated (digits only, bounded): a negative,
-/// non-numeric, or bare path-less value is a usage error, never a silent
-/// wraparound or a journal literally named "true".
+///   and the fault-tolerance flags --isolate, --job-timeout S and
+///   --retries N (both require --isolate), and --retry-quarantined (which
+///   requires --resume).
+/// Count-valued flags are validated (digits only, bounded) and
+/// --job-timeout must be a finite number of seconds in range: a negative,
+/// non-numeric, infinite or bare path-less value is a usage error, never a
+/// silent wraparound or a journal literally named "true".
 bool parse_campaign_flags(const Flags& flags, CampaignOptions* options,
                           std::string* error);
 

@@ -1,5 +1,7 @@
 #include "campaign/shard.hpp"
 
+#include "campaign/spec.hpp"
+
 namespace gttsch::campaign {
 namespace {
 
@@ -37,27 +39,6 @@ bool parse_shard(const std::string& text, ShardSpec* out, std::string* error) {
   }
   *out = spec;
   return true;
-}
-
-std::vector<Job> shard_jobs(const std::vector<Job>& jobs, const ShardSpec& shard) {
-  if (shard.is_whole()) return jobs;
-  std::vector<Job> mine;
-  mine.reserve(jobs.size() / shard.count + 1);
-  for (const Job& job : jobs) {
-    if (job.index % shard.count == shard.index) mine.push_back(job);
-  }
-  return mine;
-}
-
-std::vector<GridPoint> shard_points(const std::vector<GridPoint>& points,
-                                    const ShardSpec& shard) {
-  if (shard.is_whole()) return points;
-  std::vector<GridPoint> mine;
-  mine.reserve(points.size() / shard.count + 1);
-  for (const GridPoint& point : points) {
-    if (point.index % shard.count == shard.index) mine.push_back(point);
-  }
-  return mine;
 }
 
 }  // namespace gttsch::campaign

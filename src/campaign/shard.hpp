@@ -7,34 +7,27 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
-
-#include "campaign/spec.hpp"
 
 namespace gttsch::campaign {
 
 /// One shard out of `count`: this process runs jobs with
-/// `job.index % count == index`.
+/// `job.index % count == index`. The round-robin partition keeps every
+/// shard's share of each grid point balanced (contiguous blocks would give
+/// early shards whole points and leave late shards idle on small grids).
+/// Adaptive campaigns partition grid points the same way, since a point's
+/// seed count is dynamic and the point must live entirely in one shard.
 struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
 
-  bool is_whole() const { return count <= 1; }
+  /// Whether this shard runs the job (or, adaptive, the grid point) with
+  /// this index.
+  bool owns(std::size_t job_or_point_index) const {
+    return job_or_point_index % count == index;
+  }
 };
 
 /// Parses "i/N" (e.g. "0/4"). Requires N >= 1 and i < N.
 bool parse_shard(const std::string& text, ShardSpec* out, std::string* error);
-
-/// Round-robin job partition: keeps every shard's share of each grid
-/// point balanced (contiguous blocks would give early shards whole
-/// points and leave late shards idle on small grids). Job `index`,
-/// `point_index` and `seed_index` are preserved — they are the stable
-/// identity used by journals and the shard merge.
-std::vector<Job> shard_jobs(const std::vector<Job>& jobs, const ShardSpec& shard);
-
-/// Point-level partition for adaptive campaigns, where per-point seed
-/// counts are dynamic and a grid point must live entirely in one shard.
-std::vector<GridPoint> shard_points(const std::vector<GridPoint>& points,
-                                    const ShardSpec& shard);
 
 }  // namespace gttsch::campaign

@@ -500,16 +500,21 @@ std::vector<Job> make_jobs(const std::vector<GridPoint>& points,
   jobs.reserve(points.size() * seeds.size());
   for (const GridPoint& point : points) {
     for (std::size_t s = 0; s < seeds.size(); ++s) {
-      Job job;
-      job.index = jobs.size();
-      job.point_index = point.index;
-      job.seed_index = s;
-      job.config = point.config;
-      job.config.seed = seeds[s];
-      jobs.push_back(std::move(job));
+      jobs.push_back(make_job(point, seeds, s));
     }
   }
   return jobs;
+}
+
+Job make_job(const GridPoint& point, const std::vector<std::uint64_t>& seeds,
+             std::size_t seed_index) {
+  Job job;
+  job.index = point.index * seeds.size() + seed_index;
+  job.point_index = point.index;
+  job.seed_index = seed_index;
+  job.config = point.config;
+  job.config.seed = seeds[seed_index];
+  return job;
 }
 
 bool parse_grid(const std::string& text, std::vector<Axis>* axes,
@@ -551,6 +556,14 @@ bool parse_bounded_u64(const std::string& text, std::uint64_t max,
   const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
   if (errno == ERANGE || end != text.c_str() + text.size() || v > max) return false;
   *out = static_cast<std::uint64_t>(v);
+  return true;
+}
+
+bool parse_bounded_double(const std::string& text, double lo, double hi,
+                          double* out) {
+  double v = 0;
+  if (!parse_double(text, &v) || !(v >= lo && v <= hi)) return false;
+  *out = v;
   return true;
 }
 

@@ -111,6 +111,11 @@ std::vector<Job> make_jobs(const CampaignSpec& spec, std::string* error);
 std::vector<Job> make_jobs(const std::vector<GridPoint>& points,
                            const std::vector<std::uint64_t>& seeds);
 
+/// The job for `point` x seeds[seed_index]; its index is
+/// point.index * seeds.size() + seed_index, as Job::index says.
+Job make_job(const GridPoint& point, const std::vector<std::uint64_t>& seeds,
+             std::size_t seed_index);
+
 /// Parses a grid description of the form
 /// "traffic_ppm=30,75,120;scheduler=gt-tsch,orchestra" into axes.
 bool parse_grid(const std::string& text, std::vector<Axis>* axes,
@@ -126,6 +131,12 @@ bool parse_seeds(const std::string& text, std::vector<std::uint64_t>* seeds,
 /// three cannot drift.
 bool parse_bounded_u64(const std::string& text, std::uint64_t max,
                        std::uint64_t* out);
+
+/// Parses a whole-string decimal number in [lo, hi]. NaN, infinities and
+/// trailing garbage are rejected, so a seconds-valued flag can never
+/// reach an undefined double-to-integer cast.
+bool parse_bounded_double(const std::string& text, double lo, double hi,
+                          double* out);
 
 /// Deterministically extends `seeds` to `count` entries (no-op when it is
 /// already long enough): adaptive campaigns may need more seeds than the

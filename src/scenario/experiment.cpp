@@ -237,13 +237,6 @@ ScenarioRun::ScenarioRun(const ScenarioConfig& config, const ScenarioRunOptions&
     telemetry_->default_probe_window(config.warmup, measure_end);
     telemetry_->attach(*net_, &stats_);
   }
-
-  if (options.guard != nullptr) {
-    Watchdog watchdog;
-    watchdog.max_wall_s = options.guard->max_wall_s;
-    watchdog.livelock_events = options.guard->livelock_events;
-    net_->sim().arm_watchdog(watchdog);
-  }
 }
 
 void ScenarioRun::start() {
@@ -252,29 +245,22 @@ void ScenarioRun::start() {
   net_->medium().reset_stats();  // formation noise excluded via the warmup snapshot
 }
 
-bool ScenarioRun::step_until(TimeUs t) {
+void ScenarioRun::step_until(TimeUs t) {
   Simulator& sim = net_->sim();
   if (!warmup_snapshot_taken_ && t >= config_.warmup) {
     sim.run_until(config_.warmup);
-    if (sim.watchdog_tripped()) return false;
     at_warmup_ = net_->medium().stats();
     warmup_snapshot_taken_ = true;
   }
   sim.run_until(t);
-  return !sim.watchdog_tripped();
 }
 
 TimeUs ScenarioRun::end() const {
   return config_.warmup + config_.measure + config_.drain;
 }
 
-const std::string& ScenarioRun::trip_reason() const {
-  return net_->sim().watchdog_reason();
-}
-
 ExperimentResult ScenarioRun::finish() {
-  const bool completed = step_until(end());
-  GTTSCH_CHECK(completed);
+  step_until(end());
 
   for (const auto& [id, node] : net_->nodes())
     stats_.set_joined(id, node->is_root() || node->rpl().joined());
@@ -302,20 +288,6 @@ ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry
   ScenarioRun run(config, options);
   run.start();
   return run.finish();
-}
-
-bool run_scenario_guarded(const ScenarioConfig& config, const RunGuard& guard,
-                          ExperimentResult* out, std::string* error) {
-  ScenarioRunOptions options;
-  options.guard = &guard;
-  ScenarioRun run(config, options);
-  run.start();
-  if (!run.step_until(run.end())) {
-    if (error != nullptr) *error = "run aborted by watchdog: " + run.trip_reason();
-    return false;
-  }
-  *out = run.finish();
-  return true;
 }
 
 std::vector<std::uint64_t> default_seeds() {

@@ -132,18 +132,6 @@ struct ExperimentResult {
   bool fully_formed = false;
 };
 
-/// Runaway-run guard for fault-tolerant campaigns (--job-timeout without
-/// --isolate): limits on the wall clock and on same-virtual-time event
-/// storms, enforced inside the simulator's event loop.
-struct RunGuard {
-  double max_wall_s = 0.0;  ///< wall-clock budget (s); <= 0 = unlimited
-  /// Events allowed at one virtual timestamp before the run is declared
-  /// livelocked. The default is far above anything a healthy scenario
-  /// produces (a whole run processes a few million events) while still
-  /// catching a zero-delay event spin within seconds.
-  std::uint64_t livelock_events = 10'000'000;
-};
-
 class Telemetry;
 
 /// What a run needs beyond its ScenarioConfig. None of it is part of a
@@ -152,8 +140,6 @@ struct ScenarioRunOptions {
   /// Recorder to attach (gauges, probes, event trace); written out by the
   /// caller. With probes disabled the result is bit-identical to a bare run.
   Telemetry* telemetry = nullptr;
-  /// Watchdog limits; null runs unguarded.
-  const RunGuard* guard = nullptr;
   /// Edits the derived node config before the network is built: per-slot
   /// reference stepping, clock drift, broadcast slots.
   std::function<void(NodeStackConfig&)> edit_node_config;
@@ -178,18 +164,13 @@ class ScenarioRun {
 
   /// Runs the simulation through virtual time `t`, in any slicing: the
   /// medium snapshot that opens the measurement window is taken at
-  /// config.warmup whatever the slice bounds. Returns false when the
-  /// guard's watchdog aborted the run (see trip_reason()).
-  bool step_until(TimeUs t);
+  /// config.warmup whatever the slice bounds.
+  void step_until(TimeUs t);
 
   /// End of the run: warmup + measure + drain.
   TimeUs end() const;
 
-  /// Why the watchdog aborted the run (empty while it has not).
-  const std::string& trip_reason() const;
-
-  /// Steps to end() if needed, then reports the run. Call once; the run
-  /// must not trip on the way (step_until(end()) first when guarded).
+  /// Steps to end() if needed, then reports the run. Call once.
   ExperimentResult finish();
 
   /// The live network, for per-node inspection before or after finish().
@@ -207,20 +188,12 @@ class ScenarioRun {
   bool warmup_snapshot_taken_ = false;
 };
 
-/// ScenarioRun to the end, unguarded, no telemetry.
+/// ScenarioRun to the end, no telemetry.
 ExperimentResult run_scenario(const ScenarioConfig& config);
 
 /// Same run with a telemetry recorder attached; its probe summary is
 /// copied into the returned metrics.
 ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry);
-
-/// run_scenario with the guard armed: returns true with `*out` filled —
-/// bit-identical to run_scenario(config) — when the run finishes within
-/// budget, false with `*error` describing the trip (and `*out`
-/// unspecified) when the watchdog aborts it. Never throws/aborts on a
-/// guard trip; config errors still abort exactly like run_scenario.
-bool run_scenario_guarded(const ScenarioConfig& config, const RunGuard& guard,
-                          ExperimentResult* out, std::string* error);
 
 /// Default seed list used by the figure benches (override length with the
 /// GTTSCH_SEEDS environment variable).

@@ -9,13 +9,12 @@
 namespace gttsch {
 namespace {
 // Atomics: the campaign runner drives many simulators from worker threads,
-// and all of them consult the shared level/clock. g_max is the fast gate
+// and all of them consult the shared levels. g_max is the fast gate
 // (max of the base level and every override); the per-component map and
 // the JSON sink live behind g_mutex on the slow emit path.
 std::atomic<LogLevel> g_base{LogLevel::kNone};
 std::atomic<LogLevel> g_max{LogLevel::kNone};
 std::atomic<bool> g_has_overrides{false};
-std::atomic<const TimeUs*> g_clock{nullptr};
 std::mutex g_mutex;
 std::map<std::string, LogLevel>& overrides() {
   static std::map<std::string, LogLevel> map;
@@ -170,8 +169,6 @@ void Log::init_from_env() {
   }
 }
 
-void Log::set_clock(const TimeUs* now) { g_clock = now; }
-
 void Log::set_json_sink(std::function<void(const std::string&)> sink) {
   std::lock_guard<std::mutex> lock(g_mutex);
   json_sink() = std::move(sink);
@@ -191,22 +188,10 @@ void Log::write(LogLevel level, const char* component, const char* fmt, ...) {
   va_start(args, fmt);
   std::vsnprintf(body, sizeof body, fmt, args);
   va_end(args);
-  const TimeUs* clock = g_clock.load(std::memory_order_relaxed);
-  if (clock != nullptr) {
-    std::fprintf(stderr, "[%10.4fs] %s %-8s %s\n", us_to_s(*clock), level_tag(level),
-                 component, body);
-  } else {
-    std::fprintf(stderr, "%s %-8s %s\n", level_tag(level), component, body);
-  }
+  std::fprintf(stderr, "%s %-8s %s\n", level_tag(level), component, body);
   std::lock_guard<std::mutex> lock(g_mutex);
   if (json_sink()) {
-    std::string line = "{";
-    if (clock != nullptr) {
-      char head[48];
-      std::snprintf(head, sizeof head, "\"t_s\":%.6f,", us_to_s(*clock));
-      line += head;
-    }
-    line += "\"level\":\"";
+    std::string line = "{\"level\":\"";
     line += level_name(level);
     line += "\",\"component\":\"";
     append_json_escaped(&line, component);

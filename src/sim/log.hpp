@@ -1,5 +1,7 @@
-// Sim-time-stamped logging with per-run verbosity. Off by default so large
-// parameter sweeps stay quiet; tests and examples can raise the level.
+// Levelled, per-component logging to stderr, one "E|W|I|D component msg"
+// line per record (no timestamp: many simulators share the process). Off
+// by default so large parameter sweeps stay quiet; tests and examples can
+// raise the level.
 //
 // Per-component overrides let 200-node debugging keep the medium layer
 // quiet: the GTTSCH_LOG environment variable (or Log::configure) accepts
@@ -8,14 +10,13 @@
 //
 // Besides the printf path to stderr, a machine-readable JSON sink can be
 // installed: every emitted line is also rendered as one JSON object
-// {"t_s":..., "level":..., "component":..., "msg":...} and handed to it.
+// {"level":..., "component":..., "msg":...} and handed to it.
 #pragma once
 
 #include <cstdarg>
 #include <functional>
 #include <string>
 
-#include "util/types.hpp"
 
 namespace gttsch {
 
@@ -45,9 +46,6 @@ class Log {
   /// exits(2) — misconfigured debugging should fail loudly, not silently
   /// log nothing. Runs automatically at program startup.
   static void init_from_env();
-
-  /// Sim clock used for timestamps; may be null (wall-less logging).
-  static void set_clock(const TimeUs* now);
 
   /// Machine-readable sink: receives each emitted record as one JSON
   /// object (no trailing newline) alongside the stderr printf path.

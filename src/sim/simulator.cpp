@@ -1,64 +1,10 @@
 #include "sim/simulator.hpp"
 
-#include <chrono>
-
 #include "util/check.hpp"
 
 namespace gttsch {
 
-namespace {
-
-double steady_seconds() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
 Simulator::Simulator(std::uint64_t seed) : rng_(seed), seed_(seed) {}
-
-void Simulator::arm_watchdog(const Watchdog& watchdog) {
-  watchdog_ = watchdog;
-  watchdog_armed_ = watchdog.max_wall_s > 0.0 || watchdog.livelock_events > 0;
-  watchdog_tripped_ = false;
-  watchdog_reason_.clear();
-  watchdog_deadline_ =
-      watchdog.max_wall_s > 0.0 ? steady_seconds() + watchdog.max_wall_s : 0.0;
-  wd_last_time_ = -1;
-  wd_same_ = 0;
-}
-
-void Simulator::trip_watchdog(const std::string& reason) {
-  if (watchdog_tripped_) return;
-  watchdog_reason_ = reason;
-  watchdog_tripped_ = true;
-}
-
-bool Simulator::watchdog_step() {
-  if (watchdog_tripped_) return true;
-  if (watchdog_.livelock_events > 0) {
-    if (now_ == wd_last_time_) {
-      if (++wd_same_ > watchdog_.livelock_events) {
-        trip_watchdog("livelock: over " +
-                      std::to_string(watchdog_.livelock_events) +
-                      " events at virtual time " + std::to_string(now_) +
-                      " us");
-        return true;
-      }
-    } else {
-      wd_last_time_ = now_;
-      wd_same_ = 1;
-    }
-  }
-  if (watchdog_deadline_ > 0.0 && (processed_ & 0xFFF) == 0 &&
-      steady_seconds() > watchdog_deadline_) {
-    trip_watchdog("wall-clock budget of " + std::to_string(watchdog_.max_wall_s) +
-                  " s exceeded");
-    return true;
-  }
-  return false;
-}
 
 EventId Simulator::at(TimeUs when, SmallFn&& fn) {
   return at_keyed(when, kDefaultEventKey, std::move(fn));
@@ -124,19 +70,14 @@ void Simulator::run_through(TimeUs until) {
     const EventEntry e = *top;
     queue_.pop_front();
     execute(e);
-    if (watchdog_armed_ && watchdog_step()) return;
   }
 }
 
 void Simulator::run_until(TimeUs until) {
-  if (watchdog_tripped_) return;
   run_through(until);
-  if (!watchdog_tripped_ && now_ < until) now_ = until;
+  if (now_ < until) now_ = until;
 }
 
-void Simulator::run_all() {
-  if (watchdog_tripped_) return;
-  run_through(kInfiniteTime);
-}
+void Simulator::run_all() { run_through(kInfiniteTime); }
 
 }  // namespace gttsch

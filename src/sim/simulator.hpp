@@ -26,16 +26,6 @@
 
 namespace gttsch {
 
-/// Runaway-run protection for the event loop: a wall-clock budget plus a
-/// livelock detector (too many events without the virtual clock moving —
-/// a zero-delay self-rescheduling event would otherwise spin forever and
-/// never hit a wall-clock check cheaply). Both limits <= 0 disable the
-/// respective check.
-struct Watchdog {
-  double max_wall_s = 0.0;           ///< wall-clock budget for the whole run
-  std::uint64_t livelock_events = 0; ///< same-virtual-time event budget
-};
-
 /// Single-threaded: each run (each campaign job) builds its own Simulator,
 /// and no second thread ever touches it.
 class Simulator {
@@ -81,16 +71,6 @@ class Simulator {
   Rng& rng() { return rng_; }
   std::uint64_t seed() const { return seed_; }
 
-  /// Arms the runaway-run watchdog (idempotent; call before run_until).
-  /// When it trips, the current run_until/run_all returns early and every
-  /// later call returns immediately — the run is over, only partially
-  /// simulated, and must not be finalized as a result.
-  void arm_watchdog(const Watchdog& watchdog);
-
-  bool watchdog_tripped() const { return watchdog_tripped_; }
-  /// Human-readable cause ("" while not tripped).
-  const std::string& watchdog_reason() const { return watchdog_reason_; }
-
   /// Owner id attributed to the event being executed (kGlobalOwner outside
   /// events / for unattributed events).
   std::uint32_t current_owner() const { return owner_; }
@@ -126,13 +106,6 @@ class Simulator {
   /// Run `e`, already removed from the queue.
   void execute(const EventEntry& e);
 
-  /// Returns true when the armed watchdog says stop. The wall clock is
-  /// only consulted every 4096th event: a steady_clock read per event
-  /// would dominate the event loop, and a 4096-event granularity is still
-  /// well under a millisecond of overshoot for this simulator.
-  bool watchdog_step();
-  void trip_watchdog(const std::string& reason);
-
   EventPool pool_;
   InstantQueue queue_;
   std::vector<std::uint32_t> free_slots_;
@@ -143,14 +116,6 @@ class Simulator {
   std::uint32_t owner_ = kGlobalOwner;  ///< owner of the executing event
   Rng rng_;
   std::uint64_t seed_;
-
-  Watchdog watchdog_;
-  bool watchdog_armed_ = false;
-  bool watchdog_tripped_ = false;
-  std::string watchdog_reason_;
-  double watchdog_deadline_ = 0.0;  ///< steady_clock seconds; 0 = no limit
-  TimeUs wd_last_time_ = -1;        ///< virtual time of the livelock window
-  std::uint64_t wd_same_ = 0;
 };
 
 }  // namespace gttsch

@@ -72,6 +72,19 @@ expect_exit 2 "non-numeric min-seeds" --ci-rel 0.1 --min-seeds abc
 expect_stderr "min-seeds" "non-numeric min-seeds"
 expect_exit 2 "non-numeric jobs" --jobs many
 expect_stderr "jobs" "non-numeric jobs"
+# Telemetry periods become whole microseconds: NaN, infinite and sub-µs
+# values would reach an undefined cast or truncate to 0 ("no samples").
+TELE="--set dodag_count=1;nodes_per_dodag=3;warmup_s=20;measure_s=10 --seeds 1 --jobs 1 --quiet --telemetry-dir $TMP/tele"
+for bad in nan inf 1e-7 abc; do
+    for flag in telemetry-period telemetry-probe-period; do
+        expect_exit 2 "--$flag $bad" $TELE --$flag $bad
+        expect_stderr "$flag" "--$flag $bad"
+    done
+done
+for bad in abc -1 2147483648; do
+    expect_exit 2 "--telemetry-probes $bad" $TELE --telemetry-probes $bad
+    expect_stderr "telemetry-probes" "--telemetry-probes $bad"
+done
 
 # Runtime I/O failures are exit 1, not the usage code 2.
 expect_exit 1 "unwritable journal" --grid traffic_ppm=30 --seeds 1 --quiet \

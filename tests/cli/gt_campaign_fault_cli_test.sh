@@ -38,8 +38,14 @@ COMMON="--grid traffic_ppm=30,120 --seeds 1,2 --quiet --set"
 # ---- flag grammar ---------------------------------------------------------
 expect_exit 2 "bad --job-timeout" $COMMON "$SET" --job-timeout 0
 expect_exit 2 "negative --retries" $COMMON "$SET" --isolate --retries -1
-expect_exit 2 "--retries without --isolate/--job-timeout" \
-    $COMMON "$SET" --retries 2
+expect_exit 2 "--retries without --isolate" $COMMON "$SET" --retries 2
+expect_exit 2 "--job-timeout without --isolate" $COMMON "$SET" --job-timeout 5
+# The child's deadline is a steady-clock instant: NaN, infinite, huge or
+# sub-millisecond budgets are usage errors, not an undefined cast.
+for bad in nan inf 1e300 1e-7 abc; do
+    expect_exit 2 "--job-timeout $bad" $COMMON "$SET" --isolate --job-timeout $bad
+    grep -q "job-timeout" "$TMP/err" || fail "--job-timeout $bad: stderr does not name the flag"
+done
 expect_exit 2 "--retry-quarantined without --resume" \
     $COMMON "$SET" --retry-quarantined
 expect_exit 2 "--isolate with --telemetry-dir" \

@@ -716,32 +716,27 @@ TEST(CampaignShard, JobPartitionIsDisjointAndComplete) {
 
   std::vector<int> claimed(jobs.size(), 0);
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto mine = campaign::shard_jobs(jobs, {i, 3});
-    EXPECT_EQ(mine.size(), 4u);
-    for (const Job& job : mine) ++claimed[job.index];
+    std::size_t mine = 0;
+    for (const Job& job : jobs) {
+      if (campaign::ShardSpec{i, 3}.owns(job.index)) {
+        ++claimed[job.index];
+        ++mine;
+      }
+    }
+    EXPECT_EQ(mine, 4u);
   }
   EXPECT_TRUE(std::all_of(claimed.begin(), claimed.end(),
                           [](int c) { return c == 1; }));
 
   // Shard 0/1 is the identity.
-  EXPECT_EQ(campaign::shard_jobs(jobs, {0, 1}).size(), jobs.size());
-
-  // Point partition: disjoint cover too.
-  const auto points = campaign::expand_grid(spec, &error);
-  std::vector<int> point_claimed(points.size(), 0);
-  for (std::size_t i = 0; i < 2; ++i) {
-    for (const auto& p : campaign::shard_points(points, {i, 2})) {
-      ++point_claimed[p.index];
-    }
-  }
-  EXPECT_TRUE(std::all_of(point_claimed.begin(), point_claimed.end(),
-                          [](int c) { return c == 1; }));
+  for (const Job& job : jobs) EXPECT_TRUE(campaign::ShardSpec{}.owns(job.index));
 }
 
 // Deterministic synthetic experiment for the shard/resume/adaptive tests:
 // metrics depend on (scheduler, traffic, seed) through awkward fractions,
 // so any serialization or ordering slip breaks byte-equality.
-ExperimentResult synthetic_run(const ScenarioConfig& c) {
+ExperimentResult synthetic_run(const Job& job) {
+  const ScenarioConfig& c = job.config;
   ExperimentResult r;
   const double seed = static_cast<double>(c.seed);
   const double scheduler_bias = c.scheduler == "gt-tsch" ? 0.0 : 7.0;
@@ -772,7 +767,7 @@ TEST(CampaignShard, MergedShardJournalsReproduceUnshardedCsvByteForByte) {
 
   campaign::CampaignOptions unsharded;
   unsharded.runner.jobs = 1;
-  unsharded.runner.run_fn = synthetic_run;
+  unsharded.runner.run_job_fn = synthetic_run;
   campaign::CampaignResult reference;
   std::string error;
   ASSERT_TRUE(campaign::run_campaign(spec, unsharded, &reference, &error)) << error;
@@ -786,7 +781,7 @@ TEST(CampaignShard, MergedShardJournalsReproduceUnshardedCsvByteForByte) {
     std::filesystem::remove(journal);
     campaign::CampaignOptions options;
     options.runner.jobs = 2;  // exercise parallel completion order too
-    options.runner.run_fn = synthetic_run;
+    options.runner.run_job_fn = synthetic_run;
     options.shard = {i, 3};
     options.journal_path = journal;
     campaign::CampaignResult result;
@@ -815,9 +810,9 @@ TEST(CampaignResume, RerunsExactlyTheMissingJobs) {
   std::atomic<int> invocations{0};
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = [&invocations](const ScenarioConfig& c) {
+  options.runner.run_job_fn = [&invocations](const Job& job) {
     ++invocations;
-    return synthetic_run(c);
+    return synthetic_run(job);
   };
   options.journal_path = journal;
 
@@ -869,7 +864,7 @@ TEST(CampaignResume, RejectsJournalFromADifferentCampaign) {
 
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = synthetic_run;
+  options.runner.run_job_fn = synthetic_run;
   options.journal_path = journal;
   campaign::CampaignResult result;
   ASSERT_TRUE(campaign::run_campaign(spec, options, &result, &error)) << error;
@@ -891,7 +886,7 @@ TEST(CampaignResume, RejectsJournalFromADifferentCampaign) {
 
   // Resume without a journal path is a usage error.
   campaign::CampaignOptions no_path;
-  no_path.runner.run_fn = synthetic_run;
+  no_path.runner.run_job_fn = synthetic_run;
   no_path.resume = true;
   EXPECT_FALSE(campaign::run_campaign(spec, no_path, &mismatched, &error));
 }
@@ -907,7 +902,7 @@ TEST(CampaignResume, RejectsJournalFromDifferentBaseConfig) {
 
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = synthetic_run;
+  options.runner.run_job_fn = synthetic_run;
   options.journal_path = journal;
   campaign::CampaignResult result;
   ASSERT_TRUE(campaign::run_campaign(spec, options, &result, &error)) << error;
@@ -932,9 +927,9 @@ TEST(CampaignRunner, DeadJournalCancelsInsteadOfBurningTheCampaign) {
   std::atomic<int> invocations{0};
   campaign::CampaignOptions options;
   options.runner.jobs = 1;  // serial: the cancellation point is deterministic
-  options.runner.run_fn = [&invocations](const ScenarioConfig& c) {
+  options.runner.run_job_fn = [&invocations](const Job& job) {
     ++invocations;
-    return synthetic_run(c);
+    return synthetic_run(job);
   };
   options.journal_path = "/dev/full";
   campaign::CampaignResult result;
@@ -960,15 +955,15 @@ TEST(CampaignRunner, CancelMidCampaignKeepsJournalAndFlagsConsistent) {
     campaign::CampaignOptions options;
     options.runner.jobs = workers;
     options.runner.cancel_flag = &interrupted;
-    options.runner.run_fn = [&invocations, &interrupted, &trigger_armed,
-                             workers](const ScenarioConfig& c) {
+    options.runner.run_job_fn = [&invocations, &interrupted, &trigger_armed,
+                             workers](const Job& job) {
       // Parallel leg: hold every job after the third until the cancel
       // lands, so the workers cannot claim all 12 instant jobs before the
       // flag flips.
       if (++invocations > 3 && workers > 1 && trigger_armed.load()) {
         while (!interrupted.load()) std::this_thread::yield();
       }
-      return synthetic_run(c);
+      return synthetic_run(job);
     };
     options.runner.on_progress = [&interrupted,
                                   &trigger_armed](const campaign::Progress& p) {
@@ -1022,15 +1017,15 @@ TEST(CampaignAdaptive, TightPointStopsEarlyAndNoisyPointHitsCap) {
   std::atomic<int> invocations{0};
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = [&invocations](const ScenarioConfig& c) {
+  options.runner.run_job_fn = [&invocations](const Job& job) {
     ++invocations;
-    ExperimentResult r = synthetic_run(c);
-    if (c.traffic_ppm < 100.0) {
+    ExperimentResult r = synthetic_run(job);
+    if (job.config.traffic_ppm < 100.0) {
       r.metrics.pdr_percent = 90.0;  // zero variance: CI collapses immediately
     } else {
       // Alternating 10/90: the relative CI half-width stays far above any
       // reasonable threshold, so the point must run to the cap.
-      r.metrics.pdr_percent = (c.seed % 2 == 0) ? 10.0 : 90.0;
+      r.metrics.pdr_percent = (job.config.seed % 2 == 0) ? 10.0 : 90.0;
     }
     return r;
   };
@@ -1056,6 +1051,45 @@ TEST(CampaignAdaptive, TightPointStopsEarlyAndNoisyPointHitsCap) {
   EXPECT_NE(error.find("warp_speed"), std::string::npos);
 }
 
+TEST(CampaignAdaptive, JobIndexIsPointMajorOverTheExtendedSeedList) {
+  // Job::index is point_index * #seeds + seed_index in adaptive mode too,
+  // with #seeds the extended seed list, not the job's place in its wave.
+  CampaignSpec spec;
+  spec.base = tiny();
+  spec.axes = {{"traffic_ppm", {"30", "120"}}};
+  spec.seeds = {1, 2, 3};
+  std::string error;
+  const std::vector<campaign::GridPoint> points = campaign::expand_grid(spec, &error);
+  ASSERT_EQ(points.size(), 2u) << error;
+  const std::vector<std::uint64_t> seeds = campaign::extend_seeds(spec.seeds, 5);
+
+  std::vector<Job> seen;
+  campaign::CampaignOptions options;
+  options.runner.jobs = 1;
+  options.runner.run_job_fn = [&seen](const Job& job) {
+    seen.push_back(job);
+    ExperimentResult r = synthetic_run(job);
+    r.metrics.pdr_percent = (job.seed_index % 2 == 0) ? 10.0 : 90.0;  // never converges
+    return r;
+  };
+  options.adaptive.ci_rel = 0.01;
+  options.adaptive.min_seeds = 2;
+  options.adaptive.max_seeds = 5;
+  options.adaptive.batch = 2;
+  campaign::CampaignResult result;
+  ASSERT_TRUE(campaign::run_points_campaign(points, spec.seeds, options, &result,
+                                            &error))
+      << error;
+  ASSERT_EQ(seen.size(), 10u);  // both points run to the cap over three waves
+  std::set<std::size_t> indices;
+  for (const Job& job : seen) {
+    EXPECT_EQ(job.index, job.point_index * seeds.size() + job.seed_index);
+    EXPECT_EQ(job.config.seed, seeds[job.seed_index]);
+    indices.insert(job.index);
+  }
+  EXPECT_EQ(indices.size(), seen.size());
+}
+
 TEST(CampaignAdaptive, RejectsResumeJournalSeedsBeyondMaxSeeds) {
   // A fixed-seed run journals 5 seeds per point; resuming that journal
   // adaptively with --max-seeds 3 leaves seed #3/#4 no slot in the
@@ -1072,7 +1106,7 @@ TEST(CampaignAdaptive, RejectsResumeJournalSeedsBeyondMaxSeeds) {
 
   campaign::CampaignOptions fixed;
   fixed.runner.jobs = 1;
-  fixed.runner.run_fn = synthetic_run;
+  fixed.runner.run_job_fn = synthetic_run;
   fixed.journal_path = journal;
   campaign::CampaignResult first;
   ASSERT_TRUE(campaign::run_campaign(spec, fixed, &first, &error)) << error;
@@ -1104,9 +1138,9 @@ TEST(CampaignAdaptive, ResumedAdaptiveCampaignRunsNothingWhenConverged) {
   std::atomic<int> invocations{0};
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = [&invocations](const ScenarioConfig& c) {
+  options.runner.run_job_fn = [&invocations](const Job& job) {
     ++invocations;
-    ExperimentResult r = synthetic_run(c);
+    ExperimentResult r = synthetic_run(job);
     r.metrics.pdr_percent = 90.0;
     return r;
   };
@@ -1144,9 +1178,9 @@ TEST(CampaignAdaptive, ShardedResumeCountsOnlyThisShardsSkippedJobs) {
   std::atomic<int> invocations{0};
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = [&invocations](const ScenarioConfig& c) {
+  options.runner.run_job_fn = [&invocations](const Job& job) {
     ++invocations;
-    ExperimentResult r = synthetic_run(c);
+    ExperimentResult r = synthetic_run(job);
     r.metrics.pdr_percent = 90.0;  // zero variance: stop at min_seeds
     return r;
   };
@@ -1217,24 +1251,40 @@ TEST(CampaignFlags, ValidatesCountFlags) {
                   &error));
 }
 
-TEST(CampaignFlags, RetriesRequireIsolateOrJobTimeout) {
-  // Without --isolate or --job-timeout every run path is infallible, so a
-  // lone --retries would be a silent no-op; it must error out loudly like
-  // the adaptive-only flags without --ci-rel.
+TEST(CampaignFlags, FaultFlagsRequireIsolate) {
+  // Only an isolated job can fail or time out, so without --isolate a
+  // --retries or --job-timeout would be a silent no-op; each must error
+  // out loudly like the adaptive-only flags without --ci-rel.
   campaign::CampaignOptions options;
   std::string error;
   EXPECT_FALSE(parse_flags({"--retries=2"}, &options, &error));
   EXPECT_NE(error.find("retries"), std::string::npos) << error;
+  options = {};
+  EXPECT_FALSE(parse_flags({"--job-timeout=5"}, &options, &error));
+  EXPECT_NE(error.find("job-timeout"), std::string::npos) << error;
+  options = {};
+  EXPECT_FALSE(parse_flags({"--job-timeout=5", "--retries=1"}, &options, &error));
 
   options = {};
   ASSERT_TRUE(parse_flags({"--isolate", "--retries=2"}, &options, &error))
       << error;
-  EXPECT_EQ(options.fault.retries, 2);
+  EXPECT_EQ(options.runner.retries, 2);
 
   options = {};
-  ASSERT_TRUE(parse_flags({"--job-timeout=5", "--retries=1"}, &options, &error))
+  ASSERT_TRUE(parse_flags({"--isolate", "--job-timeout=5", "--retries=1"},
+                          &options, &error))
       << error;
-  EXPECT_EQ(options.fault.retries, 1);
+  EXPECT_EQ(options.runner.retries, 1);
+  EXPECT_EQ(options.fault.job_timeout_s, 5.0);
+
+  // The deadline must stay a finite, representable wall-clock budget.
+  for (const char* bad : {"--job-timeout=nan", "--job-timeout=inf",
+                          "--job-timeout=1e300", "--job-timeout=1e-7",
+                          "--job-timeout=abc", "--job-timeout=0"}) {
+    options = {};
+    EXPECT_FALSE(parse_flags({"--isolate", bad}, &options, &error)) << bad;
+    EXPECT_NE(error.find("job-timeout"), std::string::npos) << error;
+  }
 }
 
 TEST(CampaignFlags, BareJournalAndResumeRequirePaths) {
@@ -1341,7 +1391,7 @@ TEST(CampaignReport, SingleSeedRoundTripHasZeroStddevAndBlankCi95) {
   std::filesystem::remove(journal);
   campaign::CampaignOptions options;
   options.runner.jobs = 1;
-  options.runner.run_fn = synthetic_run;
+  options.runner.run_job_fn = synthetic_run;
   options.journal_path = journal;
   campaign::CampaignResult result;
   std::string error;

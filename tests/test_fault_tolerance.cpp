@@ -2,8 +2,7 @@
 // compatibility, ok-supersedes-quarantined), failure accounting in the
 // aggregates and reports, runner retries/quarantine, resume semantics for
 // quarantined records, the job-envelope round trip, the in-child run-job
-// protocol (bit-identical to in-process execution), and the in-simulator
-// watchdog behind --job-timeout.
+// protocol (bit-identical to in-process execution).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +18,6 @@
 #include "campaign/runner.hpp"
 #include "campaign/spec.hpp"
 #include "scenario/experiment.hpp"
-#include "sim/simulator.hpp"
 
 namespace gttsch {
 namespace {
@@ -276,7 +274,7 @@ TEST(FaultRunner, RetriesUntilSuccessAndCountsAttempts) {
   options.jobs = 1;
   options.retries = 3;
   options.retry_backoff_ms = 1;  // keep the test fast
-  options.execute_fn = [&calls](const campaign::Job&) {
+  options.run_job_fn = [&calls](const campaign::Job&) {
     JobOutcome outcome;
     if (++calls < 3) outcome.status = JobStatus::kCrashed;
     return outcome;
@@ -295,7 +293,7 @@ TEST(FaultRunner, QuarantinesAfterRetriesExhaustedAndContinues) {
   options.jobs = 1;
   options.retries = 2;
   options.retry_backoff_ms = 1;
-  options.execute_fn = [&sick_calls](const campaign::Job& job) {
+  options.run_job_fn = [&sick_calls](const campaign::Job& job) {
     JobOutcome outcome;
     if (job.seed_index == 0) {  // one deterministic crasher among healthy jobs
       ++sick_calls;
@@ -319,7 +317,7 @@ TEST(FaultRunner, ExternalCancelFlagStopsClaiming) {
   campaign::RunnerOptions options;
   options.jobs = 1;
   options.cancel_flag = &interrupted;
-  options.execute_fn = [](const campaign::Job&) { return JobOutcome{}; };
+  options.run_job_fn = [](const campaign::Job&) { return JobOutcome{}; };
   options.on_progress = [&interrupted](const campaign::Progress& p) {
     if (p.completed == 2) interrupted.store(true);
   };
@@ -380,7 +378,7 @@ TEST(FaultCampaign, QuarantinesJournalAndResumes) {
   options.runner.jobs = 1;
   options.runner.retries = 1;
   options.runner.retry_backoff_ms = 1;
-  options.runner.execute_fn = execute;
+  options.runner.run_job_fn = execute;
   options.journal_path = journal;
 
   campaign::CampaignResult result;
@@ -427,7 +425,7 @@ TEST(FaultCampaign, QuarantinesJournalAndResumes) {
   // --retry-quarantined: exactly the failed job re-runs. Swap in an
   // all-healthy execute function so the re-run succeeds this time.
   invocations = 0;
-  options.runner.execute_fn = [&invocations](const campaign::Job& job) {
+  options.runner.run_job_fn = [&invocations](const campaign::Job& job) {
     ++invocations;
     return synthetic_outcome(job);
   };
@@ -470,83 +468,14 @@ TEST(FaultCampaign, IsolateWithoutExecPathIsSpecError) {
 TEST(FaultCampaign, FaultModeRejectsCustomRunFunctions) {
   const std::vector<campaign::GridPoint> points = two_points();
   campaign::CampaignOptions options;
-  options.fault.job_timeout_s = 5.0;
-  options.runner.run_fn = [](const ScenarioConfig&) { return ExperimentResult{}; };
+  options.fault.isolate = true;
+  options.fault.exec_path = "gt_campaign";  // rejected before any child starts
+  options.runner.run_job_fn = [](const campaign::Job&) { return ExperimentResult{}; };
   campaign::CampaignResult result;
   std::string error;
   EXPECT_FALSE(
       campaign::run_points_campaign(points, {1}, options, &result, &error));
   EXPECT_NE(error.find("custom run function"), std::string::npos);
-}
-
-// -------------------------------------------------------------- watchdog --
-
-TEST(FaultWatchdog, LivelockDetectorTripsOnZeroDelaySpin) {
-  Simulator sim(1);
-  Watchdog watchdog;
-  watchdog.livelock_events = 1000;
-  sim.arm_watchdog(watchdog);
-  // A zero-delay self-rescheduling event never advances virtual time.
-  std::function<void()> spin = [&] { sim.after(0, [&] { spin(); }); };
-  sim.after(0, [&] { spin(); });
-  sim.run_until(1000000);
-  EXPECT_TRUE(sim.watchdog_tripped());
-  EXPECT_NE(sim.watchdog_reason().find("livelock"), std::string::npos);
-  // Once tripped, further run calls are inert.
-  const std::uint64_t processed = sim.events_processed();
-  sim.run_until(2000000);
-  EXPECT_EQ(sim.events_processed(), processed);
-}
-
-TEST(FaultWatchdog, HealthyRunIsUntouchedByAGenerousWatchdog) {
-  Simulator sim(1);
-  Watchdog watchdog;
-  watchdog.max_wall_s = 3600.0;
-  watchdog.livelock_events = 10'000'000;
-  sim.arm_watchdog(watchdog);
-  int fired = 0;
-  for (int i = 1; i <= 100; ++i) sim.after(i, [&fired] { ++fired; });
-  sim.run_until(1000);
-  EXPECT_FALSE(sim.watchdog_tripped());
-  EXPECT_EQ(fired, 100);
-}
-
-ScenarioConfig guard_config() {
-  ScenarioConfig c;
-  c.dodag_count = 1;
-  c.nodes_per_dodag = 4;
-  c.warmup = 30_s;
-  c.measure = 30_s;
-  return c;
-}
-
-TEST(FaultWatchdog, GuardedRunMatchesUnguardedBitForBit) {
-  const ScenarioConfig config = guard_config();
-  const ExperimentResult plain = run_scenario(config);
-  RunGuard guard;
-  guard.max_wall_s = 3600.0;
-  ExperimentResult guarded;
-  std::string error;
-  ASSERT_TRUE(run_scenario_guarded(config, guard, &guarded, &error)) << error;
-  EXPECT_EQ(campaign::render_journal_line([&] {
-              JournalRecord r;
-              r.result = plain;
-              return r;
-            }()),
-            campaign::render_journal_line([&] {
-              JournalRecord r;
-              r.result = guarded;
-              return r;
-            }()));
-}
-
-TEST(FaultWatchdog, GuardedRunTripsOnTinyWallBudget) {
-  RunGuard guard;
-  guard.max_wall_s = 1e-9;  // trips at the first wall-clock check
-  ExperimentResult out;
-  std::string error;
-  EXPECT_FALSE(run_scenario_guarded(guard_config(), guard, &out, &error));
-  EXPECT_NE(error.find("watchdog"), std::string::npos);
 }
 
 // -------------------------------------------------------------- envelope --
@@ -627,6 +556,15 @@ TEST(FaultEnvelope, RejectsMalformedInput) {
 
 // -------------------------------------------------------------- protocol --
 
+ScenarioConfig tiny_config() {
+  ScenarioConfig c;
+  c.dodag_count = 1;
+  c.nodes_per_dodag = 4;
+  c.warmup = 30_s;
+  c.measure = 30_s;
+  return c;
+}
+
 #if !defined(_WIN32)
 // The child half of --isolate, exercised in-process via memory streams:
 // its output record must be bit-identical to a direct run_scenario.
@@ -635,7 +573,7 @@ TEST(FaultProtocol, RunJobProtocolMatchesInProcessBitForBit) {
   envelope.point_index = 0;
   envelope.seed_index = 2;
   envelope.label = "tiny";
-  envelope.config = guard_config();
+  envelope.config = tiny_config();
   envelope.config.seed = 1034;
 
   std::string in_line = campaign::render_job_envelope(envelope);

@@ -105,22 +105,24 @@ void print_usage() {
       "  --isolate      run each job in a forked child process, so a crash\n"
       "                 or OOM kill quarantines one job instead of killing\n"
       "                 the campaign (exit 3 when any job stays quarantined)\n"
-      "  --job-timeout S  per-job wall-clock budget: isolated jobs are\n"
-      "                 SIGKILLed on expiry; without --isolate an in-process\n"
-      "                 watchdog aborts the run (both -> quarantine)\n"
+      "  --job-timeout S  per-job wall-clock budget (0.001 to 1e6 s): the\n"
+      "                 child is SIGKILLed on expiry and the job quarantined\n"
+      "                 as a timeout (requires --isolate)\n"
       "  --retries N    re-run a failing job up to N times (exponential\n"
       "                 backoff) before quarantining it (default 0;\n"
-      "                 requires --isolate or --job-timeout)\n"
+      "                 requires --isolate)\n"
       "  --retry-quarantined  with --resume: re-run quarantined journal\n"
       "                 records instead of keeping them failed\n"
       "  --out PREFIX   write PREFIX.csv and PREFIX.json artifacts\n"
       "  --telemetry-dir DIR     write one telemetry JSONL per job into DIR\n"
       "                          (pointNNN_seedNN.jsonl: gauge samples, event\n"
       "                          trace, probe records; see README Observability)\n"
-      "  --telemetry-period S    gauge sampling period in seconds (default 1)\n"
+      "  --telemetry-period S    gauge sampling period in seconds (default 1;\n"
+      "                          1e-6 to 1e9)\n"
       "  --telemetry-probes N    probe-sender nodes per run (default 0; probes\n"
       "                          are excluded from the panel metrics)\n"
-      "  --telemetry-probe-period S  per-sender probe period (default 10)\n"
+      "  --telemetry-probe-period S  per-sender probe period (default 10;\n"
+      "                          1e-6 to 1e9)\n"
       "  --quiet        suppress per-job progress on stderr\n"
       "  --list-fields  print the sweepable ScenarioConfig fields and exit\n"
       "  --list-metrics print the adaptive stopping metrics and exit\n"
@@ -351,9 +353,6 @@ int run_campaign_command(const Flags& flags, const char* argv0) {
   // sub-flags are meaningless without the directory, so reject them alone
   // rather than silently ignoring a half-typed request.
   const std::string telemetry_dir = flags.get("telemetry-dir", "");
-  const double telemetry_period_s = flags.get_double("telemetry-period", 1.0);
-  const double probe_period_s = flags.get_double("telemetry-probe-period", 10.0);
-  const std::int64_t telemetry_probes = flags.get_int("telemetry-probes", 0);
   if (telemetry_dir.empty()) {
     for (const char* sub :
          {"telemetry-period", "telemetry-probes", "telemetry-probe-period"}) {
@@ -363,14 +362,25 @@ int run_campaign_command(const Flags& flags, const char* argv0) {
       }
     }
   } else {
-    if (telemetry_period_s <= 0.0) {
-      return fail_usage("--telemetry-period", "must be > 0 seconds");
+    // Periods become whole microseconds, so anything below 1 us (or not
+    // finite) would truncate to 0 ("no samples") or overflow the cast.
+    double telemetry_period_s = 1.0;
+    double probe_period_s = 10.0;
+    for (const auto& [name, seconds] :
+         {std::pair{"telemetry-period", &telemetry_period_s},
+          std::pair{"telemetry-probe-period", &probe_period_s}}) {
+      const std::string v = flags.get(name, "");
+      if (flags.has(name) && !campaign::parse_bounded_double(v, 1e-6, 1e9, seconds)) {
+        return fail_usage(("--" + std::string(name)).c_str(),
+                          "expected seconds in [1e-6, 1e9], got '" + v + "'");
+      }
     }
-    if (probe_period_s <= 0.0) {
-      return fail_usage("--telemetry-probe-period", "must be > 0 seconds");
-    }
-    if (telemetry_probes < 0) {
-      return fail_usage("--telemetry-probes", "must be >= 0");
+    std::uint64_t telemetry_probes = 0;
+    const std::string probes = flags.get("telemetry-probes", "0");
+    if (!campaign::parse_bounded_u64(probes, 1'000'000, &telemetry_probes)) {
+      return fail_usage("--telemetry-probes",
+                        "expected a node count no greater than 1000000, got '" +
+                            probes + "'");
     }
     std::error_code ec;
     std::filesystem::create_directories(telemetry_dir, ec);
