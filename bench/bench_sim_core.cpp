@@ -1,7 +1,8 @@
 // Microbenchmarks for the simulation substrate: event queue throughput,
 // OneShotTimer re-arm churn on slot-aligned and drifted instants, medium
 // delivery resolution, cache refresh after a move (with and without a
-// churn-laden DynamicLinkModel), and carrier sense as rx guards poll it.
+// churn-laden DynamicLinkModel), and carrier sense as rx guards poll it —
+// at one frozen instant and across slots whose frames drain.
 // End-to-end runs are timed by perfbench (perfbench/README.md).
 #include <benchmark/benchmark.h>
 
@@ -222,5 +223,71 @@ void BM_CarrierSense(benchmark::State& state) {
                           static_cast<std::int64_t>(listeners.size()));
 }
 BENCHMARK(BM_CarrierSense)->Arg(50)->Arg(200);
+
+/// Carrier sense across slots, with the clock running through the drains:
+/// each iteration is one 10 ms slot in which every eighth radio sends a
+/// maximal frame on one of the 16 channels and the next radio answers
+/// with an ACK once it ends. Every radio that is not sending polls each
+/// channel at the data rx guard and again at the ACK's, so the ACK polls
+/// meet the data frames just finished. One item per poll.
+void BM_CarrierSenseSlots(benchmark::State& state) {
+  constexpr int kChannels = 16;
+  constexpr PhysChannel kFirstChannel = 11;
+  constexpr TimeUs kSlot = 10'000;
+  constexpr TimeUs kRxGuard = 100;
+  constexpr TimeUs kAckDelay = 1'000;
+  const int nodes = static_cast<int>(state.range(0));
+  Simulator sim(5);
+  Medium medium(sim, std::make_unique<UnitDiskModel>(40.0, 1.0, 1.6), Rng(5));
+  std::vector<std::unique_ptr<Radio>> radios;
+  Rng place(7);
+  const double side = 30.0 * std::sqrt(static_cast<double>(nodes));
+  for (int i = 0; i < nodes; ++i) {
+    radios.push_back(std::make_unique<Radio>(
+        sim, medium, static_cast<NodeId>(i),
+        Position{place.uniform_double(0, side), place.uniform_double(0, side)}));
+  }
+  std::vector<NodeId> senders;
+  for (int i = 0; i + 1 < nodes; i += 8) senders.push_back(static_cast<NodeId>(i));
+  const auto channel_of = [&](std::size_t k) {
+    return static_cast<PhysChannel>(kFirstChannel + k % kChannels);
+  };
+  std::int64_t polls = 0;
+  const auto poll_all = [&](bool ack_phase) {
+    TimeUs acc = 0;
+    for (int c = 0; c < kChannels; ++c) {
+      const auto channel = static_cast<PhysChannel>(kFirstChannel + c);
+      for (int i = 0; i < nodes; ++i) {
+        if (i % 8 == (ack_phase ? 1 : 0)) continue;  // this phase's senders
+        acc += medium.busy_until(static_cast<NodeId>(i), channel);
+        ++polls;
+      }
+    }
+    return acc;
+  };
+  for (auto _ : state) {
+    const TimeUs slot = sim.now();
+    for (std::size_t k = 0; k < senders.size(); ++k) {
+      const NodeId id = senders[k];
+      auto data = std::make_shared<Frame>();
+      data->src = id;
+      data->length_bytes = kMaxMacFrameBytes;
+      radios[id]->transmit(data, channel_of(k));
+    }
+    sim.run_until(slot + kRxGuard);
+    TimeUs acc = poll_all(false);
+    sim.run_until(slot + kMaxFrameAirtime + kAckDelay);
+    for (std::size_t k = 0; k < senders.size(); ++k) {
+      const NodeId id = senders[k] + 1;
+      radios[id]->transmit(make_ack_frame(id, senders[k]), channel_of(k));
+    }
+    sim.run_until(sim.now() + kRxGuard);
+    acc += poll_all(true);
+    benchmark::DoNotOptimize(acc);
+    sim.run_until(slot + kSlot);
+  }
+  state.SetItemsProcessed(polls);
+}
+BENCHMARK(BM_CarrierSenseSlots)->Arg(50)->Arg(200);
 
 }  // namespace

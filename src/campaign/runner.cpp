@@ -484,10 +484,13 @@ bool parse_campaign_flags(const Flags& flags, CampaignOptions* options,
 
   AdaptiveOptions& adaptive = options->adaptive;
   if (flags.has("ci-rel")) {
-    adaptive.ci_rel = flags.get_double("ci-rel", 0.0);
-    if (!(adaptive.ci_rel > 0.0)) {
-      return fail(error, "--ci-rel: expected a positive fraction, got '" +
-                             flags.get("ci-rel", "") + "'");
+    // Whole-string and finite: `inf` would stop every point at --min-seeds
+    // and a typo'd fraction would run silently.
+    const std::string v = flags.get("ci-rel", "");
+    if (!parse_bounded_double(v, 1e-9, 1e6, &adaptive.ci_rel)) {
+      return fail(error,
+                  "--ci-rel: expected a positive fraction in [1e-9, 1000000], got '" +
+                      v + "'");
     }
   }
   for (const char* name : {"max-seeds", "min-seeds", "batch", "metric"}) {

@@ -10,13 +10,6 @@
 namespace gttsch {
 
 namespace {
-/// How long a finished transmission stays in its channel bucket. A finished
-/// frame only matters for collision resolution of frames that overlapped it
-/// in time, and no frame is airborne longer than kMaxFrameAirtime — so
-/// anything that ended more than one maximal airtime ago can no longer
-/// overlap a transmission still in flight.
-constexpr TimeUs kInFlightRetention = kMaxFrameAirtime;
-
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 constexpr std::uint32_t kNpos32 = 0xFFFFFFFFu;
 
@@ -42,16 +35,31 @@ std::uint64_t pack_cell(std::int64_t cx, std::int64_t cy) {
          static_cast<std::uint64_t>(static_cast<std::uint32_t>(cy));
 }
 
-/// Insert `value` into an ascending vector, keeping it sorted and unique.
-void insert_sorted(std::vector<std::uint32_t>& v, std::uint32_t value) {
-  const auto it = std::lower_bound(v.begin(), v.end(), value);
-  if (it == v.end() || *it != value) v.insert(it, value);
+/// Link-flag bits (Medium::cache_flags_).
+constexpr std::uint8_t kLinkReaches = 1;     ///< prr > 0
+constexpr std::uint8_t kLinkInterferes = 2;  ///< model interferes()
+
+std::uint8_t link_flags(double prr, bool interferes) {
+  return static_cast<std::uint8_t>((prr > 0.0 ? kLinkReaches : 0) |
+                                   (interferes ? kLinkInterferes : 0));
 }
 
-/// Remove `value` from an ascending vector if present.
-void erase_sorted(std::vector<std::uint32_t>& v, std::uint32_t value) {
-  const auto it = std::lower_bound(v.begin(), v.end(), value);
-  if (it != v.end() && *it == value) v.erase(it);
+/// Position of receiver `idx` in a receiver list ascending by index.
+auto find_receiver(auto& list, std::uint32_t idx) {
+  return std::lower_bound(list.begin(), list.end(), idx,
+                          [](const auto& r, std::uint32_t i) { return r.idx < i; });
+}
+
+/// Insert receiver `idx`, which the list does not hold, into an ascending
+/// receiver list.
+void insert_receiver(auto& list, std::uint32_t idx, double prr) {
+  list.insert(find_receiver(list, idx), {idx, prr});
+}
+
+/// Remove receiver `idx` from an ascending receiver list if present.
+void erase_receiver(auto& list, std::uint32_t idx) {
+  const auto it = find_receiver(list, idx);
+  if (it != list.end() && it->idx == idx) list.erase(it);
 }
 }  // namespace
 
@@ -100,7 +108,7 @@ void Medium::set_link_cache_enabled(bool enabled) {
   cache_index_of_.clear();
   cache_radios_.clear();
   cache_rngs_.clear();
-  cache_pairs_.clear();
+  cache_flags_.clear();
   cache_receivers_.clear();
   moved_.clear();
   grid_.clear();
@@ -179,7 +187,7 @@ void Medium::rebuild_cache() const {
   }
   cache_index_of_.assign(n == 0 ? 0 : std::size_t{cache_ids_.back()} + 1, kNpos32);
   for (std::uint32_t i = 0; i < n; ++i) cache_index_of_[cache_ids_[i]] = i;
-  cache_pairs_.assign(n * n, PairLink{});
+  cache_flags_.assign(n * n, 0);
   cache_receivers_.assign(n, {});
   cache_range_ = model_->max_interaction_range();
   grid_.clear();
@@ -194,7 +202,7 @@ void Medium::rebuild_cache() const {
       node_grid_key_[i] = key;
     }
   }
-  // Pairs outside a node's grid neighborhood stay {0, false}, which the
+  // Pairs outside a node's grid neighborhood stay 0 / no flags, which the
   // model's max_interaction_range contract guarantees the model would
   // answer too — so this O(n * degree) build is bit-identical to the
   // all-pairs one.
@@ -204,11 +212,11 @@ void Medium::rebuild_cache() const {
     for (const std::uint32_t r : candidate_scratch_) {
       if (r == t) continue;
       const Position& rx_pos = cache_radios_[r]->position();
-      PairLink& link = cache_pairs_[t * n + r];
-      link.prr = model_->prr(cache_ids_[t], tx_pos, cache_ids_[r], rx_pos);
-      link.interferes =
+      const double prr = model_->prr(cache_ids_[t], tx_pos, cache_ids_[r], rx_pos);
+      const bool interferes =
           model_->interferes(cache_ids_[t], tx_pos, cache_ids_[r], rx_pos);
-      if (link.prr > 0.0) cache_receivers_[t].push_back(r);
+      cache_flags_[t * n + r] = link_flags(prr, interferes);
+      if (prr > 0.0) cache_receivers_[t].push_back({r, prr});
     }
   }
   ++cache_builds_;
@@ -221,35 +229,35 @@ void Medium::rebuild_cache() const {
 void Medium::refresh_node(std::uint32_t m) const {
   const std::size_t n = cache_ids_.size();
   // Clear column m: forget every sender's link *to* the node (the prr > 0
-  // ones are exactly those holding m in their receiver list).
+  // ones are exactly those holding m in their receiver list), so no list
+  // holds m when the recompute below inserts it.
   for (std::uint32_t s = 0; s < n; ++s) {
     if (s == m) continue;
-    PairLink& to_m = cache_pairs_[s * n + m];
-    if (to_m.prr > 0.0) erase_sorted(cache_receivers_[s], m);
-    to_m = PairLink{};
+    std::uint8_t& to_m = cache_flags_[s * n + m];
+    if ((to_m & kLinkReaches) != 0) erase_receiver(cache_receivers_[s], m);
+    to_m = 0;
   }
   // Clear row m.
-  std::fill(cache_pairs_.begin() + static_cast<std::ptrdiff_t>(m * n),
-            cache_pairs_.begin() + static_cast<std::ptrdiff_t>((m + 1) * n),
-            PairLink{});
+  std::fill_n(cache_flags_.begin() + static_cast<std::ptrdiff_t>(m * n), n,
+              std::uint8_t{0});
   cache_receivers_[m].clear();
   // Recompute both directions against the grid neighborhood of the
   // node's current position. Values are whatever the model answers for
   // current positions, and anything farther than the spatial bound is
-  // {0, false} on both sides — bit-identical to a full rebuild.
+  // 0 / no flags on both sides — bit-identical to a full rebuild.
   const Position& m_pos = cache_radios_[m]->position();
   collect_candidates(m_pos, candidate_scratch_);
   for (const std::uint32_t r : candidate_scratch_) {
     if (r == m) continue;
     const Position& r_pos = cache_radios_[r]->position();
-    PairLink& out = cache_pairs_[m * n + r];
-    out.prr = model_->prr(cache_ids_[m], m_pos, cache_ids_[r], r_pos);
-    out.interferes = model_->interferes(cache_ids_[m], m_pos, cache_ids_[r], r_pos);
-    if (out.prr > 0.0) cache_receivers_[m].push_back(r);  // candidates ascend
-    PairLink& in = cache_pairs_[r * n + m];
-    in.prr = model_->prr(cache_ids_[r], r_pos, cache_ids_[m], m_pos);
-    in.interferes = model_->interferes(cache_ids_[r], r_pos, cache_ids_[m], m_pos);
-    if (in.prr > 0.0) insert_sorted(cache_receivers_[r], m);
+    const double out_prr = model_->prr(cache_ids_[m], m_pos, cache_ids_[r], r_pos);
+    cache_flags_[m * n + r] = link_flags(
+        out_prr, model_->interferes(cache_ids_[m], m_pos, cache_ids_[r], r_pos));
+    if (out_prr > 0.0) cache_receivers_[m].push_back({r, out_prr});  // candidates ascend
+    const double in_prr = model_->prr(cache_ids_[r], r_pos, cache_ids_[m], m_pos);
+    cache_flags_[r * n + m] = link_flags(
+        in_prr, model_->interferes(cache_ids_[r], r_pos, cache_ids_[m], m_pos));
+    if (in_prr > 0.0) insert_receiver(cache_receivers_[r], m, in_prr);
   }
 }
 
@@ -314,8 +322,10 @@ std::size_t Medium::cache_index(NodeId id) const {
 }
 
 void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel channel) {
-  // kInFlightRetention's overlap bound assumes no frame outlives the
-  // maximal legal airtime; enforce the 127-byte invariant at the source.
+  // IEEE 802.15.4 aMaxPHYPacketSize: a timeslot holds at most a frame of
+  // this length, so a longer one would outlast its slot. Bucket pruning
+  // does not rely on it: a finished frame stays exactly as long as it
+  // overlaps a frame still in flight, whatever the lengths.
   GTTSCH_CHECK(frame->length_bytes <= kMaxMacFrameBytes);
   const TimeUs air = frame_airtime(frame->length_bytes);
   const std::uint64_t id = next_tx_id_++;
@@ -324,7 +334,6 @@ void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel chann
   cs.in_flight.push_back(
       Transmission{id, sender.id(), std::move(frame), channel, sim_.now(), end});
   ++stats_.transmissions;
-  ++mutations_;
   // One drain event per (channel, end-time) rendezvous: every later frame
   // ending at the same instant on the same channel (the TSCH case — equal
   // frame lengths transmitted at the same slot's tx offset) rides the
@@ -350,7 +359,7 @@ bool Medium::suffers_collision(const Transmission& tx, NodeId rid, std::size_t r
     if (!overlap) continue;
     const std::size_t s_idx = cache_index(other.sender);
     if (rx_idx != kNpos && s_idx != kNpos) {
-      if (cache_pairs_[s_idx * n + rx_idx].interferes) return true;
+      if ((cache_flags_[s_idx * n + rx_idx] & kLinkInterferes) != 0) return true;
       continue;
     }
     // Uncached (e.g. sender detached mid-flight, or the cache is in
@@ -383,41 +392,20 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
   const std::size_t n = cache_ids_.size();
   const TimeUs now = sim_.now();
   const Position& lpos = lradio->position();
-  // Batch the bucket scan: all nodes polling carrier sense at the same
-  // (instant, channel) — every receiver of a TSCH slot during its rx
-  // guard — share one pass that resolves live transmissions and their
-  // sender cache indices; each listener then only walks the compact
-  // (s_idx, end) list against its own column of the pair matrix.
-  BusyMemo& memo = busy_memo_;
-  if (memo.at != now || memo.channel != channel ||
-      memo.mutations != mutations_ || memo.cache_builds != cache_builds_) {
-    memo.at = now;
-    memo.channel = channel;
-    memo.mutations = mutations_;
-    memo.cache_builds = cache_builds_;
-    memo.live.clear();
-    for (const auto& tx : in_flight) {
-      if (tx.end <= now) continue;
-      const std::size_t s_idx = cache_index(tx.sender);
-      memo.live.push_back(LiveTx{
-          s_idx == kNpos ? kNpos32 : static_cast<std::uint32_t>(s_idx),
-          tx.sender, tx.end});
-    }
-  }
   TimeUs latest = 0;
-  for (const LiveTx& t : memo.live) {
-    if (t.sender == listener) continue;
-    if (t.s_idx != kNpos32 && l_idx != kNpos) {
-      const PairLink& link = cache_pairs_[t.s_idx * n + l_idx];
-      if (link.prr > 0.0 || link.interferes) latest = std::max(latest, t.end);
+  for (const Transmission& tx : in_flight) {
+    if (tx.end <= now || tx.sender == listener) continue;
+    const std::size_t s_idx = l_idx != kNpos ? cache_index(tx.sender) : kNpos;
+    if (s_idx != kNpos) {
+      if (cache_flags_[s_idx * n + l_idx] != 0) latest = std::max(latest, tx.end);
       continue;
     }
-    const auto sit = radios_.find(t.sender);
+    const auto sit = radios_.find(tx.sender);
     if (sit == radios_.end()) continue;
     const Position& spos = sit->second->position();
-    if (model_->prr(t.sender, spos, listener, lpos) > 0.0 ||
-        model_->interferes(t.sender, spos, listener, lpos)) {
-      latest = std::max(latest, t.end);
+    if (model_->prr(tx.sender, spos, listener, lpos) > 0.0 ||
+        model_->interferes(tx.sender, spos, listener, lpos)) {
+      latest = std::max(latest, tx.end);
     }
   }
   return latest;
@@ -456,8 +444,7 @@ void Medium::drain_channel(PhysChannel channel, TimeUs end) {
   ChannelState& cs = channels_[channel];
   std::erase(cs.pending_drains, end);
   // Snapshot the batch first: delivery callbacks may start new
-  // transmissions (which end strictly later — never in this batch) and
-  // the per-frame pruning below compacts the bucket.
+  // transmissions (which end strictly later — never in this batch).
   drain_scratch_.clear();
   for (const Transmission& t : cs.in_flight) {
     if (t.end == end) drain_scratch_.push_back(t.id);
@@ -466,6 +453,20 @@ void Medium::drain_channel(PhysChannel channel, TimeUs end) {
   // transmission id — exactly the order the per-frame completion events
   // fired in before batching.
   for (const std::uint64_t id : drain_scratch_) finish_transmission(channel, id);
+
+  // Drop the finished frames that overlap nothing still in flight. Every
+  // frame started from now on starts at or after `now`, and every frame
+  // in flight at or after the earliest start among them; a finished frame
+  // ending by both overlaps none of them, so no later collision check can
+  // meet it. Only after the whole batch: its frames overlap each other.
+  const TimeUs now = sim_.now();
+  TimeUs first_live_start = now;
+  for (const Transmission& t : cs.in_flight) {
+    if (t.end > now) first_live_start = std::min(first_live_start, t.start);
+  }
+  std::erase_if(cs.in_flight, [first_live_start](const Transmission& t) {
+    return t.end <= first_live_start;
+  });
 }
 
 void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
@@ -481,16 +482,14 @@ void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
   ensure_cache();
   const std::size_t s_idx = sender != nullptr ? cache_index(tx.sender) : kNpos;
   if (s_idx != kNpos) {
-    const std::size_t n = cache_ids_.size();
     // Only receivers in communication range (prr > 0) draw from the RNG,
     // in ascending node id — matching the full-radio iteration this fast
     // path replaces. Snapshot the candidates first: like the Transmission
     // copy above, delivery callbacks may invalidate the cache vectors.
     auto& scratch = delivery_scratch_;
     scratch.clear();
-    for (const std::uint32_t r_idx : cache_receivers_[s_idx]) {
-      scratch.push_back(DeliveryCandidate{cache_ids_[r_idx], r_idx, nullptr,
-                                          cache_pairs_[s_idx * n + r_idx].prr});
+    for (const Receiver& r : cache_receivers_[s_idx]) {
+      scratch.push_back(DeliveryCandidate{cache_ids_[r.idx], r.idx, nullptr, r.prr});
     }
     // While no callback attaches/detaches a radio or rebuilds the cache,
     // the snapshotted indices stay valid and candidates resolve through
@@ -530,12 +529,6 @@ void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
       resolve_receiver(tx, cand.id, *cand.radio, kNpos, cand.prr);
     }
   }
-
-  // Prune this channel's transmissions that can no longer overlap anything
-  // still in flight.
-  const TimeUs horizon = sim_.now() - kInFlightRetention;
-  std::erase_if(bucket, [&](const Transmission& t) { return t.end < horizon; });
-  ++mutations_;
 
   // Same revalidation as the receivers: a delivery callback may have
   // detached (destroyed) the sender since the lookup above.

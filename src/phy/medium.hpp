@@ -27,8 +27,9 @@ struct MediumStats {
   std::uint64_t prr_losses = 0;        ///< receiver lost frame to link quality
 };
 
-/// Delivery resolution is cached: the pairwise PRR/interference matrix and
-/// the per-sender in-range receiver lists are compiled from the link model.
+/// Delivery resolution is cached: a one-byte reach/interference flag per
+/// ordered pair and the per-sender in-range receiver lists (with their
+/// PRR) are compiled from the link model.
 /// Invalidation is *incremental*: a moved radio (Radio::set_position) or a
 /// model change the model can attribute (LinkModel::changed_nodes_since)
 /// refreshes only the affected rows/columns, discovering candidates through
@@ -42,7 +43,11 @@ struct MediumStats {
 /// In-flight transmissions are bucketed per physical channel, and frame
 /// completions are *batched*: one drain event per (channel, end-time)
 /// rendezvous resolves every frame ending at that instant in transmission
-/// order, instead of one simulator event per frame.
+/// order, instead of one simulator event per frame. A bucket holds the
+/// frames in flight plus the finished frames that overlap one of them —
+/// the only finished frames a later collision check can still meet. Each
+/// drain drops the rest once its whole batch is resolved, so a channel's
+/// bucket is empty whenever the channel is quiet.
 ///
 /// Delivery RNG is per-*receiver* (forked from the medium stream by node
 /// id at attach), so the draws a receiver makes depend on the run seed,
@@ -67,12 +72,12 @@ class Medium {
 
   /// Latest end time of any in-flight transmission on `channel` audible at
   /// `listener` (carrier sense). Returns 0 when the channel is clear or the
-  /// listener is not attached. Constant work per query apart from the live
-  /// transmissions themselves: an empty channel bucket answers before any
-  /// lookup, the bucket scan is shared by every listener polling the same
-  /// (instant, channel), and the listener resolves through the cache's
-  /// id-indexed table (the radio map is read only in the uncached
-  /// reference mode).
+  /// listener is not attached. An empty channel bucket answers before any
+  /// lookup; otherwise the scan walks the bucket (by the invariant in the
+  /// class comment, only the frames in flight and the finished frames
+  /// overlapping them) and reads one link-flag byte per live sender from
+  /// the cache's id-indexed tables (the radio map is read only in the
+  /// uncached reference mode).
   TimeUs busy_until(NodeId listener, PhysChannel channel) const;
 
   const LinkModel& link_model() const { return *model_; }
@@ -105,10 +110,10 @@ class Medium {
     std::vector<TimeUs> pending_drains;
   };
 
-  /// One compiled link-cache entry (row-major: pairs_[tx_idx*n + rx_idx]).
-  struct PairLink {
-    double prr = 0.0;
-    bool interferes = false;
+  /// One entry of a sender's receiver list (cache_receivers_).
+  struct Receiver {
+    std::uint32_t idx;  ///< receiver cache index
+    double prr;         ///< > 0
   };
 
   /// See the delivery-loop comment in finish_transmission.
@@ -119,26 +124,10 @@ class Medium {
     double prr;
   };
 
-  /// Carrier-sense batch memo: the bucket scan (live transmissions with
-  /// resolved sender cache indices) is shared by every node polling the
-  /// same (instant, channel) — the TSCH rx-guard case, where all receivers
-  /// of a slot check the same channel at the same tick.
-  struct LiveTx {
-    std::uint32_t s_idx;  ///< sender cache index; npos32 when uncached
-    NodeId sender;
-    TimeUs end;
-  };
-  struct BusyMemo {
-    TimeUs at = -1;
-    PhysChannel channel = 0;
-    std::uint64_t mutations = 0;
-    std::uint64_t cache_builds = 0;
-    std::vector<LiveTx> live;
-  };
-
   /// Resolve every transmission on `channel` ending exactly at `end`, in
   /// transmission-id (= start) order — the batched replacement for the
-  /// old one-event-per-frame completion.
+  /// old one-event-per-frame completion — then drop the finished frames
+  /// that overlap nothing still in flight.
   void drain_channel(PhysChannel channel, TimeUs end);
   void finish_transmission(PhysChannel channel, std::uint64_t tx_id);
   /// Resolve one candidate receiver of a finished transmission: listening
@@ -154,7 +143,7 @@ class Medium {
   Rng& rx_rng(NodeId id) const;
   void ensure_cache() const;
   void rebuild_cache() const;
-  /// Recompute row + column `idx` of the pair matrix (and the affected
+  /// Recompute row + column `idx` of the link flags (and the affected
   /// receiver lists) against the node's current position, touching only
   /// its grid neighborhood.
   void refresh_node(std::uint32_t idx) const;
@@ -182,11 +171,8 @@ class Medium {
   std::array<ChannelState, std::numeric_limits<PhysChannel>::max() + 1> channels_;
   MediumStats stats_;
   std::uint64_t next_tx_id_ = 1;
-  /// Bucket-change counter; invalidates the carrier-sense memo.
-  std::uint64_t mutations_ = 0;
   std::vector<std::uint64_t> drain_scratch_;
   std::vector<DeliveryCandidate> delivery_scratch_;
-  mutable BusyMemo busy_memo_;
 
   // --- compiled link cache (see class comment) --------------------------
   bool link_cache_enabled_ = true;
@@ -202,10 +188,15 @@ class Medium {
   mutable std::vector<std::uint32_t> cache_index_of_;
   mutable std::vector<Radio*> cache_radios_;  ///< parallel to cache_ids_
   mutable std::vector<Rng*> cache_rngs_;      ///< &rx_rngs_[cache_ids_[i]]
-  mutable std::vector<PairLink> cache_pairs_;
-  /// Per sender index: receiver indices with prr > 0, ascending by NodeId
-  /// (the delivery-loop order, so RNG draws match the uncached iteration).
-  mutable std::vector<std::vector<std::uint32_t>> cache_receivers_;
+  /// Link flags, one byte per ordered pair (row-major: [tx_idx * n +
+  /// rx_idx]; bits in medium.cpp): whether the sender reaches (prr > 0)
+  /// and whether it interferes. Carrier sense and collision checks read
+  /// them down a receiver's column, so they are kept this small.
+  mutable std::vector<std::uint8_t> cache_flags_;
+  /// Per sender index: the receivers with prr > 0 and their PRR,
+  /// ascending by NodeId (the delivery-loop order, so RNG draws match the
+  /// uncached iteration). A finished frame's candidates are this list.
+  mutable std::vector<std::vector<Receiver>> cache_receivers_;
   /// Radios whose position changed since the cache last refreshed.
   mutable std::vector<NodeId> moved_;
 

@@ -56,6 +56,10 @@ expect_stderr "warp_speed" "bad metric"
 expect_exit 2 "metric without --ci-rel" --metric pdr_percent
 expect_stderr "ci-rel" "metric without --ci-rel"
 expect_exit 2 "bad ci-rel" --ci-rel -0.5
+for bad in 0.5abc inf nan 0; do
+    expect_exit 2 "--ci-rel $bad" --ci-rel $bad
+    expect_stderr "ci-rel" "--ci-rel $bad"
+done
 expect_exit 2 "stray positional" frobnicate
 expect_stderr "frobnicate" "stray positional"
 expect_exit 2 "unknown flag" --frobnicate 1

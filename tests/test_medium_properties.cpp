@@ -2,9 +2,12 @@
 // determinism, metamorphic relations that must hold for any topology, and
 // the link-cache contract — incremental refreshes (mobility, dynamic
 // links) must be bit-identical to a cache-disabled reference medium and
-// cost O(degree) model calls, not O(n^2).
+// cost O(degree) model calls, not O(n^2) — and an overlap oracle: collision
+// outcomes and carrier sense checked against the full frame history, so
+// pruning a channel's finished frames can drop nothing that still matters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -690,6 +693,181 @@ TEST(MediumCarrierSense, CachedBusyUntilMatchesUncachedReference) {
     ASSERT_EQ(cached.answers.size(), reference.answers.size());
     EXPECT_EQ(cached.answers, reference.answers) << "seed " << seed;
     EXPECT_GT(cached.busy, 0) << "seed " << seed << ": no probe heard anything";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Overlap oracle: the pruned channel buckets against the full history.
+// ---------------------------------------------------------------------------
+
+struct PlannedFrame {
+  std::size_t sender;  ///< index into the sender radios
+  PhysChannel channel;
+  std::uint16_t length;
+  TimeUs start;
+  TimeUs end;
+};
+
+/// Random frames on three channels from kSenders radios, heard by
+/// kListeners radios that each listen on one channel for the whole run.
+/// Lengths are ACK-length or maximal; starts lie on a 32 us grid (so every
+/// start and end is even) and two thirds of the frames start with, or end
+/// with, an earlier frame on its channel, so drains resolve batches whose
+/// frames overlap each other. No sender overlaps itself. Links are unit
+/// disk at PRR 1, so every outcome is a function of the frame history.
+std::vector<PlannedFrame> plan_frames(Rng& rng, std::size_t senders, int count) {
+  constexpr TimeUs kGrid = 32;
+  constexpr TimeUs kHorizon = 150'000;
+  const std::uint16_t lengths[] = {default_frame_length(FrameType::kAck),
+                                   kMaxMacFrameBytes};
+  std::vector<PlannedFrame> frames;
+  for (int i = 0; i < count; ++i) {
+    PlannedFrame f{static_cast<std::size_t>(rng.uniform(senders)),
+                   static_cast<PhysChannel>(11 + rng.uniform(3)), lengths[rng.uniform(2)],
+                   0, 0};
+    const TimeUs air = frame_airtime(f.length);
+    const std::uint64_t mode = frames.empty() ? 0 : rng.uniform(3);
+    if (mode == 0) {
+      f.start = kGrid * static_cast<TimeUs>(1 + rng.uniform(kHorizon / kGrid));
+    } else {
+      const PlannedFrame& other = frames[rng.uniform(frames.size())];
+      f.channel = other.channel;
+      f.start = mode == 1 ? other.start : other.end - air;
+    }
+    f.end = f.start + air;
+    if (f.start <= 0) continue;
+    const bool sender_busy =
+        std::any_of(frames.begin(), frames.end(), [&](const PlannedFrame& g) {
+          return g.sender == f.sender && g.start <= f.end && f.start <= g.end;
+        });
+    if (!sender_busy) frames.push_back(f);
+  }
+  return frames;
+}
+
+TEST(MediumOverlapOracle, OutcomesAndCarrierSenseMatchFullHistory) {
+  constexpr std::size_t kSenders = 8;
+  constexpr std::size_t kListeners = 10;
+  constexpr double kRange = 40.0;
+  const UnitDiskModel oracle_model(kRange, 1.0, 1.5);
+  for (const std::uint64_t seed : {5u, 19u, 33u, 47u}) {
+    for (const bool cached : {true, false}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " cached " << cached);
+      Simulator sim(seed);
+      Medium medium(sim, std::make_unique<UnitDiskModel>(kRange, 1.0, 1.5), Rng(seed));
+      medium.set_link_cache_enabled(cached);
+      Rng rng(seed * 13 + 5);
+      std::vector<std::unique_ptr<Radio>> radios;  // senders, then listeners
+      for (std::size_t i = 0; i < kSenders + kListeners; ++i) {
+        radios.push_back(std::make_unique<Radio>(
+            sim, medium, static_cast<NodeId>(i),
+            Position{rng.uniform_double(0, 120), rng.uniform_double(0, 120)}));
+      }
+      const auto listen_channel = [](std::size_t listener) {
+        return static_cast<PhysChannel>(11 + listener % 3);
+      };
+      std::vector<std::vector<std::uint32_t>> delivered(kListeners);
+      for (std::size_t l = 0; l < kListeners; ++l) {
+        radios[kSenders + l]->on_rx = [&delivered, l](FramePtr f) {
+          delivered[l].push_back(f->mac_seq);
+        };
+        radios[kSenders + l]->listen(listen_channel(l));
+      }
+      const std::vector<PlannedFrame> frames = plan_frames(rng, kSenders, 400);
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const PlannedFrame& f = frames[i];
+        auto frame = std::make_shared<Frame>();
+        frame->src = static_cast<NodeId>(f.sender);
+        frame->length_bytes = f.length;
+        frame->mac_seq = static_cast<std::uint32_t>(i);
+        sim.at(f.start,
+               [&radios, &f, frame] { radios[f.sender]->transmit(frame, f.channel); });
+      }
+      const auto sender_pos = [&](const PlannedFrame& f) -> const Position& {
+        return radios[f.sender]->position();
+      };
+
+      // Carrier sense at odd instants, which no frame starts or ends at.
+      int busy_probes = 0;
+      const auto probe = [&](TimeUs at) {
+        for (std::size_t r = 0; r < radios.size(); ++r) {
+          for (const PhysChannel ch : {PhysChannel{11}, PhysChannel{12}, PhysChannel{13},
+                                       PhysChannel{20}}) {
+            TimeUs expected = 0;
+            for (const PlannedFrame& f : frames) {
+              if (f.channel != ch || f.sender == r || !(f.start < at && at < f.end)) {
+                continue;
+              }
+              const Position& rpos = radios[r]->position();
+              if (oracle_model.prr(0, sender_pos(f), 0, rpos) > 0.0 ||
+                  oracle_model.interferes(0, sender_pos(f), 0, rpos)) {
+                expected = std::max(expected, f.end);
+              }
+            }
+            const TimeUs busy = medium.busy_until(static_cast<NodeId>(r), ch);
+            EXPECT_EQ(busy, expected) << "node " << r << " channel " << int{ch}
+                                      << " at " << at;
+            if (expected > 0) ++busy_probes;
+          }
+        }
+      };
+      for (int p = 0; p < 200; ++p) {
+        const TimeUs at = 2 * static_cast<TimeUs>(rng.uniform(80'000)) + 1;
+        sim.at(at, [&probe, at] { probe(at); });
+      }
+      sim.run_until(1'000'000);
+
+      // Every in-range listener on the frame's channel either decodes it or
+      // loses it to an overlapping frame on that channel whose sender
+      // interferes at the listener.
+      std::vector<std::vector<std::uint32_t>> expected(kListeners);
+      std::uint64_t expected_collisions = 0;
+      std::uint64_t batch_collisions = 0;  // lost to a frame ending at the same instant
+      for (std::size_t i = 0; i < frames.size(); ++i) {
+        const PlannedFrame& f = frames[i];
+        for (std::size_t l = 0; l < kListeners; ++l) {
+          const Position& lpos = radios[kSenders + l]->position();
+          if (listen_channel(l) != f.channel ||
+              oracle_model.prr(0, sender_pos(f), 0, lpos) <= 0.0) {
+            continue;
+          }
+          bool collided = false;
+          bool by_batch = false;
+          for (std::size_t j = 0; j < frames.size(); ++j) {
+            const PlannedFrame& g = frames[j];
+            const bool overlap = g.start < f.end && f.start < g.end;
+            if (j == i || g.channel != f.channel || !overlap ||
+                !oracle_model.interferes(0, sender_pos(g), 0, lpos)) {
+              continue;
+            }
+            collided = true;
+            by_batch = by_batch || g.end == f.end;
+          }
+          if (collided) {
+            ++expected_collisions;
+            if (by_batch) ++batch_collisions;
+          } else {
+            expected[l].push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+      }
+      std::uint64_t expected_deliveries = 0;
+      for (std::size_t l = 0; l < kListeners; ++l) {
+        std::sort(delivered[l].begin(), delivered[l].end());  // was delivery order
+        EXPECT_EQ(delivered[l], expected[l]) << "listener " << kSenders + l;
+        expected_deliveries += expected[l].size();
+      }
+      const MediumStats stats = medium.stats();
+      EXPECT_EQ(stats.transmissions, frames.size());
+      EXPECT_EQ(stats.deliveries, expected_deliveries);
+      EXPECT_EQ(stats.collision_losses, expected_collisions);
+      EXPECT_EQ(stats.prr_losses, 0u);
+      // The scenario must exercise what the oracle guards.
+      EXPECT_GT(expected_deliveries, 0u);
+      EXPECT_GT(batch_collisions, 0u);
+      EXPECT_GT(expected_collisions, batch_collisions);
+      EXPECT_GT(busy_probes, 0);
+    }
   }
 }
 
