@@ -30,27 +30,6 @@ double UnitDiskModel::max_interaction_range() const {
   return std::max(range_, interference_range_);
 }
 
-DistancePrrModel::DistancePrrModel(double full_range, double max_range,
-                                   double interference_factor)
-    : full_range_(full_range),
-      max_range_(std::max(max_range, full_range)),
-      interference_range_(max_range_ * interference_factor) {}
-
-double DistancePrrModel::prr(NodeId, const Position& a, NodeId, const Position& b) const {
-  const double d = distance(a, b);
-  if (d <= full_range_) return 1.0;
-  if (d >= max_range_) return 0.0;
-  return 1.0 - (d - full_range_) / (max_range_ - full_range_);
-}
-
-bool DistancePrrModel::interferes(NodeId, const Position& a, NodeId, const Position& b) const {
-  return distance(a, b) <= interference_range_;
-}
-
-double DistancePrrModel::max_interaction_range() const {
-  return std::max(max_range_, interference_range_);
-}
-
 void MatrixLinkModel::set(NodeId tx, NodeId rx, double prr, bool symmetric) {
   prr_[{tx, rx}] = std::clamp(prr, 0.0, 1.0);
   if (symmetric) prr_[{rx, tx}] = std::clamp(prr, 0.0, 1.0);

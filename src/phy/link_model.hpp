@@ -74,22 +74,6 @@ class UnitDiskModel final : public LinkModel {
   double interference_range_;
 };
 
-/// Distance-graded PRR: perfect up to `full_range`, then linear decay to 0
-/// at `max_range` (the classic "grey region" of low-power radios).
-class DistancePrrModel final : public LinkModel {
- public:
-  DistancePrrModel(double full_range, double max_range, double interference_factor = 1.5);
-
-  double prr(NodeId, const Position& a, NodeId, const Position& b) const override;
-  bool interferes(NodeId, const Position& a, NodeId, const Position& b) const override;
-  double max_interaction_range() const override;
-
- private:
-  double full_range_;
-  double max_range_;
-  double interference_range_;
-};
-
 /// Explicit per-link PRR table; anything not listed has PRR 0. Interference
 /// follows connectivity (links with PRR > 0 interfere). For unit tests.
 class MatrixLinkModel final : public LinkModel {

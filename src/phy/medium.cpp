@@ -10,9 +10,6 @@
 namespace gttsch {
 
 namespace {
-constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-constexpr std::uint32_t kNpos32 = 0xFFFFFFFFu;
-
 /// Ordering key for drain events: above every node id and below the
 /// default class, so a frame ending at a slot boundary resolves after that
 /// instant's slot-boundary timers (keyed by node id) and before its
@@ -44,22 +41,22 @@ std::uint8_t link_flags(double prr, bool interferes) {
                                    (interferes ? kLinkInterferes : 0));
 }
 
-/// Position of receiver `idx` in a receiver list ascending by index.
-auto find_receiver(auto& list, std::uint32_t idx) {
-  return std::lower_bound(list.begin(), list.end(), idx,
-                          [](const auto& r, std::uint32_t i) { return r.idx < i; });
+/// Position of receiver `id` in a receiver list ascending by id.
+auto find_receiver(auto& list, NodeId id) {
+  return std::lower_bound(list.begin(), list.end(), id,
+                          [](const auto& r, NodeId i) { return r.id < i; });
 }
 
-/// Insert receiver `idx`, which the list does not hold, into an ascending
+/// Insert receiver `id`, which the list does not hold, into an ascending
 /// receiver list.
-void insert_receiver(auto& list, std::uint32_t idx, double prr) {
-  list.insert(find_receiver(list, idx), {idx, prr});
+void insert_receiver(auto& list, NodeId id, double prr) {
+  list.insert(find_receiver(list, id), {id, prr});
 }
 
-/// Remove receiver `idx` from an ascending receiver list if present.
-void erase_receiver(auto& list, std::uint32_t idx) {
-  const auto it = find_receiver(list, idx);
-  if (it != list.end() && it->idx == idx) list.erase(it);
+/// Remove receiver `id` from an ascending receiver list if present.
+void erase_receiver(auto& list, NodeId id) {
+  const auto it = find_receiver(list, id);
+  if (it != list.end() && it->id == id) list.erase(it);
 }
 }  // namespace
 
@@ -70,17 +67,21 @@ Medium::Medium(Simulator& sim, std::unique_ptr<LinkModel> model, Rng rng)
 
 void Medium::attach(Radio* radio) {
   GTTSCH_CHECK(radio != nullptr);
-  radios_[radio->id()] = radio;
-  // Forked by node id, persistent across reboots: the stream is a
-  // function of the run seed and the receiver identity alone, never of
-  // attach order or of other nodes' delivery interleavings.
-  rx_rngs_.try_emplace(radio->id(), rng_.fork(radio->id()));
-  ++structure_version_;
+  // Each slot's RNG is forked by its id (fork() leaves rng_ unchanged), so
+  // the stream is a function of the run seed and the receiver identity
+  // alone, never of attach order or of other nodes' delivery interleavings.
+  while (slots_.size() <= radio->id()) {
+    slots_.push_back(RadioSlot{nullptr, kNoRow, rng_.fork(slots_.size())});
+  }
+  slots_[radio->id()].radio = radio;
+  cache_valid_ = false;
 }
 
 void Medium::detach(NodeId id) {
-  radios_.erase(id);
-  ++structure_version_;
+  GTTSCH_CHECK(id < slots_.size());
+  slots_[id].radio = nullptr;
+  slots_[id].cache_idx = kNoRow;
+  cache_valid_ = false;
 }
 
 void Medium::position_changed(NodeId id) {
@@ -88,13 +89,12 @@ void Medium::position_changed(NodeId id) {
   // Deduplicate: a node walking many steps between medium queries stays
   // one dirty entry (the refresh reads its *current* position anyway), so
   // the backlog is bounded by distinct movers and only overflows — into a
-  // full rebuild — when essentially the whole network moved. The cap is
-  // measured against the *live* radio count: cache_ids_ goes stale after
-  // detach, and with dedup bounding the backlog at the attached count the
-  // fallback must fire at equality, not beyond it.
+  // full rebuild — when essentially the whole network moved. A valid cache
+  // holds exactly the attached radios, and with dedup bounding the backlog
+  // at that count the fallback must fire at equality, not beyond it.
   if (std::find(moved_.begin(), moved_.end(), id) != moved_.end()) return;
   moved_.push_back(id);
-  if (moved_.size() >= radios_.size()) {
+  if (moved_.size() >= cache_ids_.size()) {
     cache_valid_ = false;
     moved_.clear();
   }
@@ -104,10 +104,8 @@ void Medium::set_link_cache_enabled(bool enabled) {
   if (link_cache_enabled_ == enabled) return;
   link_cache_enabled_ = enabled;
   cache_valid_ = false;
+  for (RadioSlot& slot : slots_) slot.cache_idx = kNoRow;
   cache_ids_.clear();
-  cache_index_of_.clear();
-  cache_radios_.clear();
-  cache_rngs_.clear();
   cache_flags_.clear();
   cache_receivers_.clear();
   moved_.clear();
@@ -117,17 +115,16 @@ void Medium::set_link_cache_enabled(bool enabled) {
 
 void Medium::reset_stats() { stats_ = MediumStats{}; }
 
-Rng& Medium::rx_rng(NodeId id) const {
-  const auto it = rx_rngs_.find(id);
-  GTTSCH_CHECK(it != rx_rngs_.end());
-  return it->second;
+double Medium::link_prr(NodeId tx, NodeId rx) const {
+  if (std::max(tx, rx) >= slots_.size()) return 0.0;
+  const Radio* a = slots_[tx].radio;
+  const Radio* b = slots_[rx].radio;
+  if (a == nullptr || b == nullptr) return 0.0;
+  return model_->prr(tx, a->position(), rx, b->position());
 }
 
-double Medium::link_prr(NodeId tx, NodeId rx) const {
-  const auto a = radios_.find(tx);
-  const auto b = radios_.find(rx);
-  if (a == radios_.end() || b == radios_.end()) return 0.0;
-  return model_->prr(tx, a->second->position(), rx, b->second->position());
+const Position& Medium::cached_position(std::uint32_t idx) const {
+  return slots_[cache_ids_[idx]].radio->position();
 }
 
 bool Medium::grid_active() const {
@@ -138,7 +135,7 @@ void Medium::update_grid_membership(std::uint32_t idx) const {
   if (!grid_active()) return;
   std::int64_t cx = 0;
   std::int64_t cy = 0;
-  grid_coords(cache_radios_[idx]->position(), cache_range_, cx, cy);
+  grid_coords(cached_position(idx), cache_range_, cx, cy);
   const std::uint64_t key = pack_cell(cx, cy);
   if (key == node_grid_key_[idx]) return;
   const auto old_it = grid_.find(node_grid_key_[idx]);
@@ -173,20 +170,14 @@ void Medium::collect_candidates(const Position& pos,
 }
 
 void Medium::rebuild_cache() const {
-  const std::size_t n = radios_.size();
   cache_ids_.clear();
-  cache_radios_.clear();
-  cache_rngs_.clear();
-  cache_ids_.reserve(n);
-  cache_radios_.reserve(n);
-  cache_rngs_.reserve(n);
-  for (const auto& [id, radio] : radios_) {
-    cache_ids_.push_back(id);
-    cache_radios_.push_back(radio);
-    cache_rngs_.push_back(&rx_rng(id));
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    RadioSlot& slot = slots_[id];
+    if (slot.radio == nullptr) continue;  // detach already cleared its row
+    slot.cache_idx = static_cast<std::uint32_t>(cache_ids_.size());
+    cache_ids_.push_back(static_cast<NodeId>(id));
   }
-  cache_index_of_.assign(n == 0 ? 0 : std::size_t{cache_ids_.back()} + 1, kNpos32);
-  for (std::uint32_t i = 0; i < n; ++i) cache_index_of_[cache_ids_[i]] = i;
+  const std::size_t n = cache_ids_.size();
   cache_flags_.assign(n * n, 0);
   cache_receivers_.assign(n, {});
   cache_range_ = model_->max_interaction_range();
@@ -196,7 +187,7 @@ void Medium::rebuild_cache() const {
     for (std::uint32_t i = 0; i < n; ++i) {
       std::int64_t cx = 0;
       std::int64_t cy = 0;
-      grid_coords(cache_radios_[i]->position(), cache_range_, cx, cy);
+      grid_coords(cached_position(i), cache_range_, cx, cy);
       const std::uint64_t key = pack_cell(cx, cy);
       grid_[key].push_back(i);
       node_grid_key_[i] = key;
@@ -207,20 +198,18 @@ void Medium::rebuild_cache() const {
   // answer too — so this O(n * degree) build is bit-identical to the
   // all-pairs one.
   for (std::uint32_t t = 0; t < n; ++t) {
-    const Position& tx_pos = cache_radios_[t]->position();
+    const Position& tx_pos = cached_position(t);
     collect_candidates(tx_pos, candidate_scratch_);
     for (const std::uint32_t r : candidate_scratch_) {
       if (r == t) continue;
-      const Position& rx_pos = cache_radios_[r]->position();
+      const Position& rx_pos = cached_position(r);
       const double prr = model_->prr(cache_ids_[t], tx_pos, cache_ids_[r], rx_pos);
       const bool interferes =
           model_->interferes(cache_ids_[t], tx_pos, cache_ids_[r], rx_pos);
       cache_flags_[t * n + r] = link_flags(prr, interferes);
-      if (prr > 0.0) cache_receivers_[t].push_back({r, prr});
+      if (prr > 0.0) cache_receivers_[t].push_back({cache_ids_[r], prr});
     }
   }
-  ++cache_builds_;
-  cached_structure_version_ = structure_version_;
   cached_model_version_ = model_->version();
   moved_.clear();
   cache_valid_ = true;
@@ -234,7 +223,7 @@ void Medium::refresh_node(std::uint32_t m) const {
   for (std::uint32_t s = 0; s < n; ++s) {
     if (s == m) continue;
     std::uint8_t& to_m = cache_flags_[s * n + m];
-    if ((to_m & kLinkReaches) != 0) erase_receiver(cache_receivers_[s], m);
+    if ((to_m & kLinkReaches) != 0) erase_receiver(cache_receivers_[s], cache_ids_[m]);
     to_m = 0;
   }
   // Clear row m.
@@ -245,31 +234,33 @@ void Medium::refresh_node(std::uint32_t m) const {
   // node's current position. Values are whatever the model answers for
   // current positions, and anything farther than the spatial bound is
   // 0 / no flags on both sides — bit-identical to a full rebuild.
-  const Position& m_pos = cache_radios_[m]->position();
+  const Position& m_pos = cached_position(m);
   collect_candidates(m_pos, candidate_scratch_);
   for (const std::uint32_t r : candidate_scratch_) {
     if (r == m) continue;
-    const Position& r_pos = cache_radios_[r]->position();
+    const Position& r_pos = cached_position(r);
     const double out_prr = model_->prr(cache_ids_[m], m_pos, cache_ids_[r], r_pos);
     cache_flags_[m * n + r] = link_flags(
         out_prr, model_->interferes(cache_ids_[m], m_pos, cache_ids_[r], r_pos));
-    if (out_prr > 0.0) cache_receivers_[m].push_back({r, out_prr});  // candidates ascend
+    if (out_prr > 0.0) {
+      cache_receivers_[m].push_back({cache_ids_[r], out_prr});  // candidates ascend
+    }
     const double in_prr = model_->prr(cache_ids_[r], r_pos, cache_ids_[m], m_pos);
     cache_flags_[r * n + m] = link_flags(
         in_prr, model_->interferes(cache_ids_[r], r_pos, cache_ids_[m], m_pos));
-    if (in_prr > 0.0) insert_receiver(cache_receivers_[r], m, in_prr);
+    if (in_prr > 0.0) insert_receiver(cache_receivers_[r], cache_ids_[m], in_prr);
   }
 }
 
 void Medium::ensure_cache() const {
   if (!link_cache_enabled_) return;
   const std::uint64_t model_version = model_->version();
-  if (cache_valid_ && cached_structure_version_ == structure_version_ &&
-      cached_model_version_ == model_version && moved_.empty()) {
-    return;
-  }
-  if (!cache_valid_ || cached_structure_version_ != structure_version_) {
-    rebuild_cache();  // structural change: membership itself moved
+  // The model can change without any call into the medium (a
+  // DynamicLinkModel with the clock, a MatrixLinkModel through set()), so
+  // its version is polled here; attach/detach clear cache_valid_ directly.
+  if (cache_valid_ && cached_model_version_ == model_version && moved_.empty()) return;
+  if (!cache_valid_) {
+    rebuild_cache();  // attach/detach: membership itself moved
     return;
   }
 
@@ -288,17 +279,15 @@ void Medium::ensure_cache() const {
       rebuild_cache();  // unattributable model change
       return;
     }
+    // The model may name ids that were never attached.
     for (const NodeId id : model_dirty_scratch_) {
-      const std::size_t idx = cache_index(id);
-      if (idx != kNpos) dirty_scratch_.push_back(static_cast<std::uint32_t>(idx));
+      if (id < slots_.size() && slots_[id].cache_idx != kNoRow) {
+        dirty_scratch_.push_back(slots_[id].cache_idx);
+      }
     }
   }
-  for (const NodeId id : moved_) {
-    const std::size_t idx = cache_index(id);
-    // A moved radio unknown to the cache would have changed the structure
-    // version and taken the rebuild branch above.
-    if (idx != kNpos) dirty_scratch_.push_back(static_cast<std::uint32_t>(idx));
-  }
+  // Movers are recorded only while the cache is valid, so each has a row.
+  for (const NodeId id : moved_) dirty_scratch_.push_back(slots_[id].cache_idx);
   std::sort(dirty_scratch_.begin(), dirty_scratch_.end());
   dirty_scratch_.erase(std::unique(dirty_scratch_.begin(), dirty_scratch_.end()),
                        dirty_scratch_.end());
@@ -313,12 +302,6 @@ void Medium::ensure_cache() const {
   for (const std::uint32_t idx : dirty_scratch_) refresh_node(idx);
   cached_model_version_ = model_version;
   moved_.clear();
-}
-
-std::size_t Medium::cache_index(NodeId id) const {
-  if (id >= cache_index_of_.size()) return kNpos;
-  const std::uint32_t idx = cache_index_of_[id];
-  return idx == kNpos32 ? kNpos : idx;
 }
 
 void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel channel) {
@@ -348,25 +331,24 @@ void Medium::start_transmission(Radio& sender, FramePtr frame, PhysChannel chann
   }
 }
 
-bool Medium::suffers_collision(const Transmission& tx, NodeId rid, std::size_t rx_idx,
+bool Medium::suffers_collision(const Transmission& tx, NodeId rid,
                                const Radio& rx) const {
   const std::size_t n = cache_ids_.size();
+  const std::uint32_t rx_idx = slots_[rid].cache_idx;
   for (const auto& other : channels_[tx.channel].in_flight) {
     if (other.id == tx.id) continue;
     if (other.sender == rid) continue;  // a radio cannot jam itself here:
     // it would be transmitting, and the listening check already failed.
     const bool overlap = other.start < tx.end && tx.start < other.end;
     if (!overlap) continue;
-    const std::size_t s_idx = cache_index(other.sender);
-    if (rx_idx != kNpos && s_idx != kNpos) {
-      if ((cache_flags_[s_idx * n + rx_idx] & kLinkInterferes) != 0) return true;
+    const RadioSlot& sender = slots_[other.sender];
+    if (sender.radio == nullptr) continue;  // detached mid-flight: silent
+    if (rx_idx != kNoRow && sender.cache_idx != kNoRow) {
+      const std::uint8_t flags = cache_flags_[sender.cache_idx * n + rx_idx];
+      if ((flags & kLinkInterferes) != 0) return true;
       continue;
     }
-    // Uncached (e.g. sender detached mid-flight, or the cache is in
-    // reference mode): ask the model directly.
-    const auto it = radios_.find(other.sender);
-    if (it == radios_.end()) continue;
-    if (model_->interferes(other.sender, it->second->position(), rid, rx.position()))
+    if (model_->interferes(other.sender, sender.radio->position(), rid, rx.position()))
       return true;
   }
   return false;
@@ -376,33 +358,25 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
   const std::vector<Transmission>& in_flight = channels_[channel].in_flight;
   if (in_flight.empty()) return 0;
   ensure_cache();
-  // ensure_cache() leaves the cache matching radios_, so in cached mode an
-  // id it does not know is not attached.
-  std::size_t l_idx = kNpos;
-  const Radio* lradio = nullptr;
-  if (link_cache_enabled_) {
-    l_idx = cache_index(listener);
-    if (l_idx == kNpos) return 0;
-    lradio = cache_radios_[l_idx];
-  } else {
-    const auto lit = radios_.find(listener);
-    if (lit == radios_.end()) return 0;
-    lradio = lit->second;
-  }
+  if (listener >= slots_.size() || slots_[listener].radio == nullptr) return 0;
+  // In cached mode ensure_cache() gave every attached radio a row, and in
+  // reference mode none has one.
+  const std::uint32_t l_idx = slots_[listener].cache_idx;
+  const Position& lpos = slots_[listener].radio->position();
   const std::size_t n = cache_ids_.size();
   const TimeUs now = sim_.now();
-  const Position& lpos = lradio->position();
   TimeUs latest = 0;
   for (const Transmission& tx : in_flight) {
     if (tx.end <= now || tx.sender == listener) continue;
-    const std::size_t s_idx = l_idx != kNpos ? cache_index(tx.sender) : kNpos;
-    if (s_idx != kNpos) {
-      if (cache_flags_[s_idx * n + l_idx] != 0) latest = std::max(latest, tx.end);
+    const RadioSlot& sender = slots_[tx.sender];
+    if (sender.radio == nullptr) continue;  // detached mid-flight: silent
+    if (l_idx != kNoRow) {
+      if (cache_flags_[sender.cache_idx * n + l_idx] != 0) {
+        latest = std::max(latest, tx.end);
+      }
       continue;
     }
-    const auto sit = radios_.find(tx.sender);
-    if (sit == radios_.end()) continue;
-    const Position& spos = sit->second->position();
+    const Position& spos = sender.radio->position();
     if (model_->prr(tx.sender, spos, listener, lpos) > 0.0 ||
         model_->interferes(tx.sender, spos, listener, lpos)) {
       latest = std::max(latest, tx.end);
@@ -412,21 +386,19 @@ TimeUs Medium::busy_until(NodeId listener, PhysChannel channel) const {
 }
 
 void Medium::resolve_receiver(const Transmission& tx, NodeId rid, Radio& radio,
-                              std::size_t r_idx, double prr) {
+                              double prr) {
   // Receiver must have been listening on the right channel for the whole
   // frame (preamble included).
   if (radio.state() != RadioState::kListening) return;
   if (radio.channel() != tx.channel) return;
   if (radio.listening_since() > tx.start) return;
-  if (prr <= 0.0) return;  // out of communication range entirely
-  if (suffers_collision(tx, rid, r_idx, radio)) {
+  if (suffers_collision(tx, rid, radio)) {
     ++stats_.collision_losses;
     GTTSCH_LOG_DEBUG("medium", "collision at node %u (frame %s from %u)", rid,
                      frame_type_name(tx.frame->type), tx.sender);
     return;
   }
-  Rng& rng = r_idx != kNpos ? *cache_rngs_[r_idx] : rx_rng(rid);
-  if (!rng.bernoulli(prr)) {
+  if (!slots_[rid].rng.bernoulli(prr)) {
     ++stats_.prr_losses;
     return;
   }
@@ -443,16 +415,17 @@ void Medium::resolve_receiver(const Transmission& tx, NodeId rid, Radio& radio,
 void Medium::drain_channel(PhysChannel channel, TimeUs end) {
   ChannelState& cs = channels_[channel];
   std::erase(cs.pending_drains, end);
-  // Snapshot the batch first: delivery callbacks may start new
-  // transmissions (which end strictly later — never in this batch).
+  // Record the batch first: delivery callbacks may start new
+  // transmissions, which end strictly later (never in this batch) and are
+  // appended, so the recorded positions stay valid until the prune below.
   drain_scratch_.clear();
-  for (const Transmission& t : cs.in_flight) {
-    if (t.end == end) drain_scratch_.push_back(t.id);
+  for (std::size_t pos = 0; pos < cs.in_flight.size(); ++pos) {
+    if (cs.in_flight[pos].end == end) drain_scratch_.push_back(pos);
   }
   // Bucket order is insertion order, so the batch runs in ascending
   // transmission id — exactly the order the per-frame completion events
   // fired in before batching.
-  for (const std::uint64_t id : drain_scratch_) finish_transmission(channel, id);
+  for (const std::size_t pos : drain_scratch_) finish_transmission(channel, pos);
 
   // Drop the finished frames that overlap nothing still in flight. Every
   // frame started from now on starts at or after `now`, and every frame
@@ -469,75 +442,45 @@ void Medium::drain_channel(PhysChannel channel, TimeUs end) {
   });
 }
 
-void Medium::finish_transmission(PhysChannel channel, std::uint64_t tx_id) {
-  auto& bucket = channels_[channel].in_flight;
-  const auto it = std::find_if(bucket.begin(), bucket.end(),
-                               [tx_id](const Transmission& t) { return t.id == tx_id; });
-  GTTSCH_CHECK(it != bucket.end());
-  const Transmission tx = *it;  // copy: delivery callbacks may mutate the list
-
-  const auto sender_it = radios_.find(tx.sender);
-  Radio* sender = sender_it == radios_.end() ? nullptr : sender_it->second;
+void Medium::finish_transmission(PhysChannel channel, std::size_t pos) {
+  const std::vector<Transmission>& bucket = channels_[channel].in_flight;
+  const NodeId sender_id = bucket[pos].sender;
+  // A sender detached mid-flight went silent: its frame is lost, as
+  // busy_until and suffers_collision already treat it.
+  if (slots_[sender_id].radio == nullptr) return;
 
   ensure_cache();
-  const std::size_t s_idx = sender != nullptr ? cache_index(tx.sender) : kNpos;
-  if (s_idx != kNpos) {
-    // Only receivers in communication range (prr > 0) draw from the RNG,
-    // in ascending node id — matching the full-radio iteration this fast
-    // path replaces. Snapshot the candidates first: like the Transmission
-    // copy above, delivery callbacks may invalidate the cache vectors.
-    auto& scratch = delivery_scratch_;
-    scratch.clear();
-    for (const Receiver& r : cache_receivers_[s_idx]) {
-      scratch.push_back(DeliveryCandidate{cache_ids_[r.idx], r.idx, nullptr, r.prr});
-    }
-    // While no callback attaches/detaches a radio or rebuilds the cache,
-    // the snapshotted indices stay valid and candidates resolve through
-    // the cache's radio and RNG tables, with no per-candidate map lookup.
-    // On the (rare) mutation, fall back to revalidating each remaining
-    // candidate through the id map.
-    const std::uint64_t snap_structure = structure_version_;
-    const std::uint64_t snap_builds = cache_builds_;
-    for (const DeliveryCandidate& cand : scratch) {
-      if (structure_version_ == snap_structure && cache_builds_ == snap_builds) {
-        resolve_receiver(tx, cand.id, *cache_radios_[cand.r_idx], cand.r_idx, cand.prr);
-        continue;
-      }
-      const auto rit = radios_.find(cand.id);
-      if (rit == radios_.end()) continue;
-      resolve_receiver(tx, cand.id, *rit->second, kNpos, cand.prr);
-    }
+  // Only receivers in communication range (prr > 0) draw from the RNG, in
+  // ascending node id. Snapshot them first: delivery callbacks may
+  // rebuild the cache.
+  auto& candidates = delivery_scratch_;
+  const std::uint32_t s_idx = slots_[sender_id].cache_idx;
+  if (s_idx != kNoRow) {
+    candidates.assign(cache_receivers_[s_idx].begin(), cache_receivers_[s_idx].end());
   } else {
-    // Sender unknown to the cache (detached mid-flight, or reference
-    // mode): resolve each receiver against the model directly — with the
-    // same snapshot + revalidation discipline as above, since delivery
-    // callbacks may detach radios mid-loop. Out-of-range receivers
-    // (prr <= 0) are filtered here: they draw nothing and deliver
-    // nothing.
-    auto& scratch = delivery_scratch_;
-    scratch.clear();
-    for (auto& [rid, radio] : radios_) {
-      if (rid == tx.sender) continue;
-      const Position& tx_pos = sender != nullptr ? sender->position() : Position{};
-      const double prr = model_->prr(tx.sender, tx_pos, rid, radio->position());
-      if (prr <= 0.0) continue;
-      scratch.push_back(DeliveryCandidate{rid, kNpos32, radio, prr});
-    }
-    for (const DeliveryCandidate& cand : scratch) {
-      const auto rit = radios_.find(cand.id);
-      if (rit == radios_.end() || rit->second != cand.radio) continue;
-      resolve_receiver(tx, cand.id, *cand.radio, kNpos, cand.prr);
+    // Reference mode: ask the model for every attached radio.
+    candidates.clear();
+    const Position& tx_pos = slots_[sender_id].radio->position();
+    for (std::size_t rid = 0; rid < slots_.size(); ++rid) {
+      const Radio* radio = slots_[rid].radio;
+      if (radio == nullptr || rid == sender_id) continue;
+      const auto id = static_cast<NodeId>(rid);
+      const double prr = model_->prr(sender_id, tx_pos, id, radio->position());
+      if (prr > 0.0) candidates.push_back({id, prr});
     }
   }
+  // A callback may detach a later candidate (or the sender), so each slot
+  // is read afresh.
+  for (const Receiver& c : candidates) {
+    Radio* radio = slots_[c.id].radio;
+    if (radio != nullptr) resolve_receiver(bucket[pos], c.id, *radio, c.prr);
+  }
 
-  // Same revalidation as the receivers: a delivery callback may have
-  // detached (destroyed) the sender since the lookup above.
-  const auto sit = radios_.find(tx.sender);
-  if (sit != radios_.end() && sit->second == sender && sender != nullptr) {
+  if (Radio* sender = slots_[sender_id].radio; sender != nullptr) {
     // Owner re-homing, sender side: the tx-done processing (ACK timeout,
     // backoff, next-slot scheduling) is the sender's chain even when a
     // batched drain event is owned by another sender's frame.
-    Simulator::ScopedOwner own(sim_, tx.sender);
+    Simulator::ScopedOwner own(sim_, sender_id);
     sender->medium_tx_finished();
   }
 }

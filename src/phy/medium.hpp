@@ -5,7 +5,6 @@
 #include <array>
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -27,6 +26,10 @@ struct MediumStats {
   std::uint64_t prr_losses = 0;        ///< receiver lost frame to link quality
 };
 
+/// Every radio lives in one table indexed by NodeId. A slot holds the
+/// radio (null while detached), its receiver RNG and its row in the link
+/// cache, and stays across detach and re-attach.
+///
 /// Delivery resolution is cached: a one-byte reach/interference flag per
 /// ordered pair and the per-sender in-range receiver lists (with their
 /// PRR) are compiled from the link model.
@@ -35,9 +38,10 @@ struct MediumStats {
 /// refreshes only the affected rows/columns, discovering candidates through
 /// a uniform-grid spatial index sized by LinkModel::max_interaction_range()
 /// — O(degree) model calls per move instead of the full O(n^2) rebuild.
-/// Attach/detach (structural) and unattributable model changes still
-/// rebuild from scratch. Cached answers are bit-identical to querying the
-/// model directly (set_link_cache_enabled(false) is the reference mode the
+/// Attach and detach mark the cache stale directly (detach also clears the
+/// slot's cache row), and unattributable model changes rebuild from
+/// scratch too. Cached answers are bit-identical to querying the model
+/// directly (set_link_cache_enabled(false) is the reference mode the
 /// property tests compare against).
 ///
 /// In-flight transmissions are bucketed per physical channel, and frame
@@ -50,9 +54,9 @@ struct MediumStats {
 /// bucket is empty whenever the channel is quiet.
 ///
 /// Delivery RNG is per-*receiver* (forked from the medium stream by node
-/// id at attach), so the draws a receiver makes depend on the run seed,
-/// its identity and its own deliveries alone — not on attach order or on
-/// how other receivers' deliveries interleave with its own.
+/// id, and kept across reboots), so the draws a receiver makes depend on
+/// the run seed, its identity and its own deliveries alone — not on attach
+/// order or on how other receivers' deliveries interleave with its own.
 class Medium {
  public:
   Medium(Simulator& sim, std::unique_ptr<LinkModel> model, Rng rng);
@@ -75,9 +79,8 @@ class Medium {
   /// listener is not attached. An empty channel bucket answers before any
   /// lookup; otherwise the scan walks the bucket (by the invariant in the
   /// class comment, only the frames in flight and the finished frames
-  /// overlapping them) and reads one link-flag byte per live sender from
-  /// the cache's id-indexed tables (the radio map is read only in the
-  /// uncached reference mode).
+  /// overlapping them) and reads one link-flag byte per live sender,
+  /// found through the senders' slots.
   TimeUs busy_until(NodeId listener, PhysChannel channel) const;
 
   const LinkModel& link_model() const { return *model_; }
@@ -112,35 +115,36 @@ class Medium {
 
   /// One entry of a sender's receiver list (cache_receivers_).
   struct Receiver {
-    std::uint32_t idx;  ///< receiver cache index
-    double prr;         ///< > 0
+    NodeId id;
+    double prr;  ///< > 0
   };
 
-  /// See the delivery-loop comment in finish_transmission.
-  struct DeliveryCandidate {
-    NodeId id;
-    std::uint32_t r_idx;
-    Radio* radio;
-    double prr;
+  /// One entry of the radio table (slots_), indexed by NodeId.
+  struct RadioSlot {
+    Radio* radio;             ///< null while detached
+    std::uint32_t cache_idx;  ///< link-cache row, kNoRow when not cached
+    Rng rng;                  ///< delivery draws at this receiver
   };
+  static constexpr std::uint32_t kNoRow = 0xFFFFFFFFu;
 
   /// Resolve every transmission on `channel` ending exactly at `end`, in
   /// transmission-id (= start) order — the batched replacement for the
   /// old one-event-per-frame completion — then drop the finished frames
   /// that overlap nothing still in flight.
   void drain_channel(PhysChannel channel, TimeUs end);
-  void finish_transmission(PhysChannel channel, std::uint64_t tx_id);
+  /// Resolve the frame at position `pos` of `channel`'s bucket. Delivery
+  /// callbacks may append to the bucket (and so move it), so the frame is
+  /// re-read at `pos` after each one; nothing erases from a bucket while
+  /// its drain batch runs.
+  void finish_transmission(PhysChannel channel, std::size_t pos);
   /// Resolve one candidate receiver of a finished transmission: listening
-  /// filters, collision check, PRR draw, stats, delivery. `r_idx` is the
-  /// receiver's cache index, or npos in reference mode and after a
-  /// delivery callback changed the structure mid-batch; then collisions
-  /// ask the model and the RNG comes from the id map. `prr` <= 0 draws
-  /// nothing.
-  void resolve_receiver(const Transmission& tx, NodeId rid, Radio& radio,
-                        std::size_t r_idx, double prr);
-  bool suffers_collision(const Transmission& tx, NodeId rid, std::size_t rx_idx,
-                         const Radio& rx) const;
-  Rng& rx_rng(NodeId id) const;
+  /// filters, collision check, PRR draw, stats, delivery. Must not touch
+  /// `tx` after the delivery callback.
+  void resolve_receiver(const Transmission& tx, NodeId rid, Radio& radio, double prr);
+  /// Collisions read the link flags when both radios have a cache row
+  /// and ask the model otherwise (reference mode, or a radio attached
+  /// since the cache was last built).
+  bool suffers_collision(const Transmission& tx, NodeId rid, const Radio& rx) const;
   void ensure_cache() const;
   void rebuild_cache() const;
   /// Recompute row + column `idx` of the link flags (and the affected
@@ -153,17 +157,17 @@ class Medium {
   /// grid neighborhood, or every node when the model has no spatial bound.
   void collect_candidates(const Position& pos, std::vector<std::uint32_t>& out) const;
   bool grid_active() const;
-  /// Cache row index for `id`, or npos when unknown (e.g. detached). O(1).
-  std::size_t cache_index(NodeId id) const;
+  const Position& cached_position(std::uint32_t idx) const;
 
   Simulator& sim_;
   std::unique_ptr<LinkModel> model_;
   Rng rng_;  ///< fork source for the per-receiver delivery streams
-  std::map<NodeId, Radio*> radios_;
-  /// Per-receiver delivery RNG, forked by node id at first attach and
-  /// persistent across reboots — draw order within one receiver is its
-  /// own delivery order.
-  mutable std::map<NodeId, Rng> rx_rngs_;
+  /// The radio table, sized by the largest id ever attached. A slot's RNG
+  /// is forked by its id when the slot is made and is never replaced, so
+  /// draw order within one receiver is its own delivery order. A delivery
+  /// callback may attach a radio and so grow the table: never hold a slot
+  /// reference across one.
+  mutable std::vector<RadioSlot> slots_;
 
   // --- transmission state -------------------------------------------------
   /// Indexed by physical channel: one bucket for every PhysChannel value,
@@ -171,31 +175,25 @@ class Medium {
   std::array<ChannelState, std::numeric_limits<PhysChannel>::max() + 1> channels_;
   MediumStats stats_;
   std::uint64_t next_tx_id_ = 1;
-  std::vector<std::uint64_t> drain_scratch_;
-  std::vector<DeliveryCandidate> delivery_scratch_;
+  std::vector<std::size_t> drain_scratch_;  ///< batch positions in a bucket
+  std::vector<Receiver> delivery_scratch_;  ///< a finished frame's candidates
 
   // --- compiled link cache (see class comment) --------------------------
   bool link_cache_enabled_ = true;
-  std::uint64_t structure_version_ = 1;  ///< attach/detach counter
-  mutable std::uint64_t cached_structure_version_ = 0;
   mutable std::uint64_t cached_model_version_ = 0;
-  mutable std::uint64_t cache_builds_ = 0;  ///< full rebuild counter
+  /// False after attach/detach: the next query rebuilds. While true, the
+  /// cached ids are exactly the attached radios.
   mutable bool cache_valid_ = false;
-  mutable std::vector<NodeId> cache_ids_;     ///< ascending
-  /// NodeId -> cache index (kNpos32 when absent), sized by the largest
-  /// cached id. Stale between a detach and the next ensure_cache(), exactly
-  /// like cache_ids_.
-  mutable std::vector<std::uint32_t> cache_index_of_;
-  mutable std::vector<Radio*> cache_radios_;  ///< parallel to cache_ids_
-  mutable std::vector<Rng*> cache_rngs_;      ///< &rx_rngs_[cache_ids_[i]]
+  mutable std::vector<NodeId> cache_ids_;  ///< cache index -> id, ascending
   /// Link flags, one byte per ordered pair (row-major: [tx_idx * n +
   /// rx_idx]; bits in medium.cpp): whether the sender reaches (prr > 0)
   /// and whether it interferes. Carrier sense and collision checks read
   /// them down a receiver's column, so they are kept this small.
   mutable std::vector<std::uint8_t> cache_flags_;
   /// Per sender index: the receivers with prr > 0 and their PRR,
-  /// ascending by NodeId (the delivery-loop order, so RNG draws match the
-  /// uncached iteration). A finished frame's candidates are this list.
+  /// ascending by NodeId, which is cache-index order too (the delivery-loop
+  /// order, so RNG draws match the uncached iteration). A finished frame's
+  /// candidates are this list.
   mutable std::vector<std::vector<Receiver>> cache_receivers_;
   /// Radios whose position changed since the cache last refreshed.
   mutable std::vector<NodeId> moved_;

@@ -552,39 +552,56 @@ struct CallbackMutationResult {
   std::vector<int> rx_count;  ///< per radio id; index 0 is the sender
 };
 
+/// What radio 1's on_rx destroys besides its other mutations.
+enum class Destroy { kNothing, kListener, kSecondSender };
+
 /// One broadcast from radio 0 to six in-range listeners (ids 1-6, PRR 1).
 /// Receiver 1 resolves first (ascending id), and its on_rx turns radio 3
 /// off, retunes radio 4 to another channel (which also restarts its listen
-/// window) and, with `destroy`, destroys radio 6. The destruction detaches
-/// a radio and so forces the delivery loop off the cache indices for the
-/// rest of the batch; without it, the remaining candidates resolve through
-/// the cache while their radios changed under it.
-CallbackMutationResult run_callback_mutations(bool cached, bool destroy) {
+/// window) and destroys what `destroy` names. Destroying listener 6
+/// detaches a radio while the remaining candidates of the same frame
+/// resolve; without a destruction, they resolve through the cache while
+/// their radios changed under it. kSecondSender adds radio 7 far away
+/// (beyond interference range of 0-6), whose frame to its listener 8 ends
+/// in the same drain batch as radio 0's; radio 1's on_rx destroys radio 7
+/// before that frame resolves, so it must reach no one.
+CallbackMutationResult run_callback_mutations(bool cached, Destroy destroy) {
   constexpr int kListeners = 6;
   constexpr PhysChannel kChannel = 17;
   Simulator sim(11);
   Medium medium(sim, std::make_unique<UnitDiskModel>(50.0, 1.0, 1.5), Rng(11));
   medium.set_link_cache_enabled(cached);
   CallbackMutationResult out;
-  out.rx_count.assign(kListeners + 1, 0);
+  std::vector<Position> places;
+  for (int i = 0; i <= kListeners; ++i) places.push_back({static_cast<double>(i), 0.0});
+  if (destroy == Destroy::kSecondSender) {
+    places.push_back({200.0, 0.0});  // radio 7, the second sender
+    places.push_back({210.0, 0.0});  // radio 8, its only listener
+  }
+  out.rx_count.assign(places.size(), 0);
   std::vector<std::unique_ptr<Radio>> radios;
-  for (int i = 0; i <= kListeners; ++i) {
-    radios.push_back(std::make_unique<Radio>(sim, medium, static_cast<NodeId>(i),
-                                             Position{static_cast<double>(i), 0.0}));
-    const auto idx = static_cast<std::size_t>(i);
-    radios.back()->on_rx = [&out, idx](FramePtr) { ++out.rx_count[idx]; };
+  for (std::size_t i = 0; i < places.size(); ++i) {
+    radios.push_back(
+        std::make_unique<Radio>(sim, medium, static_cast<NodeId>(i), places[i]));
+    radios.back()->on_rx = [&out, i](FramePtr) { ++out.rx_count[i]; };
   }
   radios[1]->on_rx = [&out, &radios, destroy](FramePtr) {
     ++out.rx_count[1];
     radios[3]->turn_off();
     radios[4]->listen(kChannel + 1);
-    if (destroy) radios[6].reset();
+    if (destroy == Destroy::kListener) radios[6].reset();
+    if (destroy == Destroy::kSecondSender) radios[7].reset();
   };
   sim.at(10, [&radios] {
-    for (std::size_t i = 1; i < radios.size(); ++i) radios[i]->listen(kChannel);
+    for (std::size_t i = 1; i < radios.size(); ++i) {
+      if (i != 7) radios[i]->listen(kChannel);
+    }
   });
   sim.at(100, [&radios] {
     radios[0]->transmit(make_data_frame(0, kBroadcastId, DataPayload{}), kChannel);
+    if (radios.size() > 7) {
+      radios[7]->transmit(make_data_frame(7, kBroadcastId, DataPayload{}), kChannel);
+    }
   });
   sim.run_until(100_ms);
   out.stats = medium.stats();
@@ -592,23 +609,58 @@ CallbackMutationResult run_callback_mutations(bool cached, bool destroy) {
 }
 
 TEST(MediumCacheIncremental, DeliveryCallbackMutationsMatchUncachedReference) {
-  for (const bool destroy : {false, true}) {
+  for (const Destroy destroy :
+       {Destroy::kNothing, Destroy::kListener, Destroy::kSecondSender}) {
+    const int label = static_cast<int>(destroy);
     const CallbackMutationResult cached = run_callback_mutations(true, destroy);
     const CallbackMutationResult reference = run_callback_mutations(false, destroy);
     // Hand-derived: 1, 2 and 5 hear the frame; 3 is off, 4 is on another
-    // channel, and 6 hears it unless it was destroyed first.
-    const std::vector<int> expected{0, 1, 1, 0, 0, 1, destroy ? 0 : 1};
+    // channel, and 6 hears it unless it was destroyed first. The destroyed
+    // second sender's frame reaches no one: not its listener 8, and no
+    // radio near 0 counts it as a collision or a PRR loss.
+    std::vector<int> expected{0, 1, 1, 0, 0, 1, destroy == Destroy::kListener ? 0 : 1};
+    if (destroy == Destroy::kSecondSender) expected.insert(expected.end(), {0, 0});
     for (const CallbackMutationResult* r : {&cached, &reference}) {
-      EXPECT_EQ(r->rx_count, expected) << "destroy " << destroy;
-      EXPECT_EQ(r->stats.transmissions, 1u);
-      EXPECT_EQ(r->stats.deliveries, destroy ? 3u : 4u);
-      EXPECT_EQ(r->stats.collision_losses, 0u);
+      EXPECT_EQ(r->rx_count, expected) << "destroy " << label;
+      EXPECT_EQ(r->stats.transmissions, destroy == Destroy::kSecondSender ? 2u : 1u);
+      EXPECT_EQ(r->stats.deliveries, destroy == Destroy::kListener ? 3u : 4u);
+      EXPECT_EQ(r->stats.collision_losses, 0u) << "destroy " << label;
       EXPECT_EQ(r->stats.prr_losses, 0u);
     }
     EXPECT_EQ(cached.rx_count, reference.rx_count);
     EXPECT_EQ(cached.stats.deliveries, reference.stats.deliveries);
     EXPECT_EQ(cached.stats.collision_losses, reference.stats.collision_losses);
     EXPECT_EQ(cached.stats.prr_losses, reference.stats.prr_losses);
+  }
+}
+
+TEST(MediumDetachedSender, FrameIsLostInBothModes) {
+  // A sender destroyed mid-frame goes silent: its frame reaches no one,
+  // neither a listener near the origin (where a detached sender once
+  // resolved as if it stood) nor one in range of where it really was.
+  for (const bool cached : {true, false}) {
+    constexpr PhysChannel kChannel = 17;
+    Simulator sim(5);
+    Medium medium(sim, std::make_unique<UnitDiskModel>(50.0, 1.0, 1.5), Rng(5));
+    medium.set_link_cache_enabled(cached);
+    auto sender = std::make_unique<Radio>(sim, medium, 0, Position{500.0, 0.0});
+    Radio near_origin(sim, medium, 1, Position{5.0, 0.0});
+    Radio near_sender(sim, medium, 2, Position{520.0, 0.0});
+    std::vector<int> rx_count(3, 0);
+    near_origin.on_rx = [&rx_count](FramePtr) { ++rx_count[1]; };
+    near_sender.on_rx = [&rx_count](FramePtr) { ++rx_count[2]; };
+    near_origin.listen(kChannel);
+    near_sender.listen(kChannel);
+    const FramePtr frame = make_data_frame(0, kBroadcastId, DataPayload{});
+    const TimeUs air = frame_airtime(frame->length_bytes);
+    sim.at(100, [&] { sender->transmit(frame, kChannel); });
+    sim.at(100 + air / 2, [&sender] { sender.reset(); });
+    sim.run_until(100_ms);
+    EXPECT_EQ(rx_count, (std::vector<int>{0, 0, 0})) << "cached " << cached;
+    EXPECT_EQ(medium.stats().transmissions, 1u);
+    EXPECT_EQ(medium.stats().deliveries, 0u);
+    EXPECT_EQ(medium.stats().collision_losses, 0u);
+    EXPECT_EQ(medium.stats().prr_losses, 0u);
   }
 }
 

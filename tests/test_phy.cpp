@@ -30,13 +30,6 @@ TEST(UnitDisk, InterferenceExtendsBeyondRange) {
   EXPECT_FALSE(m.interferes(1, {0, 0}, 2, {0, 15.1}));
 }
 
-TEST(DistancePrr, GreyRegionLinear) {
-  DistancePrrModel m(10.0, 20.0);
-  EXPECT_DOUBLE_EQ(m.prr(1, {0, 0}, 2, {0, 5}), 1.0);
-  EXPECT_NEAR(m.prr(1, {0, 0}, 2, {0, 15}), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(m.prr(1, {0, 0}, 2, {0, 25}), 0.0);
-}
-
 TEST(MatrixModel, ExplicitLinks) {
   MatrixLinkModel m;
   m.set(1, 2, 0.8);
