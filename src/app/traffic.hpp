@@ -25,7 +25,6 @@ class PeriodicSource {
   /// Stop generating after this absolute sim time (0 = never).
   void set_end_time(TimeUs end) { end_time_ = end; }
 
-  double rate_ppm() const { return ppm_; }
   std::uint64_t generated() const { return generated_; }
 
  private:

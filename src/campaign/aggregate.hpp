@@ -242,7 +242,6 @@ class PointAccumulator {
   void add_failure(std::size_t seed_index, JobStatus status);
 
   std::size_t size() const { return by_seed_.size(); }
-  std::size_t failed_size() const { return failed_.size(); }
 
   PointAggregate finalize() const;
 

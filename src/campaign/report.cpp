@@ -5,7 +5,6 @@
 #include <variant>
 
 #include "campaign/journal.hpp"
-#include "util/csv.hpp"
 
 namespace gttsch::campaign {
 namespace {
@@ -17,6 +16,19 @@ std::string fmt(double v) {
 }
 
 std::string fmt(std::uint64_t v) { return std::to_string(v); }
+
+/// RFC-4180 quoting: a cell holding a comma, quote or newline is wrapped
+/// in quotes, with inner quotes doubled.
+std::string csv_escape(const std::string& cell) {
+  if (cell.find_first_of(",\"\n") == std::string::npos) return cell;
+  std::string quoted = "\"";
+  for (char ch : cell) {
+    if (ch == '"') quoted += '"';
+    quoted += ch;
+  }
+  quoted += '"';
+  return quoted;
+}
 
 /// A non-spread row's value in `a`, as its report cell.
 std::string total_text(const MetricRow& row, const PointAggregate& a) {
@@ -108,7 +120,7 @@ std::string render_csv(const std::vector<PointAggregate>& aggregates) {
   auto append_row = [&out](const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
       if (i > 0) out += ',';
-      out += CsvWriter::escape(cells[i]);
+      out += csv_escape(cells[i]);
     }
     out += '\n';
   };

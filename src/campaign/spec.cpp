@@ -488,12 +488,6 @@ bool validate_points_trace(const std::vector<GridPoint>& points, std::string* er
   return true;
 }
 
-std::vector<Job> make_jobs(const CampaignSpec& spec, std::string* error) {
-  const std::vector<GridPoint> points = expand_grid(spec, error);
-  if (points.empty()) return {};
-  return make_jobs(points, spec.seeds);
-}
-
 std::vector<Job> make_jobs(const std::vector<GridPoint>& points,
                            const std::vector<std::uint64_t>& seeds) {
   std::vector<Job> jobs;

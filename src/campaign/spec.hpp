@@ -105,9 +105,6 @@ bool validate_points_trace(const std::vector<GridPoint>& points, std::string* er
 std::vector<GridPoint> expand_grid(const CampaignSpec& spec, std::string* error);
 
 /// Grid points x seeds, in deterministic (point-major) order.
-std::vector<Job> make_jobs(const CampaignSpec& spec, std::string* error);
-
-/// Same, over an already-expanded grid (avoids re-expanding the product).
 std::vector<Job> make_jobs(const std::vector<GridPoint>& points,
                            const std::vector<std::uint64_t>& seeds);
 

@@ -30,7 +30,6 @@ class TxAllocationGame {
  public:
   TxAllocationGame(Weights weights, std::vector<PlayerState> players);
 
-  std::size_t num_players() const { return players_.size(); }
   const Weights& weights() const { return weights_; }
   const std::vector<PlayerState>& players() const { return players_; }
 

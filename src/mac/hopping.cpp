@@ -1,14 +1,8 @@
 #include "mac/hopping.hpp"
 
-#include "util/check.hpp"
-
 namespace gttsch {
 
 HoppingSequence::HoppingSequence() : seq_{17, 23, 15, 25, 19, 11, 13, 21} {}
-
-HoppingSequence::HoppingSequence(std::vector<PhysChannel> seq) : seq_(std::move(seq)) {
-  GTTSCH_CHECK(!seq_.empty());
-}
 
 PhysChannel HoppingSequence::channel_for(Asn asn, ChannelOffset offset) const {
   return seq_[static_cast<std::size_t>((asn + offset) % seq_.size())];

@@ -11,7 +11,6 @@ class HoppingSequence {
  public:
   /// Default: the paper's Table II sequence {17,23,15,25,19,11,13,21}.
   HoppingSequence();
-  explicit HoppingSequence(std::vector<PhysChannel> seq);
 
   PhysChannel channel_for(Asn asn, ChannelOffset offset) const;
 

@@ -78,23 +78,12 @@ std::vector<Cell> Slotframe::all_cells() const {
   return out;
 }
 
-std::vector<std::uint16_t> Slotframe::free_slots() const {
-  std::vector<std::uint16_t> out;
-  for (std::uint16_t s = 0; s < length_; ++s)
-    if (by_slot_[s].empty()) out.push_back(s);
-  return out;
-}
-
 Slotframe& TschSchedule::add_slotframe(std::uint16_t handle, std::uint16_t length) {
   const auto [it, inserted] = frames_.try_emplace(handle, handle, length);
   GTTSCH_CHECK(inserted);
   it->second.owner_ = this;
   on_slotframes_changed();
   return it->second;
-}
-
-void TschSchedule::remove_slotframe(std::uint16_t handle) {
-  if (frames_.erase(handle) > 0) on_slotframes_changed();
 }
 
 Slotframe* TschSchedule::get(std::uint16_t handle) {

@@ -47,9 +47,6 @@ class Slotframe {
   /// All cells in slot order (flattened copy).
   std::vector<Cell> all_cells() const;
 
-  /// Slot offsets with no cell at all.
-  std::vector<std::uint16_t> free_slots() const;
-
   bool slot_in_use(std::uint16_t slot) const { return !by_slot_[slot].empty(); }
 
  private:
@@ -73,7 +70,7 @@ class Slotframe {
 /// length, a pointer to its cells and, per slot offset, the cyclic gap to
 /// the next occupied offset — compiled lazily and per slotframe: the next
 /// query after a cell edit recompiles the gaps of only the slotframes
-/// edited since the last one, and only adding or removing a slotframe
+/// edited since the last one, and only adding a slotframe
 /// rebuilds the entry list. Both slot queries walk this table, so a slot
 /// start costs one indexed read per slotframe: the MAC fast path uses
 /// next_active_asn to jump directly to the next ASN holding at least one
@@ -93,7 +90,6 @@ class TschSchedule {
   static constexpr Asn kNoActiveAsn = std::numeric_limits<Asn>::max();
 
   Slotframe& add_slotframe(std::uint16_t handle, std::uint16_t length);
-  void remove_slotframe(std::uint16_t handle);
   Slotframe* get(std::uint16_t handle);
   const Slotframe* get(std::uint16_t handle) const;
 
@@ -119,7 +115,7 @@ class TschSchedule {
   /// Total number of cells across slotframes.
   std::size_t total_cells() const;
 
-  /// Bumped on every mutation (cell or slotframe add/remove).
+  /// Bumped on every mutation (cell add/remove, slotframe add).
   std::uint64_t version() const { return version_; }
 
   /// Invoked (synchronously) after every mutation; one listener only —

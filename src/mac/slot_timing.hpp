@@ -26,9 +26,6 @@ struct SlotTiming {
   /// fraction of it suffices since the poll only needs to outlive the
   /// frame-end bookkeeping, not the ACK itself).
   TimeUs rx_repoll_slack = 200;
-
-  /// Radio-on cost of an idle (no frame) Rx slot.
-  TimeUs idle_rx_cost() const { return rx_guard_before + rx_guard_after; }
 };
 
 }  // namespace gttsch

@@ -142,8 +142,6 @@ void TschMac::associate_from_eb(const Frame& frame) {
   schedule_next_slot();
 }
 
-TimeUs TschMac::local_slot_duration() const { return config_.timing.slot_duration; }
-
 void TschMac::arm_slot_timer() {
   wake_owner_ = sim_.current_owner();
   slot_timer_.start(std::max<TimeUs>(0, next_slot_time_ - sim_.now()),

@@ -165,8 +165,6 @@ class TschMac {
     FramePtr frame;
   };
 
-  /// This node's (possibly drifted) slot duration.
-  TimeUs local_slot_duration() const;
   void arm_slot_timer();
   /// Arm the next wakeup from the current slot anchor: the next slot after
   /// an active one (so the boundary's defensive clears still run), else

@@ -102,12 +102,6 @@ std::optional<NodeId> TxQueues::pick_any_unicast_shared() {
   return chosen;
 }
 
-std::size_t TxQueues::total_queued() const {
-  std::size_t n = broadcast_.packets.size();
-  for (const Backlogged& b : backlog_) n += b.queue->packets.size();
-  return n;
-}
-
 std::size_t TxQueues::retarget(NodeId from, NodeId to) {
   const auto it = unicast_.find(from);
   if (it == unicast_.end() || from == to) return 0;

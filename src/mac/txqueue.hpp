@@ -71,7 +71,6 @@ class TxQueues {
   std::size_t data_queued() const { return data_queued_; }
   std::size_t data_capacity() const { return data_capacity_; }
   std::size_t broadcast_queued() const { return broadcast_.packets.size(); }
-  std::size_t total_queued() const;
 
   /// Move all *data* frames queued for `from` to the queue of `to`
   /// (RPL parent switch). Control frames for `from` are dropped.

@@ -26,7 +26,6 @@ class EtxEstimator {
 
   bool has_estimate(NodeId nbr) const { return values_.count(nbr) > 0; }
   void forget(NodeId nbr) { values_.erase(nbr); }
-  std::size_t tracked_neighbors() const { return values_.size(); }
 
  private:
   double alpha_;

@@ -37,13 +37,6 @@ void MatrixLinkModel::set(NodeId tx, NodeId rx, double prr, bool symmetric) {
   ++version_;
 }
 
-void MatrixLinkModel::set_interference(NodeId tx, NodeId rx, bool on, bool symmetric) {
-  interference_[{tx, rx}] = on;
-  if (symmetric) interference_[{rx, tx}] = on;
-  change_log_.emplace_back(tx, rx);
-  ++version_;
-}
-
 bool MatrixLinkModel::changed_nodes_since(std::uint64_t since,
                                           std::vector<NodeId>& out) const {
   if (since > change_log_.size()) return false;  // foreign version value
@@ -60,8 +53,6 @@ double MatrixLinkModel::prr(NodeId tx, const Position&, NodeId rx, const Positio
 }
 
 bool MatrixLinkModel::interferes(NodeId tx, const Position&, NodeId rx, const Position&) const {
-  const auto it = interference_.find({tx, rx});
-  if (it != interference_.end()) return it->second;
   return prr(tx, {}, rx, {}) > 0.0;
 }
 

@@ -75,11 +75,11 @@ class UnitDiskModel final : public LinkModel {
 };
 
 /// Explicit per-link PRR table; anything not listed has PRR 0. Interference
-/// follows connectivity (links with PRR > 0 interfere). For unit tests.
+/// follows connectivity (links with PRR > 0 interfere). Unit tests and
+/// environment_monitoring build their links from it.
 class MatrixLinkModel final : public LinkModel {
  public:
   void set(NodeId tx, NodeId rx, double prr, bool symmetric = true);
-  void set_interference(NodeId tx, NodeId rx, bool on, bool symmetric = true);
 
   double prr(NodeId tx, const Position&, NodeId rx, const Position&) const override;
   bool interferes(NodeId tx, const Position&, NodeId rx, const Position&) const override;
@@ -88,8 +88,7 @@ class MatrixLinkModel final : public LinkModel {
 
  private:
   std::map<std::pair<NodeId, NodeId>, double> prr_;
-  std::map<std::pair<NodeId, NodeId>, bool> interference_;
-  std::uint64_t version_ = 0;  ///< bumped on every set()/set_interference()
+  std::uint64_t version_ = 0;  ///< bumped on every set()
   /// One entry per version bump: the pair that mutation touched
   /// (change_log_[v] caused version v -> v+1), behind changed_nodes_since.
   std::vector<std::pair<NodeId, NodeId>> change_log_;

@@ -94,7 +94,6 @@ class Medium {
   /// order, same RNG draw discipline) — which is exactly what the tests
   /// assert, bit for bit.
   void set_link_cache_enabled(bool enabled);
-  bool link_cache_enabled() const { return link_cache_enabled_; }
 
  private:
   struct Transmission {

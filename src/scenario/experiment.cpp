@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 #include "phy/dynamic_link.hpp"
 #include "stats/telemetry.hpp"
@@ -290,16 +289,7 @@ ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry
   return run.finish();
 }
 
-std::vector<std::uint64_t> default_seeds() {
-  int count = 3;
-  if (const char* env = std::getenv("GTTSCH_SEEDS")) {
-    const int parsed = std::atoi(env);
-    if (parsed > 0 && parsed <= 64) count = parsed;
-  }
-  std::vector<std::uint64_t> seeds;
-  for (int i = 0; i < count; ++i) seeds.push_back(1000 + 17ull * static_cast<std::uint64_t>(i));
-  return seeds;
-}
+std::vector<std::uint64_t> default_seeds() { return {1000, 1017, 1034}; }
 
 const char* scheduler_name(const std::string& key) {
   const SfRegistry::Entry* entry = SfRegistry::instance().find(key);

@@ -195,8 +195,8 @@ ExperimentResult run_scenario(const ScenarioConfig& config);
 /// copied into the returned metrics.
 ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry);
 
-/// Default seed list used by the figure benches (override length with the
-/// GTTSCH_SEEDS environment variable).
+/// Default seed list of gt_campaign and the figure benches (--seeds
+/// replaces it).
 std::vector<std::uint64_t> default_seeds();
 
 /// Registry display name ("GT-TSCH") for a scheduler key or alias; "?"

@@ -10,8 +10,8 @@ namespace gttsch {
 namespace {
 // Atomics: the campaign runner drives many simulators from worker threads,
 // and all of them consult the shared levels. g_max is the fast gate
-// (max of the base level and every override); the per-component map and
-// the JSON sink live behind g_mutex on the slow emit path.
+// (max of the base level and every override); the per-component map
+// lives behind g_mutex on the slow emit path.
 std::atomic<LogLevel> g_base{LogLevel::kNone};
 std::atomic<LogLevel> g_max{LogLevel::kNone};
 std::atomic<bool> g_has_overrides{false};
@@ -19,10 +19,6 @@ std::mutex g_mutex;
 std::map<std::string, LogLevel>& overrides() {
   static std::map<std::string, LogLevel> map;
   return map;
-}
-std::function<void(const std::string&)>& json_sink() {
-  static std::function<void(const std::string&)> sink;
-  return sink;
 }
 
 const char* level_tag(LogLevel level) {
@@ -32,16 +28,6 @@ const char* level_tag(LogLevel level) {
     case LogLevel::kInfo: return "I";
     case LogLevel::kDebug: return "D";
     default: return "?";
-  }
-}
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kError: return "error";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kDebug: return "debug";
-    default: return "none";
   }
 }
 
@@ -65,22 +51,6 @@ void refresh_max() {
   g_has_overrides.store(!overrides().empty(), std::memory_order_relaxed);
 }
 
-void append_json_escaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-      *out += buf;
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 // $GTTSCH_LOG is applied before main so every binary honors it without
 // per-tool wiring.
 const bool g_env_applied = [] {
@@ -90,23 +60,7 @@ const bool g_env_applied = [] {
 
 }  // namespace
 
-void Log::set_level(LogLevel level) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  g_base.store(level, std::memory_order_relaxed);
-  refresh_max();
-}
-
 LogLevel Log::level() { return g_max.load(std::memory_order_relaxed); }
-
-void Log::set_component_level(const std::string& component, LogLevel level) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (component.empty()) {
-    overrides().clear();
-  } else {
-    overrides()[component] = level;
-  }
-  refresh_max();
-}
 
 LogLevel Log::component_level(const std::string& component) {
   std::lock_guard<std::mutex> lock(g_mutex);
@@ -169,11 +123,6 @@ void Log::init_from_env() {
   }
 }
 
-void Log::set_json_sink(std::function<void(const std::string&)> sink) {
-  std::lock_guard<std::mutex> lock(g_mutex);
-  json_sink() = std::move(sink);
-}
-
 void Log::write(LogLevel level, const char* component, const char* fmt, ...) {
   if (static_cast<int>(g_max.load(std::memory_order_relaxed)) <
       static_cast<int>(level)) {
@@ -189,17 +138,6 @@ void Log::write(LogLevel level, const char* component, const char* fmt, ...) {
   std::vsnprintf(body, sizeof body, fmt, args);
   va_end(args);
   std::fprintf(stderr, "%s %-8s %s\n", level_tag(level), component, body);
-  std::lock_guard<std::mutex> lock(g_mutex);
-  if (json_sink()) {
-    std::string line = "{\"level\":\"";
-    line += level_name(level);
-    line += "\",\"component\":\"";
-    append_json_escaped(&line, component);
-    line += "\",\"msg\":\"";
-    append_json_escaped(&line, body);
-    line += "\"}";
-    json_sink()(line);
-  }
 }
 
 }  // namespace gttsch

@@ -7,14 +7,9 @@
 // quiet: the GTTSCH_LOG environment variable (or Log::configure) accepts
 // "debug" (global level), "mac=debug,rpl=info" (component overrides) or a
 // mix ("warn,mac=debug"). Malformed specs abort the process at startup.
-//
-// Besides the printf path to stderr, a machine-readable JSON sink can be
-// installed: every emitted line is also rendered as one JSON object
-// {"level":..., "component":..., "msg":...} and handed to it.
 #pragma once
 
 #include <cstdarg>
-#include <functional>
 #include <string>
 
 
@@ -24,14 +19,9 @@ enum class LogLevel { kNone = 0, kError, kWarn, kInfo, kDebug };
 
 class Log {
  public:
-  static void set_level(LogLevel level);
-
   /// The most verbose level any component can emit at — the cheap gate
   /// the GTTSCH_LOG macro uses before the per-component check in write().
   static LogLevel level();
-
-  /// Level override for one component ("" clears all overrides).
-  static void set_component_level(const std::string& component, LogLevel level);
 
   /// Effective level for a component (its override, else the global base).
   static LogLevel component_level(const std::string& component);
@@ -46,11 +36,6 @@ class Log {
   /// exits(2) — misconfigured debugging should fail loudly, not silently
   /// log nothing. Runs automatically at program startup.
   static void init_from_env();
-
-  /// Machine-readable sink: receives each emitted record as one JSON
-  /// object (no trailing newline) alongside the stderr printf path.
-  /// Pass nullptr to uninstall. The sink runs under the log mutex.
-  static void set_json_sink(std::function<void(const std::string&)> sink);
 
   static void write(LogLevel level, const char* component, const char* fmt, ...)
       __attribute__((format(printf, 3, 4)));

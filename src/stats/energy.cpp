@@ -18,11 +18,6 @@ double EnergyModel::charge_mah(TimeUs tx_time, TimeUs rx_time, TimeUs window) co
   return average_current_ma(tx_time, rx_time, window) * hours;
 }
 
-double EnergyModel::energy_mj(TimeUs tx_time, TimeUs rx_time, TimeUs window) const {
-  // E = Q * V; 1 mAh = 3.6 C, so mAh * V * 3.6 = joules -> *1000 = mJ.
-  return charge_mah(tx_time, rx_time, window) * voltage * 3600.0;
-}
-
 double EnergyModel::lifetime_days(double battery_mah, TimeUs tx_time, TimeUs rx_time,
                                   TimeUs window) const {
   const double current = average_current_ma(tx_time, rx_time, window);

@@ -1,5 +1,5 @@
 // Energy model for the paper's target hardware (Zolertia Firefly, CC2538
-// SoC): converts radio on-time into charge/energy and battery-lifetime
+// SoC): converts radio on-time into current, charge and battery-lifetime
 // estimates. The paper reports radio duty cycle as its energy proxy; this
 // model turns the same measurements into milliamp-hours so deployments can
 // reason about battery budgets.
@@ -12,7 +12,6 @@ namespace gttsch {
 
 struct EnergyModel {
   // CC2538 datasheet figures (radio active at 0 dBm) plus deep-sleep draw.
-  double voltage = 3.0;            ///< V (2x AA)
   double tx_current_ma = 24.0;     ///< radio transmitting
   double rx_current_ma = 20.0;     ///< radio listening/receiving
   double sleep_current_ma = 0.0013;  ///< LPM2 with RAM retention
@@ -22,9 +21,6 @@ struct EnergyModel {
 
   /// Charge drawn over the window (mAh).
   double charge_mah(TimeUs tx_time, TimeUs rx_time, TimeUs window) const;
-
-  /// Energy drawn over the window (mJ).
-  double energy_mj(TimeUs tx_time, TimeUs rx_time, TimeUs window) const;
 
   /// Extrapolated lifetime (days) on a battery of `battery_mah`, assuming
   /// the measured window is representative.

@@ -8,23 +8,10 @@
 namespace gttsch {
 
 void SummaryStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
-
-double SummaryStats::variance() const {
-  return n_ < 2 ? 0.0 : m2_ / static_cast<double>(n_ - 1);
-}
-
-double SummaryStats::stddev() const { return std::sqrt(variance()); }
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), bins_(bins, 0) {

@@ -6,24 +6,17 @@
 
 namespace gttsch {
 
-/// Mean / min / max / variance without storing samples (Welford).
+/// Running mean without storing samples (Welford's update).
 class SummaryStats {
  public:
   void add(double x);
 
   std::uint64_t count() const { return n_; }
   double mean() const { return n_ == 0 ? 0.0 : mean_; }
-  double min() const { return n_ == 0 ? 0.0 : min_; }
-  double max() const { return n_ == 0 ? 0.0 : max_; }
-  double variance() const;  ///< sample variance
-  double stddev() const;
 
  private:
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 /// Fixed-width bins over [lo, hi); out-of-range samples clamp to the edge
@@ -39,7 +32,6 @@ class Histogram {
   double quantile(double q) const;
 
   const std::vector<std::uint64_t>& bins() const { return bins_; }
-  double bin_width() const { return width_; }
 
  private:
   double lo_;

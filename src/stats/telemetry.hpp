@@ -148,7 +148,6 @@ class Telemetry {
   std::size_t events_dropped() const { return events_dropped_; }
   std::uint64_t probes_sent() const { return probes_sent_; }
   std::uint64_t probes_delivered() const { return probes_delivered_; }
-  const SummaryStats& probe_latency_ms() const { return probe_latency_ms_; }
 
   /// Gauge sampling engine (for CSV export); null until attach() with a
   /// non-zero sample period.

@@ -53,12 +53,6 @@ std::uint64_t Rng::uniform(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (hi <= lo) return lo;
-  const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform(span));
-}
-
 double Rng::uniform_double() {
   // 53 high-quality bits into [0,1).
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;

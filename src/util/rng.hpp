@@ -25,9 +25,6 @@ class Rng {
   /// Uniform in [0, bound). bound == 0 returns 0.
   std::uint64_t uniform(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniform_double();
 

@@ -96,7 +96,7 @@ TEST(CampaignSpec, NoAxesYieldsSingleBasePoint) {
 TEST(CampaignSpec, JobsArePointMajorWithSeedsApplied) {
   const CampaignSpec spec = tiny_spec();
   std::string error;
-  const auto jobs = campaign::make_jobs(spec, &error);
+  const auto jobs = campaign::make_jobs(campaign::expand_grid(spec, &error), spec.seeds);
   ASSERT_EQ(jobs.size(), 4u * 3u) << error;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].index, i);
@@ -645,7 +645,7 @@ TEST(CampaignRunner, ProgressReportsEveryJob) {
   spec.axes = {{"traffic_ppm", {"30"}}};
   spec.seeds = {1, 2, 3};
   std::string error;
-  const auto jobs = campaign::make_jobs(spec, &error);
+  const auto jobs = campaign::make_jobs(campaign::expand_grid(spec, &error), spec.seeds);
   ASSERT_EQ(jobs.size(), 3u);
 
   std::vector<std::size_t> completions;
@@ -668,7 +668,7 @@ TEST(CampaignRunner, CancelStopsClaimingJobs) {
   spec.axes = {{"traffic_ppm", {"30"}}};
   spec.seeds = {1, 2, 3, 4, 5, 6};
   std::string error;
-  const auto jobs = campaign::make_jobs(spec, &error);
+  const auto jobs = campaign::make_jobs(campaign::expand_grid(spec, &error), spec.seeds);
   ASSERT_EQ(jobs.size(), 6u);
 
   // The callback cancels the runner it belongs to; bind via pointer since
@@ -711,7 +711,7 @@ TEST(CampaignShard, ParsesShardSpecs) {
 TEST(CampaignShard, JobPartitionIsDisjointAndComplete) {
   const CampaignSpec spec = tiny_spec();  // 4 points x 3 seeds = 12 jobs
   std::string error;
-  const auto jobs = campaign::make_jobs(spec, &error);
+  const auto jobs = campaign::make_jobs(campaign::expand_grid(spec, &error), spec.seeds);
   ASSERT_EQ(jobs.size(), 12u);
 
   std::vector<int> claimed(jobs.size(), 0);
@@ -1330,6 +1330,17 @@ TEST(CampaignReport, CsvRowsMatchHeaderWidth) {
   const auto joined = std::find(header.begin(), header.end(), "nodes_joined");
   ASSERT_NE(joined, header.end());
   EXPECT_EQ(row[static_cast<std::size_t>(joined - header.begin())], "4.5");
+}
+
+TEST(CampaignReport, CsvQuotesCellsWithCommasAndQuotes) {
+  // A trace path may hold a comma or a quote; the cell is quoted and its
+  // quotes doubled (RFC 4180), so the row keeps its width.
+  PointAggregate agg;
+  agg.label = "trace=a,b.trace";
+  agg.coords = {{"trace", "quote\"d"}};
+  const std::string csv = campaign::render_csv({agg});
+  const std::string expected = "\"trace=a,b.trace\",\"quote\"\"d\",";
+  EXPECT_EQ(csv.substr(csv.find('\n') + 1, expected.size()), expected);
 }
 
 TEST(CampaignReport, CsvHeaderIsPinned) {

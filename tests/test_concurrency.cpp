@@ -20,6 +20,8 @@ TEST(ResolveWorkerCount, MalformedEnvFallsThroughToHardware) {
   EXPECT_EQ(resolve_worker_count(0, 8, "zero"), 8);
   EXPECT_EQ(resolve_worker_count(0, 8, "-2"), 8);
   EXPECT_EQ(resolve_worker_count(0, 8, "0"), 8);
+  EXPECT_EQ(resolve_worker_count(0, 8, "4x"), 8);
+  EXPECT_EQ(resolve_worker_count(0, 8, "99999999999999999999"), 8);
 }
 
 TEST(ResolveWorkerCount, ZeroHardwareReportClampsToOneWorker) {

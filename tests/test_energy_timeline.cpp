@@ -32,12 +32,6 @@ TEST(EnergyModel, ChargeScalesWithTime) {
   EXPECT_NEAR(one_hour, 10.0, 0.01);  // 20mA * 0.5 * 1h
 }
 
-TEST(EnergyModel, EnergyFromCharge) {
-  EnergyModel m;
-  // 10 mAh at 3 V = 10 * 3.6 C * 3 V = 108 J = 108000 mJ.
-  EXPECT_NEAR(m.energy_mj(0, 1800_s, 3600_s), 108000.0, 100.0);
-}
-
 TEST(EnergyModel, LifetimeExtrapolation) {
   EnergyModel m;
   // 1% rx duty -> ~0.2 mA avg -> 2600 mAh AA pair -> ~540 days.

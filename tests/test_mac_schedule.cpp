@@ -77,11 +77,10 @@ TEST(Slotframe, RemoveIf) {
   EXPECT_EQ(sf.size(), 1u);
 }
 
-TEST(Slotframe, FreeSlots) {
+TEST(Slotframe, SlotInUse) {
   Slotframe sf(0, 5);
   sf.add(make_cell(1, 0, kCellTx));
   sf.add(make_cell(3, 0, kCellRx));
-  EXPECT_EQ(sf.free_slots(), (std::vector<std::uint16_t>{0, 2, 4}));
   EXPECT_TRUE(sf.slot_in_use(1));
   EXPECT_FALSE(sf.slot_in_use(0));
 }
@@ -148,8 +147,6 @@ TEST(Schedule, NextActiveAsnTracksMutations) {
   EXPECT_EQ(s.next_active_asn(0), TschSchedule::kNoActiveAsn);
   s.add_slotframe(2, 5).add(make_cell(0, 0, kCellTx));
   EXPECT_EQ(s.next_active_asn(0), 5u);  // slot 0 of len 5: 0, 5, 10, ...
-  s.remove_slotframe(2);
-  EXPECT_EQ(s.next_active_asn(0), TschSchedule::kNoActiveAsn);
 }
 
 TEST(Schedule, ChangeListenerFiresOnEveryMutation) {
@@ -182,20 +179,9 @@ TEST(Schedule, ChangeListenerFiresOnEveryMutation) {
   sf.assign({});
   EXPECT_EQ(calls, 5);
   EXPECT_EQ(s.version(), v);
-  s.remove_slotframe(0);
+  s.add_slotframe(1, 4);
   EXPECT_EQ(calls, 6);
   EXPECT_GT(s.version(), v);
-}
-
-TEST(Schedule, RemoveSlotframe) {
-  TschSchedule s;
-  s.add_slotframe(0, 4);
-  s.add_slotframe(2, 8);
-  EXPECT_EQ(s.slotframe_count(), 2u);
-  s.remove_slotframe(0);
-  EXPECT_EQ(s.slotframe_count(), 1u);
-  EXPECT_EQ(s.get(0), nullptr);
-  EXPECT_NE(s.get(2), nullptr);
 }
 
 TEST(Schedule, TotalCells) {
@@ -230,7 +216,7 @@ Asn brute_next_active(const TschSchedule& s, Asn after) {
   return TschSchedule::kNoActiveAsn;
 }
 
-/// One random schedule edit: slotframe add/remove, cell add/remove,
+/// One random schedule edit: slotframe add, cell add/remove,
 /// remove_if, a frame reduced to a single occupied slot (whose cyclic
 /// gap wraps the whole slotframe), or an assign of 0-3 cells with
 /// duplicates (empty to empty included), checked against clearing and
@@ -249,8 +235,6 @@ void random_schedule_edit(TschSchedule& s, Rng& rng) {
                               static_cast<NodeId>(rng.uniform(3)));
   switch (rng.uniform(12)) {
     case 0:
-      s.remove_slotframe(handle);
-      break;
     case 1:
       sf->remove_if([](const Cell&) { return true; });
       sf->add(cell);

@@ -40,12 +40,12 @@ TEST(MatrixModel, ExplicitLinks) {
   EXPECT_FALSE(m.interferes(1, {}, 3, {}));
 }
 
-TEST(MatrixModel, AsymmetricAndInterferenceOverride) {
+TEST(MatrixModel, AsymmetricLinkInterferesOneWay) {
   MatrixLinkModel m;
   m.set(1, 2, 0.5, /*symmetric=*/false);
   EXPECT_DOUBLE_EQ(m.prr(2, {}, 1, {}), 0.0);
-  m.set_interference(3, 2, true);
-  EXPECT_TRUE(m.interferes(3, {}, 2, {}));
+  EXPECT_TRUE(m.interferes(1, {}, 2, {}));
+  EXPECT_FALSE(m.interferes(2, {}, 1, {}));
 }
 
 TEST(Wire, DefaultLengthsAndAirtime) {

@@ -314,14 +314,10 @@ TEST(TelemetryStream, SamplesCarryGaugePanel) {
 
 // ---------------------------------------------------------------- Log ----
 
-/// Restores the global Log state (level, overrides, sink) on scope exit so
+/// Restores the global Log state (level and overrides) on scope exit so
 /// these tests cannot leak verbosity into each other.
 struct LogStateGuard {
-  ~LogStateGuard() {
-    Log::set_json_sink(nullptr);
-    Log::set_component_level("", LogLevel::kNone);
-    Log::set_level(LogLevel::kNone);
-  }
+  ~LogStateGuard() { Log::configure("none", nullptr); }
 };
 
 TEST(LogConfigure, GrammarAcceptsLevelsAndOverrides) {
@@ -365,25 +361,12 @@ TEST(LogConfigure, ComponentOverridesGateEmission) {
   std::string error;
   ASSERT_TRUE(Log::configure("none,mac=info", &error)) << error;
 
-  std::vector<std::string> sunk;
-  Log::set_json_sink([&sunk](const std::string& line) { sunk.push_back(line); });
+  ::testing::internal::CaptureStderr();
   GTTSCH_LOG_INFO("mac", "cell %d fired", 7);
   GTTSCH_LOG_INFO("rpl", "should be muted");
-  ASSERT_EQ(sunk.size(), 1u);
-  EXPECT_NE(sunk[0].find("\"level\":\"info\""), std::string::npos);
-  EXPECT_NE(sunk[0].find("\"component\":\"mac\""), std::string::npos);
-  EXPECT_NE(sunk[0].find("cell 7 fired"), std::string::npos);
-}
-
-TEST(LogConfigure, JsonSinkEscapesMessages) {
-  LogStateGuard guard;
-  Log::set_level(LogLevel::kInfo);
-  std::vector<std::string> sunk;
-  Log::set_json_sink([&sunk](const std::string& line) { sunk.push_back(line); });
-  GTTSCH_LOG_INFO("test", "quote \" backslash \\ tab \t done");
-  ASSERT_EQ(sunk.size(), 1u);
-  EXPECT_NE(sunk[0].find("quote \\\" backslash \\\\ tab \\u0009 done"),
-            std::string::npos);
+  GTTSCH_LOG_DEBUG("mac", "below the override");
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out, "I mac      cell 7 fired\n");
 }
 
 }  // namespace

@@ -90,8 +90,8 @@ void print_usage() {
       "                 \"trace_kind=none,random-walk;trace_seed=1,2\" or\n"
       "                 \"trace=a.trace,b.trace\" (see --list-fields)\n"
       "  --set SPEC     base-config overrides, same \"field=v;field2=v\" grammar\n"
-      "  --seeds LIST   comma-separated seed list (default: the bench seeds,\n"
-      "                 count adjustable via GTTSCH_SEEDS)\n"
+      "  --seeds LIST   comma-separated seed list (default: the bench seeds\n"
+      "                 1000,1017,1034)\n"
       "  --jobs N       worker threads (default: hardware concurrency)\n"
       "  --shard i/N    run only this shard's share of the jobs (default 0/1)\n"
       "  --journal PATH append one JSONL record per completed job\n"
