@@ -5,8 +5,8 @@
 // operational() (GT-TSCH: the 6P bootstrap; e-MSF: the first negotiated
 // cell; autonomous SFs: association).
 //
-// Runs on the campaign engine, so it speaks the full scale-out flag set
-// shared with the figure benches (see figure_common.hpp / ROADMAP):
+// Runs on the campaign engine, so it speaks gt_campaign's scale-out flag
+// set (campaign::parse_campaign_flags):
 //   --jobs N, --seeds LIST, --out PREFIX, --shard i/N,
 //   --journal PATH, --resume PATH, --ci-rel FRAC (+ --min-seeds/
 //   --max-seeds/--batch/--metric), --set "field=v;..." (base-config
@@ -20,7 +20,6 @@
 
 #include "campaign/report.hpp"
 #include "campaign/runner.hpp"
-#include "figure_common.hpp"
 #include "scenario/experiment.hpp"
 #include "scenario/network.hpp"
 #include "sixp/sf_registry.hpp"

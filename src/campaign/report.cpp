@@ -5,6 +5,7 @@
 #include <variant>
 
 #include "campaign/journal.hpp"
+#include "campaign/jsonio.hpp"
 
 namespace gttsch::campaign {
 namespace {
@@ -51,21 +52,6 @@ std::string total_text(const MetricRow& row, const PointAggregate& a) {
 /// The CSV column of a non-spread row; medium rows carry a prefix.
 std::string total_column(const MetricRow& row) {
   return is_medium(row) ? std::string("medium_") + row.name : std::string(row.name);
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -139,14 +125,14 @@ std::string render_json(const std::vector<PointAggregate>& aggregates) {
   for (std::size_t i = 0; i < aggregates.size(); ++i) {
     const PointAggregate& a = aggregates[i];
     out += "  {\n";
-    out += "    \"label\": \"" + json_escape(a.label) + "\",\n";
+    out += "    \"label\": \"" + jsonio::escape(a.label) + "\",\n";
     out += "    \"coords\": {";
     for (std::size_t c = 0; c < a.coords.size(); ++c) {
       if (c > 0) out += ", ";
       out += '"';
-      out += json_escape(a.coords[c].first);
+      out += jsonio::escape(a.coords[c].first);
       out += "\": \"";
-      out += json_escape(a.coords[c].second);
+      out += jsonio::escape(a.coords[c].second);
       out += '"';
     }
     out += "},\n";

@@ -407,9 +407,9 @@ bool run_points_campaign(const std::vector<GridPoint>& points,
   if (options.resume && options.journal_path.empty()) {
     return fail(error, "resume requested without a journal path");
   }
-  // Callers that bypass expand_grid (the figure benches build their grids
-  // by hand) still get the loud pre-run trace check instead of an abort
-  // deep inside run_scenario.
+  // Callers that bypass expand_grid (formation_time builds its grid by
+  // hand) still get the loud pre-run trace check instead of an abort deep
+  // inside run_scenario.
   TraceFiles trace_files;
   if (!validate_points_trace(points, error, &trace_files)) return false;
 

@@ -185,7 +185,7 @@ bool run_campaign(const CampaignSpec& spec, const CampaignOptions& options,
                   CampaignResult* out, std::string* error);
 
 /// Shared command-line surface for the scale-out options — used by both
-/// gt_campaign and the figure benches so the flag grammar cannot drift:
+/// gt_campaign and formation_time so the flag grammar cannot drift:
 ///   --jobs N, --shard i/N, --journal PATH, --resume PATH (conflicts with
 ///   an unequal --journal), --ci-rel FRAC, the adaptive-only flags
 ///   --max-seeds/--min-seeds/--batch/--metric, which error out loudly

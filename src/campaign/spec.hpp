@@ -89,8 +89,8 @@ bool validate(const CampaignSpec& spec, std::string* error);
 using TraceFiles = std::map<std::string, Trace>;
 
 /// Pre-run trace validation over fully resolved points — the check
-/// run_points_campaign and `gt_campaign validate` make before any job (the
-/// fig benches build their grids by hand and bypass expand_grid).
+/// run_points_campaign and `gt_campaign validate` make before any job
+/// (formation_time builds its grid by hand and bypasses expand_grid).
 /// Generator params are range-checked per point; each trace *file* is read
 /// and parsed once per unique path, its node ids checked against every
 /// referencing point's topology. Failures name the offending point, and a

@@ -153,24 +153,11 @@ bool ScenarioConfig::validate_trace(std::string* error) const {
   if (trace_kind != TraceKind::kFile && !trace.empty()) {
     return fail_with(error, "trace=PATH requires trace_kind=file");
   }
-  switch (trace_kind) {
-    case TraceKind::kNone:
-      return true;
-    case TraceKind::kFile: {
-      if (trace.empty()) {
-        return fail_with(error, "trace_kind=file requires trace=PATH");
-      }
-      Trace t;
-      if (!load_trace(trace, &t, error)) return false;
-      return validate_trace_nodes(t, make_topology(), error);
-    }
-    case TraceKind::kRandomWalk:
-    case TraceKind::kRandomWaypoint:
-    case TraceKind::kCrashloop:
-      return check_generator_params(*this, error);
+  if (trace_kind == TraceKind::kNone || trace_kind == TraceKind::kFile) {
+    Trace t;  // empty for kNone; a file is loaded and its node ids checked
+    return make_trace(make_topology(), &t, error);
   }
-  GTTSCH_CHECK(false);
-  return false;
+  return check_generator_params(*this, error);  // no synthesis
 }
 
 Network::LinkModelFactory scenario_link_model_factory(const ScenarioConfig& config,

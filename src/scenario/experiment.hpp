@@ -195,8 +195,7 @@ ExperimentResult run_scenario(const ScenarioConfig& config);
 /// copied into the returned metrics.
 ExperimentResult run_scenario(const ScenarioConfig& config, Telemetry* telemetry);
 
-/// Default seed list of gt_campaign and the figure benches (--seeds
-/// replaces it).
+/// Default seed list of gt_campaign (--seeds replaces it).
 std::vector<std::uint64_t> default_seeds();
 
 /// Registry display name ("GT-TSCH") for a scheduler key or alias; "?"

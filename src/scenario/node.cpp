@@ -130,10 +130,6 @@ void Node::set_telemetry(Telemetry* telemetry) {
   }
 }
 
-bool Node::count_in_panels(const DataPayload& data) const {
-  return !data.is_probe || telemetry_ == nullptr || telemetry_->probes_in_panels();
-}
-
 void Node::mac_associated(Asn, const Frame&) {
   if (telemetry_ != nullptr) telemetry_->on_associated(id_);
   if (stats_ != nullptr) stats_->on_associated(id_, sim_.now());
@@ -170,7 +166,7 @@ void Node::mac_tx_result(const Frame& frame, bool acked, int attempts) {
   if (!acked && frame.type == FrameType::kData) {
     const DataPayload& data = frame.as<DataPayload>();
     if (telemetry_ != nullptr) telemetry_->on_drop(id_, Telemetry::DropKind::kMac);
-    if (stats_ != nullptr && count_in_panels(data))
+    if (stats_ != nullptr && !data.is_probe)
       stats_->on_mac_drop(id_, sim_.now());
   }
 }
@@ -240,18 +236,14 @@ void Node::send_probe() {
   telemetry_->on_probe_sent(id_, data.seq);
   // Probes deliberately skip sf->on_local_packet_generated(): they are
   // measurement traffic and must not inflate the scheduler's demand
-  // estimate.
-  const bool panels = telemetry_->probes_in_panels();
-  if (panels && stats_ != nullptr) stats_->on_generated(id_, now);
+  // estimate. Nor do they count in the panel metrics.
   const NodeId parent = stack_->rpl.parent();
   if (parent == kNoNode || !stack_->mac.associated()) {
     telemetry_->on_drop(id_, Telemetry::DropKind::kNoRoute);
-    if (panels && stats_ != nullptr) stats_->on_no_route(id_, now);
     return;
   }
   if (!stack_->mac.enqueue(make_data_frame(id_, parent, data))) {
     telemetry_->on_drop(id_, Telemetry::DropKind::kQueue);
-    if (panels && stats_ != nullptr) stats_->on_queue_drop(id_, now);
   }
 }
 
@@ -261,7 +253,7 @@ void Node::handle_data(const Frame& frame) {
     if (data.is_probe && telemetry_ != nullptr)
       telemetry_->on_probe_delivered(data.origin, data.seq, data.generated_at,
                                      data.hops, sim_.now());
-    if (stats_ != nullptr && count_in_panels(data))
+    if (stats_ != nullptr && !data.is_probe)
       stats_->on_delivered(id_, data, sim_.now());
     return;
   }
@@ -269,17 +261,17 @@ void Node::handle_data(const Frame& frame) {
   const NodeId parent = stack_->rpl.parent();
   if (parent == kNoNode) {
     if (telemetry_ != nullptr) telemetry_->on_drop(id_, Telemetry::DropKind::kNoRoute);
-    if (stats_ != nullptr && count_in_panels(data)) stats_->on_no_route(id_, sim_.now());
+    if (stats_ != nullptr && !data.is_probe) stats_->on_no_route(id_, sim_.now());
     return;
   }
   DataPayload fwd = data;
   fwd.hops = static_cast<std::uint8_t>(data.hops + 1);
   if (!stack_->mac.enqueue(make_data_frame(id_, parent, fwd))) {
     if (telemetry_ != nullptr) telemetry_->on_drop(id_, Telemetry::DropKind::kQueue);
-    if (stats_ != nullptr && count_in_panels(data)) stats_->on_queue_drop(id_, sim_.now());
+    if (stats_ != nullptr && !data.is_probe) stats_->on_queue_drop(id_, sim_.now());
     return;
   }
-  if (stats_ != nullptr && count_in_panels(data)) stats_->on_forwarded(id_, sim_.now());
+  if (stats_ != nullptr && !data.is_probe) stats_->on_forwarded(id_, sim_.now());
 }
 
 }  // namespace gttsch

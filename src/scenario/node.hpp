@@ -129,9 +129,6 @@ class Node final : public MacUpcalls, public RplCallbacks {
   void boot_stack();
   void generate_packet();
   void handle_data(const Frame& frame);
-  /// False only for probe frames the telemetry config excludes from the
-  /// panel metrics.
-  bool count_in_panels(const DataPayload& data) const;
 
   Simulator& sim_;
   Medium& medium_;

@@ -247,21 +247,6 @@ void Telemetry::render_sample(const Timeline::Sample& s) {
                 static_cast<unsigned long long>(probes_sent_),
                 static_cast<unsigned long long>(probes_delivered_));
   line += buf;
-  if (config_.per_node) {
-    line += ",\"nodes\":{";
-    bool first = true;
-    for (const auto& [id, node] : net_->nodes()) {
-      if (node->is_root()) continue;
-      const NodeId parent = node->rpl().parent();
-      std::snprintf(buf, sizeof buf, "%s\"%u\":{\"q\":%zu,\"etx\":%.4g}",
-                    first ? "" : ",", static_cast<unsigned>(id),
-                    node->mac().data_queue_length(),
-                    parent == kNoNode ? 0.0 : node->etx().etx(parent));
-      line += buf;
-      first = false;
-    }
-    line += '}';
-  }
   line += '}';
   append(s.at, std::move(line));
 }

@@ -11,9 +11,8 @@
 // mutates a node — so a telemetry-attached run is bit-identical to a bare
 // run in every simulation-visible quantity (MAC counters, RunMetrics,
 // final ASN). The one deliberate exception is probe frames, which are
-// real traffic: they are off by default and excluded from the RunStats
-// panel metrics via DataPayload::is_probe unless
-// TelemetryConfig::probes_in_panels is set.
+// real traffic: they are off by default and always excluded from the
+// RunStats panel metrics via DataPayload::is_probe.
 #pragma once
 
 #include <cstdint>
@@ -79,16 +78,12 @@ class Timeline {
 
 struct TelemetryConfig {
   TimeUs sample_period = 1000000;  ///< gauge sampling period (0 = no samples)
-  bool per_node = false;           ///< per-node detail in sample records
   int probe_count = 0;             ///< non-root probe senders (0 = no probes)
   TimeUs probe_period = 10000000;  ///< per-sender probe period
   /// Probe window (absolute sim time). run_scenario fills these with the
   /// measurement window when left at 0.
   TimeUs probe_start = 0;
   TimeUs probe_end = 0;
-  /// When true, probe frames also count in the RunStats panel metrics
-  /// (default: excluded, so panels match a probe-free run's traffic mix).
-  bool probes_in_panels = false;
   std::size_t max_events = 10000;  ///< structured-event trace bound
 };
 
@@ -107,7 +102,6 @@ class Telemetry {
   void attach(Network& net, RunStats* stats);
 
   const TelemetryConfig& config() const { return config_; }
-  bool probes_in_panels() const { return config_.probes_in_panels; }
 
   /// Default the probe window (no-op when the config already set one).
   /// Must be called before attach().

@@ -1,15 +1,14 @@
 // Telemetry determinism contract (stats/telemetry.hpp): attaching the
-// recorder — gauge sampling, per-node detail, and the structured event
-// trace, probes OFF — must leave every simulation-visible quantity
-// bit-identical to a bare run: per-node MAC counters, radio times, final
-// ASN, Medium stats and RunMetrics, in both stepping modes, for both
-// schedulers. Probe frames are the one deliberate exception (real
-// traffic); they are excluded from the panel metrics unless
-// TelemetryConfig::probes_in_panels opts them in.
+// recorder — gauge sampling and the structured event trace, probes OFF —
+// must leave every simulation-visible quantity bit-identical to a bare
+// run: per-node MAC counters, radio times, final ASN, Medium stats and
+// RunMetrics, in both stepping modes, for both schedulers. Probe frames
+// are the one deliberate exception (real traffic); they are excluded from
+// the panel metrics.
 //
 // Also covers the JSONL stream invariants (monotone t_s, bounded event
 // trace, trailing summary) and the Log redesign (per-component level
-// grammar, JSON sink).
+// grammar).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -144,12 +143,11 @@ ScenarioConfig churny_config(const std::string& kind) {
   return sc;
 }
 
-/// Full recorder minus probes: gauges at 1 Hz with per-node detail, plus
-/// the structured event trace — everything that must be invisible.
+/// Full recorder minus probes: gauges at 1 Hz plus the structured event
+/// trace — everything that must be invisible.
 TelemetryConfig passive_config() {
   TelemetryConfig tc;
   tc.sample_period = 1_s;
-  tc.per_node = true;
   tc.probe_count = 0;
   return tc;
 }
@@ -221,24 +219,6 @@ TEST(TelemetryProbes, ExcludedFromPanelsByDefault) {
   EXPECT_TRUE(saw_probe_record);
 }
 
-TEST(TelemetryProbes, OptInToPanelsCountsThem) {
-  ScenarioConfig sc = churny_config("gt-tsch");
-  sc.trace_fail_count = 0;
-  const ModeResult base = run_mode(sc, 4000, /*per_slot=*/false, nullptr);
-
-  TelemetryConfig tc = passive_config();
-  tc.probe_count = 3;
-  tc.probe_period = 5_s;
-  tc.probes_in_panels = true;
-  Telemetry telemetry(tc);
-  const ModeResult probed = run_mode(sc, 4000, /*per_slot=*/false, &telemetry);
-
-  // With the opt-in, probe frames land in the generated panel counter too.
-  EXPECT_EQ(probed.metrics.generated,
-            base.metrics.generated + telemetry.probes_sent());
-  EXPECT_GT(telemetry.probes_sent(), 0u);
-}
-
 TEST(TelemetryStream, MonotoneTimestampsAndSummary) {
   const ScenarioConfig sc = churny_config("gt-tsch");
   TelemetryConfig tc = passive_config();
@@ -303,8 +283,7 @@ TEST(TelemetryStream, SamplesCarryGaugePanel) {
     if (r.json.find("\"type\":\"sample\"") == std::string::npos) continue;
     saw_sample = true;
     for (const char* key : {"\"joined\"", "\"queue\"", "\"tx_cells\"",
-                            "\"mean_etx\"", "\"duty_percent\"", "\"drops\"",
-                            "\"nodes\""}) {
+                            "\"mean_etx\"", "\"duty_percent\"", "\"drops\""}) {
       EXPECT_NE(r.json.find(key), std::string::npos) << key << " in " << r.json;
     }
     break;

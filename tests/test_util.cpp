@@ -182,5 +182,49 @@ TEST(Flags, BoolSpellings) {
   EXPECT_FALSE(f.get_bool("d", true));
 }
 
+/// Parses `--name=value` and reads it with `get`, which must exit.
+template <typename Get>
+void read_flag(const char* arg, Get get) {
+  const char* argv[] = {"prog", arg};
+  const Flags f(2, const_cast<char**>(argv));
+  get(f);
+}
+
+TEST(Flags, MalformedIntExits2) {
+  // The prefix of the value used to be taken: "abc" read as 0, "6o" as 6.
+  const auto get = [](const Flags& f) { (void)f.get_int("nodes", 7); };
+  EXPECT_EXIT(read_flag("--nodes=abc", get), ::testing::ExitedWithCode(2),
+              "--nodes: \"abc\" is not an integer");
+  EXPECT_EXIT(read_flag("--nodes=6o", get), ::testing::ExitedWithCode(2), "\"6o\"");
+  EXPECT_EXIT(read_flag("--nodes=", get), ::testing::ExitedWithCode(2), "\"\"");
+  EXPECT_EXIT(read_flag("--nodes=99999999999999999999", get),
+              ::testing::ExitedWithCode(2), "is not an integer");
+}
+
+TEST(Flags, MalformedOrNonFiniteDoubleExits2) {
+  const auto get = [](const Flags& f) { (void)f.get_double("ppm", 60.0); };
+  EXPECT_EXIT(read_flag("--ppm=6o", get), ::testing::ExitedWithCode(2),
+              "--ppm: \"6o\" is not a finite number");
+  EXPECT_EXIT(read_flag("--ppm=abc", get), ::testing::ExitedWithCode(2), "\"abc\"");
+  EXPECT_EXIT(read_flag("--ppm=inf", get), ::testing::ExitedWithCode(2), "\"inf\"");
+  EXPECT_EXIT(read_flag("--ppm=nan", get), ::testing::ExitedWithCode(2), "\"nan\"");
+}
+
+TEST(Flags, UnknownBoolWordExits2) {
+  // Any word but the four "true" spellings used to read as false.
+  const auto get = [](const Flags& f) { (void)f.get_bool("quiet", false); };
+  EXPECT_EXIT(read_flag("--quiet=maybe", get), ::testing::ExitedWithCode(2),
+              "--quiet: \"maybe\" is not one of");
+  EXPECT_EXIT(read_flag("--quiet=", get), ::testing::ExitedWithCode(2), "\"\"");
+}
+
+TEST(Flags, WholeNumbersParse) {
+  const char* argv[] = {"prog", "--n=-42", "--x=1.5e3", "--y=.25"};
+  const Flags f(4, const_cast<char**>(argv));
+  EXPECT_EQ(f.get_int("n", 0), -42);
+  EXPECT_DOUBLE_EQ(f.get_double("x", 0.0), 1500.0);
+  EXPECT_DOUBLE_EQ(f.get_double("y", 0.0), 0.25);
+}
+
 }  // namespace
 }  // namespace gttsch
